@@ -6,7 +6,7 @@ generator."""
 __version__ = "0.1.0"
 
 from .baselines import BaselineKind, make_baseline, reduce_dataset
-from .data import Campaign, RawRun, Sample, SensorLayout
+from .data import Campaign, RawRun, SampleSet, SensorLayout
 from .errors import AeroshmError, ConfigError, DataError, NumericError, ShapeError
 from .models import build_cnn, build_mlp
 from .net import LayerStack, load_checkpoint, save_checkpoint
@@ -20,7 +20,7 @@ __all__ = [
     "LayerStack",
     "NumericError",
     "RawRun",
-    "Sample",
+    "SampleSet",
     "SensorLayout",
     "ShapeError",
     "build_cnn",

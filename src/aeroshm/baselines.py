@@ -12,11 +12,12 @@ Baselines operate on z-scored samples, the model's actual input space.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from enum import Enum
 
 import numpy as np
 
-from .data import Sample
+from .data import SampleSet
 from .errors import ConfigError
 
 
@@ -38,7 +39,8 @@ class BaselineKind(str, Enum):
 
 
 def make_baseline(values: np.ndarray, kind: "str | BaselineKind") -> np.ndarray:
-    """Baseline matrix with the same shape as the (channels, steps) input."""
+    """Baseline with the same shape as the input: one (channels, steps)
+    sample or a stack of them along leading axes."""
     kind = BaselineKind.parse(kind)
     values = np.asarray(values, dtype=np.float64)
     if kind is BaselineKind.APB:
@@ -49,19 +51,8 @@ def make_baseline(values: np.ndarray, kind: "str | BaselineKind") -> np.ndarray:
     return values - channel_means  # TVB
 
 
-def reduce_sample(sample: Sample, kind: "str | BaselineKind") -> Sample:
-    """Replace a sample's values by its baseline, keeping label and provenance."""
-    return Sample(
-        values=make_baseline(sample.values, kind),
-        label=sample.label,
-        test_series=sample.test_series,
-        run_index=sample.run_index,
-        window_index=sample.window_index,
-    )
-
-
-def reduce_dataset(samples: list[Sample], kind: "str | BaselineKind") -> list[Sample]:
-    """Baseline-reduce every sample; labels and ordering are preserved, so
-    split assignments remain valid."""
-    kind = BaselineKind.parse(kind)
-    return [reduce_sample(s, kind) for s in samples]
+def reduce_dataset(samples: SampleSet, kind: "str | BaselineKind") -> SampleSet:
+    """Baseline-reduce every sample into a new SampleSet; labels,
+    provenance and ordering are preserved, so split assignments remain
+    valid."""
+    return replace(samples, values=make_baseline(samples.values, kind))

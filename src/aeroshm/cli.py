@@ -22,6 +22,7 @@ from . import harness
 from .data import Campaign, ingest_csv_run, load_campaign, save_campaign
 from .errors import ConfigError, DataError, NumericError
 from .harness import ExperimentConfig
+from .models import ARCHITECTURES
 from .net import load_checkpoint
 from .preprocessing import MeanVectorStats
 from .spectra import StftSpec, shedding_scan, stft
@@ -50,16 +51,17 @@ def _load_data(args) -> Campaign:
     return load_campaign(Path(args.data))
 
 
-def _prepare_for_checkpoint(campaign: Campaign, metadata: dict):
-    config = ExperimentConfig.from_dict(metadata["config"])
-    data = harness.prepare_data(campaign, config,
-                                baseline_reduce=metadata.get("baseline_reduce"))
+def _prepare_for_checkpoint(campaign: Campaign, metadata: dict, overrides: dict | None = None):
+    if "config" not in metadata:
+        raise DataError("checkpoint metadata holds no experiment config")
+    config = ExperimentConfig.from_dict({**metadata["config"], **(overrides or {})})
     stored = metadata.get("mean_stats")
+    stats = None
     if stored:
-        stats = MeanVectorStats(mean=np.array(stored["mean"]),
-                                std=np.array(stored["std"]))
-        data.mean_stats = stats
-        data.inputs = harness.model_inputs(data.samples, config.arch, stats)
+        stats = MeanVectorStats(mean=np.array(stored["mean"]), std=np.array(stored["std"]))
+    data = harness.prepare_data(campaign, config,
+                                baseline_reduce=metadata.get("baseline_reduce"),
+                                mean_stats=stats)
     return data, config
 
 
@@ -152,11 +154,9 @@ def cmd_retrain(args) -> int:
 def cmd_attribute(args) -> int:
     stack, metadata = load_checkpoint(Path(args.checkpoint))
     campaign = _load_data(args)
-    data, config = _prepare_for_checkpoint(campaign, metadata)
-    for key in ("baseline", "ig_steps", "ig_max_samples"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
+    overrides = {key: getattr(args, key) for key in ("baseline", "ig_steps", "ig_max_samples")
+                 if getattr(args, key) is not None}
+    data, config = _prepare_for_checkpoint(campaign, metadata, overrides)
     outcome = harness.attribute_campaign(
         stack, data, config, slice_name=args.slice,
         export_dir=Path(args.out) if args.out else None)
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_training_args(p):
         p.add_argument("--data", required=True, help="dataset directory")
         p.add_argument("--config", help="experiment config JSON")
-        p.add_argument("--arch", choices=["fcn-cnn", "mean-mlp"])
+        p.add_argument("--arch", choices=sorted(ARCHITECTURES))
         p.add_argument("--aoa-deg", dest="aoa_deg", type=float)
         p.add_argument("--split", dest="split_index", type=int)
         p.add_argument("--seed", type=int)

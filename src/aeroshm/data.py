@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -130,17 +130,40 @@ class RawRun:
 
 
 @dataclass
-class Sample:
-    """One windowed sample: values (n_channels, window_steps) plus provenance."""
+class SampleSet:
+    """Windowed samples in columnar form: one (n, channels, steps) value
+    array plus a label and provenance entry per sample.
 
-    values: np.ndarray
-    label: int
-    test_series: int
-    run_index: int
-    window_index: int
+    Indexing with an index array or a slice gives the SampleSet of those
+    samples. Indexing with an integer gives one sample: its values are
+    (channels, steps) and its other fields are scalars.
+    """
 
-    def provenance(self) -> tuple[int, int, int]:
-        return (self.test_series, self.run_index, self.window_index)
+    values: np.ndarray  # (n, n_channels, window_steps) float64
+    labels: np.ndarray  # (n,) int64 damage class
+    test_series: np.ndarray  # (n,) int64
+    run_index: np.ndarray  # (n,) int64
+    window_index: np.ndarray  # (n,) int64, position of the window in its run
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, idx) -> "SampleSet":
+        return SampleSet(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def provenance(self, i: int) -> tuple[int, int, int]:
+        return (int(self.test_series[i]), int(self.run_index[i]), int(self.window_index[i]))
+
+    @classmethod
+    def concatenate(cls, sets: list["SampleSet"]) -> "SampleSet":
+        """One SampleSet holding the samples of each set in turn; the
+        values are gathered into one new array."""
+        if not sets:
+            raise DataError("no samples to concatenate")
+        return cls(*(np.concatenate([getattr(s, f.name) for s in sets]) for f in fields(cls)))
 
 
 @dataclass
@@ -182,6 +205,53 @@ def _run_dirname(run: RawRun) -> str:
     return f"ts{run.test_series}_d{run.damage_class}_r{run.run_index}"
 
 
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"malformed {what} {path}: {exc}") from exc
+
+
+# metadata every run sidecar must hold; meta.json of a saved run also
+# holds sample_rate, n_channels and n_steps
+RUN_META_KEYS = ("test_series", "damage_class", "run_index", "aoa_deg",
+                 "excitation_hz", "wind_speed")
+
+
+def _read_run_meta(meta_path: Path, required: tuple[str, ...] = RUN_META_KEYS) -> dict:
+    meta = _read_json(meta_path, "metadata")
+    missing = [k for k in required if k not in meta] if isinstance(meta, dict) else required
+    if missing:
+        raise DataError(f"{meta_path} missing keys: {', '.join(missing)}")
+    return meta
+
+
+def _run_from_meta(values: np.ndarray, meta: dict, meta_path: Path) -> RawRun:
+    try:
+        return RawRun(
+            values=values,
+            test_series=int(meta["test_series"]),
+            damage_class=int(meta["damage_class"]),
+            run_index=int(meta["run_index"]),
+            aoa_deg=float(meta["aoa_deg"]),
+            excitation_hz=float(meta["excitation_hz"]),
+            wind_speed=float(meta["wind_speed"]),
+            sample_rate=float(meta.get("sample_rate", SAMPLE_RATE_HZ)),
+            seed=meta.get("seed"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{meta_path}: malformed metadata value: {exc}") from exc
+
+
+def _check_finite(values: np.ndarray, where) -> None:
+    """Raise a DataError naming the first non-finite value; where(channel,
+    step) describes its position."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        ch, step = np.argwhere(bad)[0]
+        raise DataError(f"non-finite value at {where(int(ch), int(step))}")
+
+
 def save_run(run: RawRun, run_dir: Path) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "meta.json").write_text(json.dumps(run.meta_dict(), indent=2, sort_keys=True))
@@ -197,15 +267,7 @@ def load_run(run_dir: Path) -> RawRun:
         raise DataError(f"missing metadata file {meta_path}")
     if not bin_path.exists():
         raise DataError(f"missing signal file {bin_path}")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed metadata in {meta_path}: {exc}") from exc
-    required = ("test_series", "damage_class", "run_index", "aoa_deg",
-                "excitation_hz", "wind_speed", "sample_rate", "n_channels", "n_steps")
-    missing = [k for k in required if k not in meta]
-    if missing:
-        raise DataError(f"{meta_path} missing keys: {', '.join(missing)}")
+    meta = _read_run_meta(meta_path, RUN_META_KEYS + ("sample_rate", "n_channels", "n_steps"))
     raw = np.frombuffer(bin_path.read_bytes(), dtype="<f8")
     n_channels, n_steps = int(meta["n_channels"]), int(meta["n_steps"])
     if raw.size != n_channels * n_steps:
@@ -214,18 +276,8 @@ def load_run(run_dir: Path) -> RawRun:
             f"{n_channels}x{n_steps}={n_channels * n_steps}"
         )
     values = raw.reshape(n_channels, n_steps).copy()
-    _check_finite(values, str(bin_path))
-    return RawRun(
-        values=values,
-        test_series=int(meta["test_series"]),
-        damage_class=int(meta["damage_class"]),
-        run_index=int(meta["run_index"]),
-        aoa_deg=float(meta["aoa_deg"]),
-        excitation_hz=float(meta["excitation_hz"]),
-        wind_speed=float(meta["wind_speed"]),
-        sample_rate=float(meta["sample_rate"]),
-        seed=meta.get("seed"),
-    )
+    _check_finite(values, lambda ch, step: f"channel {ch}, time step {step} of {bin_path}")
+    return _run_from_meta(values, meta, meta_path)
 
 
 def save_campaign(campaign: Campaign, dataset_dir: Path) -> None:
@@ -256,17 +308,18 @@ def load_campaign(dataset_dir: Path) -> Campaign:
     manifest_path = dataset_dir / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"{dataset_dir} is not a dataset directory (no manifest.json)")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed manifest {manifest_path}: {exc}") from exc
+    manifest = _read_json(manifest_path, "manifest")
+    entries = manifest.get("runs") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and "dir" in e for e in entries):
+        raise DataError(f"{manifest_path} needs a 'runs' list whose entries each name a 'dir'")
     layout_path = dataset_dir / "layout.json"
     layout = SensorLayout()
     if layout_path.exists():
-        layout = SensorLayout.from_dict(json.loads(layout_path.read_text()))
+        layout = SensorLayout.from_dict(_read_json(layout_path, "layout"))
     gen_path = dataset_dir / "generator_config.json"
-    generator_config = json.loads(gen_path.read_text()) if gen_path.exists() else None
-    runs = [load_run(dataset_dir / entry["dir"]) for entry in manifest["runs"]]
+    generator_config = _read_json(gen_path, "generator config") if gen_path.exists() else None
+    runs = [load_run(dataset_dir / entry["dir"]) for entry in entries]
     for run in runs:
         if run.n_channels != layout.n_channels:
             raise DataError(
@@ -274,15 +327,6 @@ def load_campaign(dataset_dir: Path) -> Campaign:
                 f"layout declares {layout.n_channels}"
             )
     return Campaign(runs=runs, layout=layout, generator_config=generator_config)
-
-
-def _check_finite(values: np.ndarray, source: str) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        ch, step = np.argwhere(bad)[0]
-        raise DataError(
-            f"{source}: non-finite value at channel {int(ch)}, time step {int(step)}"
-        )
 
 
 def ingest_csv_run(csv_path: Path, meta_path: Path,
@@ -323,33 +367,9 @@ def ingest_csv_run(csv_path: Path, meta_path: Path,
             f"{csv_path}: missing working sensor id(s) {', '.join(map(str, missing))}")
     columns = [sensor_ids.index(i) for i in layout.working_ids]
     values = np.ascontiguousarray(table[:, columns].T, dtype=np.float64)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        ch, step = np.argwhere(bad)[0]
-        raise DataError(
-            f"{csv_path}: non-finite value at sensor id "
-            f"{layout.id_of_channel(int(ch))}, row {int(step) + 2}"
-        )
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed metadata in {meta_path}: {exc}") from exc
-    required = ("test_series", "damage_class", "run_index", "aoa_deg",
-                "excitation_hz", "wind_speed")
-    missing_keys = [k for k in required if k not in meta]
-    if missing_keys:
-        raise DataError(f"{meta_path} missing keys: {', '.join(missing_keys)}")
-    return RawRun(
-        values=values,
-        test_series=int(meta["test_series"]),
-        damage_class=int(meta["damage_class"]),
-        run_index=int(meta["run_index"]),
-        aoa_deg=float(meta["aoa_deg"]),
-        excitation_hz=float(meta["excitation_hz"]),
-        wind_speed=float(meta["wind_speed"]),
-        sample_rate=float(meta.get("sample_rate", SAMPLE_RATE_HZ)),
-        seed=meta.get("seed"),
-    )
+    _check_finite(values, lambda ch, step:
+                  f"sensor id {layout.id_of_channel(ch)}, row {step + 2} of {csv_path}")
+    return _run_from_meta(values, _read_run_meta(meta_path), meta_path)
 
 
 def export_csv_run(run: RawRun, csv_path: Path, meta_path: Path,
@@ -360,14 +380,3 @@ def export_csv_run(run: RawRun, csv_path: Path, meta_path: Path,
     np.savetxt(csv_path, run.values.T, delimiter=",", header=header, comments="",
                fmt="%.17g")
     Path(meta_path).write_text(json.dumps(run.meta_dict(), indent=2, sort_keys=True))
-
-
-def stack_values(samples: list[Sample]) -> np.ndarray:
-    """Stack sample values into one (n_samples, n_channels, window) array."""
-    if not samples:
-        raise DataError("empty sample list")
-    return np.stack([s.values for s in samples])
-
-
-def labels_array(samples: list[Sample]) -> np.ndarray:
-    return np.array([s.label for s in samples], dtype=np.int64)

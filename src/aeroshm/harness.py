@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,16 +25,15 @@ from .attribution import (
     top_channels,
 )
 from .baselines import BaselineKind, reduce_dataset
-from .data import Campaign, Sample, SensorLayout, labels_array, stack_values
+from .data import Campaign, SampleSet, SensorLayout
 from .errors import ConfigError, DataError
-from .models import build_architecture
+from .models import ARCHITECTURES, architecture, build_architecture
 from .net import FitSettings, LayerStack, fit, save_checkpoint
 from .preprocessing import (
     MeanVectorStats,
     SplitAssignment,
     assign_splits,
     build_samples,
-    mean_vector,
 )
 
 N_CLASSES = 6
@@ -69,13 +68,26 @@ class ExperimentConfig:
     ig_max_samples: int | None = None
     log_every: int = 0
 
+    def __post_init__(self):
+        counts = ["batch_size", "max_epochs", "window_steps", "window_count",
+                  "ig_steps", "ig_chunk"]
+        if self.ig_max_samples is not None:
+            counts.append("ig_max_samples")
+        for name in counts:
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.split_index not in (1, 2, 3):
+            raise ConfigError(f"split_index must be 1, 2 or 3, got {self.split_index!r}")
+        if not isinstance(self.val_fraction, (int, float)) or not 0 <= self.val_fraction < 1:
+            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         return cls(**d)
@@ -93,15 +105,7 @@ class ExperimentConfig:
         return cls.from_dict(d)
 
     def fit_settings(self) -> FitSettings:
-        return FitSettings(
-            batch_size=self.batch_size, max_epochs=self.max_epochs,
-            lr=self.lr, weight_decay=self.weight_decay,
-            label_smoothing=self.label_smoothing,
-            plateau_factor=self.plateau_factor,
-            plateau_patience=self.plateau_patience, min_lr=self.min_lr,
-            early_stop_patience=self.early_stop_patience,
-            seed=self.seed, log_every=self.log_every,
-        )
+        return FitSettings(**{f.name: getattr(self, f.name) for f in fields(FitSettings)})
 
 
 @dataclass
@@ -184,12 +188,15 @@ class PreparedData:
     """Windowed, normalized samples with a split and per-architecture
     model inputs."""
 
-    samples: list[Sample]
+    samples: SampleSet
     split: SplitAssignment
     inputs: np.ndarray  # model-ready inputs, aligned with samples
-    labels: np.ndarray
     mean_stats: MeanVectorStats | None
     layout: SensorLayout
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.samples.labels
 
     def slice(self, name: str):
         idx = {"train": self.split.train, "validation": self.split.validation,
@@ -202,22 +209,22 @@ class PreparedData:
         return self.inputs[idx], self.labels[idx], idx
 
 
-def model_inputs(samples: list[Sample], arch: str,
+def model_inputs(samples: SampleSet, arch: str,
                  mean_stats: MeanVectorStats | None) -> np.ndarray:
-    if arch == "fcn-cnn":
-        return stack_values(samples)
-    if arch == "mean-mlp":
-        if mean_stats is None:
-            raise ConfigError("mean-mlp inputs need fitted mean-vector statistics")
-        return np.stack([mean_vector(s, mean_stats) for s in samples])
-    raise ConfigError(f"unknown architecture {arch!r}")
+    """The architecture's inputs: for the fcn-cnn, samples.values itself."""
+    return architecture(arch).inputs(samples, mean_stats)
 
 
 def prepare_data(campaign: Campaign, config: ExperimentConfig,
-                 baseline_reduce: str | None = None) -> PreparedData:
+                 baseline_reduce: str | None = None,
+                 mean_stats: MeanVectorStats | None = None) -> PreparedData:
     """Window + normalize a campaign, assign splits, and build model
     inputs. baseline_reduce optionally replaces every sample by its
-    baseline before input construction (retraining protocols)."""
+    baseline before input construction (retraining protocols). The
+    mean-vector statistics an architecture needs are fitted on the
+    training slice unless given, as they are when a checkpoint is
+    evaluated."""
+    spec = architecture(config.arch)
     subset = campaign.subset_aoa(config.aoa_deg)
     samples = build_samples(subset, config.window_steps, config.window_count,
                             zscore_scope=config.zscore_scope)
@@ -225,13 +232,11 @@ def prepare_data(campaign: Campaign, config: ExperimentConfig,
                           val_fraction=config.val_fraction)
     if baseline_reduce is not None:
         samples = reduce_dataset(samples, baseline_reduce)
-    mean_stats = None
-    if config.arch == "mean-mlp":
-        mean_stats = MeanVectorStats.fit([samples[i] for i in split.train])
+    if mean_stats is None and spec.needs_mean_stats:
+        mean_stats = MeanVectorStats.fit(samples.values.mean(axis=-1)[split.train])
     inputs = model_inputs(samples, config.arch, mean_stats)
     return PreparedData(samples=samples, split=split, inputs=inputs,
-                        labels=labels_array(samples), mean_stats=mean_stats,
-                        layout=campaign.layout)
+                        mean_stats=mean_stats, layout=campaign.layout)
 
 
 @dataclass
@@ -240,12 +245,6 @@ class TrainOutcome:
     report: Report
     data: PreparedData
     checkpoint_metadata: dict
-
-
-def _input_shape_for(config: ExperimentConfig, data: PreparedData):
-    if config.arch == "fcn-cnn":
-        return (data.inputs.shape[1], data.inputs.shape[2])
-    return (data.inputs.shape[1],)
 
 
 def train_classifier(config: ExperimentConfig, campaign: Campaign,
@@ -257,7 +256,7 @@ def train_classifier(config: ExperimentConfig, campaign: Campaign,
     data = prepare_data(campaign, config, baseline_reduce=baseline_reduce)
     train_x, train_y, _ = data.slice("train")
     val_x, val_y, _ = data.slice("validation")
-    stack = build_architecture(config.arch, _input_shape_for(config, data),
+    stack = build_architecture(config.arch, data.inputs.shape[1:],
                                n_classes=N_CLASSES, seed=config.seed)
     result = fit(stack, train_x, train_y, val_x, val_y, config.fit_settings())
 
@@ -329,9 +328,9 @@ def ablate_on_baselines(stack: LayerStack, data: PreparedData,
     reports = {}
     for kind in kinds:
         kind = BaselineKind.parse(kind).value
-        reduced = reduce_dataset([data.samples[i] for i in idx], kind)
+        reduced = reduce_dataset(data.samples[idx], kind)
         inputs = model_inputs(reduced, config.arch, data.mean_stats)
-        report = evaluate(stack, inputs, labels_array(reduced), config,
+        report = evaluate(stack, inputs, reduced.labels, config,
                           slice_name=slice_name)
         report.kind = f"ablate-{kind}"
         report.extras["baseline"] = kind
@@ -339,20 +338,17 @@ def ablate_on_baselines(stack: LayerStack, data: PreparedData,
     return reports
 
 
-RETRAIN_ARCH = {"tvb": "fcn-cnn", "mvb": "mean-mlp"}
-
-
 def retrain_on_baseline(config: ExperimentConfig, campaign: Campaign,
                         kind: str, checkpoint_path: Path | None = None) -> TrainOutcome:
     """Retrain from scratch on baseline-reduced data: the CNN on
     temporal-variation samples, the MLP on mean-value vectors."""
     kind = BaselineKind.parse(kind).value
-    if kind == "apb":
+    arch = {spec.retrain_baseline: name for name, spec in ARCHITECTURES.items()}.get(kind)
+    if arch is None:  # the ambient baseline
         raise ConfigError(
-            "cannot retrain on the ambient baseline: every reduced sample is "
+            f"cannot retrain on the {kind} baseline: every reduced sample is "
             "all zeros, so training a classifier on them is not possible")
-    cfg = ExperimentConfig.from_dict({**config.to_dict(), "arch": RETRAIN_ARCH[kind],
-                                      "baseline": kind})
+    cfg = ExperimentConfig.from_dict({**config.to_dict(), "arch": arch, "baseline": kind})
     return train_classifier(cfg, campaign, baseline_reduce=kind,
                             checkpoint_path=checkpoint_path)
 
@@ -375,7 +371,7 @@ def attribute_campaign(stack: LayerStack, data: PreparedData,
     ig_max_samples caps the attributed population with a seeded draw (the
     cap is recorded in the report).
     """
-    if config.arch != "fcn-cnn":
+    if architecture(config.arch).input_rank != 2:
         raise ConfigError("attribution runs on the (channels, time) CNN input")
     t0 = time.perf_counter()
     inputs, labels, idx = data.slice(slice_name)
@@ -394,15 +390,15 @@ def attribute_campaign(stack: LayerStack, data: PreparedData,
     top3 = []
     sample_ids = []
     for row, j in enumerate(chosen):
-        sample = data.samples[idx[j]]
+        sample_id = data.samples.provenance(idx[j])
         amap = integrated_gradients(
             stack, inputs[j], kind, steps=config.ig_steps,
             target_class=int(preds[j]), target=config.ig_target,
-            chunk_size=config.ig_chunk, sample_id=sample.provenance())
+            chunk_size=config.ig_chunk, sample_id=sample_id)
         maps.append(amap)
         vectors[row] = channel_sum(amap)
         top3.append(top_channels(vectors[row], k=3))
-        sample_ids.append(sample.provenance())
+        sample_ids.append(sample_id)
 
     stats = population_stats(vectors, sample_ids=sample_ids)
     gaps = np.array([m.completeness_gap for m in maps])

@@ -8,12 +8,20 @@ so the pool averages exactly the input's time steps.
 "mean-mlp": four dense layers (128, 128, 64, n_classes) on a per-channel
 mean vector, batchnorm + ReLU after each hidden layer, dropout 0.2 on the
 input and 0.4 after the first two hidden layers, softmax output.
+
+ARCHITECTURES is the one registry of both: each entry says how to build
+the stack, the rank of one input, how to build the inputs from a
+SampleSet, and which baseline the architecture is retrained on.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass
+
 import numpy as np
 
+from .data import SampleSet
 from .errors import ConfigError
 from .net import (
     BatchNorm,
@@ -25,6 +33,7 @@ from .net import (
     ReLU,
     Softmax,
 )
+from .preprocessing import MeanVectorStats, mean_vector
 
 CNN_BLOCKS = ((128, 8), (256, 5), (128, 3))
 MLP_WIDTHS = (128, 128, 64)
@@ -76,22 +85,34 @@ def build_mlp(input_dim: int = 37, n_classes: int = 6, seed: int = 0) -> LayerSt
     return stack
 
 
+@dataclass(frozen=True)
+class Architecture:
+    build: Callable[..., LayerStack]  # build(*input_shape, n_classes=, seed=)
+    input_rank: int
+    # model inputs of a SampleSet, given the training mean-vector statistics
+    inputs: Callable[[SampleSet, MeanVectorStats | None], np.ndarray]
+    retrain_baseline: str  # the baseline it is retrained on from scratch
+    needs_mean_stats: bool = False
+
+
 ARCHITECTURES = {
-    "fcn-cnn": build_cnn,
-    "mean-mlp": build_mlp,
+    "fcn-cnn": Architecture(build_cnn, 2, lambda samples, stats: samples.values, "tvb"),
+    "mean-mlp": Architecture(build_mlp, 1, mean_vector, "mvb", needs_mean_stats=True),
 }
+
+
+def architecture(name: str) -> Architecture:
+    if name not in ARCHITECTURES:
+        raise ConfigError(
+            f"unknown architecture {name!r}; available: {', '.join(sorted(ARCHITECTURES))}")
+    return ARCHITECTURES[name]
 
 
 def build_architecture(name: str, input_shape: tuple[int, ...],
                        n_classes: int = 6, seed: int = 0) -> LayerStack:
     """Build a named architecture for the given input shape."""
-    if name == "fcn-cnn":
-        if len(input_shape) != 2:
-            raise ConfigError(f"fcn-cnn expects (channels, steps), got {input_shape}")
-        return build_cnn(input_shape[0], input_shape[1], n_classes=n_classes, seed=seed)
-    if name == "mean-mlp":
-        if len(input_shape) != 1:
-            raise ConfigError(f"mean-mlp expects (features,), got {input_shape}")
-        return build_mlp(input_shape[0], n_classes=n_classes, seed=seed)
-    raise ConfigError(
-        f"unknown architecture {name!r}; available: {', '.join(sorted(ARCHITECTURES))}")
+    spec = architecture(name)
+    if len(input_shape) != spec.input_rank:
+        raise ConfigError(
+            f"{name} expects a rank-{spec.input_rank} input shape, got {tuple(input_shape)}")
+    return spec.build(*input_shape, n_classes=n_classes, seed=seed)

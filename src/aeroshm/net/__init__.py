@@ -15,7 +15,7 @@ from .layers import (
 )
 from .losses import cross_entropy_from_logits, smoothed_targets
 from .optim import AdamW
-from .stack import GradientBundle, LayerStack
+from .stack import LayerStack
 from .training import FitResult, FitSettings, evaluate_loss, fit, train_step
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "FitResult",
     "FitSettings",
     "GlobalAvgPool",
-    "GradientBundle",
     "Layer",
     "LayerStack",
     "ReLU",

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 from .stack import LayerStack
 
 MAGIC = b"ASHMCKPT"
@@ -74,21 +74,31 @@ def load_checkpoint(path: Path) -> tuple[LayerStack, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
 
-    stack = LayerStack.from_configs(
-        header["layers"], tuple(header["input_shape"]),
-        seed=header.get("seed", 0), arch=header.get("arch", "custom"))
+    required = ("layers", "input_shape", "arrays")
+    missing = [k for k in required if k not in header] if isinstance(header, dict) else required
+    if missing:
+        raise DataError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    try:
+        stack = LayerStack.from_configs(
+            header["layers"], tuple(header["input_shape"]),
+            seed=header.get("seed", 0), arch=header.get("arch", "custom"))
+        directory = [(e["label"], tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
     offset = 20 + header_len
     state: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+    for label, shape in directory:
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if offset + nbytes > len(blob):
             raise DataError(f"{path}: truncated checkpoint data")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        state[entry["label"]] = arr.reshape(shape).copy()
+        state[label] = arr.reshape(shape).copy()
         offset += nbytes
     if offset != len(blob):
         raise DataError(f"{path}: {len(blob) - offset} trailing bytes after array data")
-    stack.load_state(state)
+    try:
+        stack.load_state(state)
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return stack, header.get("metadata", {})

@@ -302,20 +302,20 @@ LAYER_KINDS = {
     cls.kind: cls
     for cls in (Conv1d, BatchNorm, ReLU, GlobalAvgPool, Dense, Dropout, Softmax)
 }
+SEEDED_LAYERS = (Conv1d, Dense, Dropout)  # the layers that take an rng
 
 
 def layer_from_config(cfg: dict, rng: np.random.Generator) -> Layer:
-    """Rebuild a layer from its config() dict. Weights are freshly seeded
-    and are expected to be overwritten when loading a checkpoint."""
-    kind = cfg.get("kind")
-    if kind not in LAYER_KINDS:
-        raise ConfigError(f"unknown layer kind {kind!r}")
-    if kind == "conv1d":
-        return Conv1d(cfg["in_channels"], cfg["filters"], cfg["kernel_size"], rng)
-    if kind == "batchnorm":
-        return BatchNorm(cfg["channels"], cfg.get("eps", 1e-5), cfg.get("momentum", 0.1))
-    if kind == "dense":
-        return Dense(cfg["in_dim"], cfg["out_dim"], rng)
-    if kind == "dropout":
-        return Dropout(cfg["rate"], rng)
-    return LAYER_KINDS[kind]()
+    """Rebuild a layer from its config() dict: the keys other than "kind"
+    are its constructor's arguments. Weights are freshly seeded and are
+    expected to be overwritten when loading a checkpoint."""
+    args = dict(cfg)
+    cls = LAYER_KINDS.get(args.pop("kind", None))
+    if cls is None:
+        raise ConfigError(f"unknown layer kind {cfg.get('kind')!r}")
+    if cls in SEEDED_LAYERS:
+        args["rng"] = rng
+    try:
+        return cls(**args)
+    except TypeError as exc:
+        raise ConfigError(f"malformed {cls.kind} layer config {cfg}: {exc}") from None

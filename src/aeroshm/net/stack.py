@@ -9,21 +9,10 @@ target class or its post-softmax probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ConfigError, NumericError, ShapeError
 from .layers import Layer, Softmax, layer_from_config
-
-
-@dataclass
-class GradientBundle:
-    """Gradients of one scalar network output."""
-
-    input_grad: np.ndarray
-    param_grads: list[dict[str, np.ndarray]]
-    value: float  # the differentiated scalar (logit or probability)
 
 
 class LayerStack:
@@ -167,17 +156,6 @@ class LayerStack:
         if single:
             return float(values[0]), grads[0]
         return values, grads
-
-    def backward(self, x, class_index: int, target: str = "logit") -> GradientBundle:
-        """Full gradient bundle (input + parameters) of one scalar class
-        output evaluated at x in infer mode."""
-        self.zero_grads()
-        value, input_grad = self.class_gradients(
-            x, class_index, target=target, need_param_grads=True)
-        param_grads = [{k: v.copy() for k, v in layer.grads.items()}
-                       for layer in self.layers]
-        return GradientBundle(input_grad=input_grad, param_grads=param_grads,
-                              value=float(np.asarray(value).reshape(-1)[0]))
 
     # -- state -----------------------------------------------------------
 

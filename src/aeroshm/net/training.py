@@ -26,7 +26,6 @@ class FitSettings:
     min_lr: float = 1e-5
     early_stop_patience: int = 12
     seed: int = 0
-    shuffle: bool = True
     log_every: int = 0  # epochs between progress prints, 0 = silent
 
 
@@ -86,7 +85,7 @@ def fit(stack: LayerStack, train_x: np.ndarray, train_y: np.ndarray,
 
     n = len(train_x)
     for epoch in range(s.max_epochs):
-        order = shuffle_rng.permutation(n) if s.shuffle else np.arange(n)
+        order = shuffle_rng.permutation(n)
         losses = []
         for start in range(0, n, s.batch_size):
             idx = order[start:start + s.batch_size]

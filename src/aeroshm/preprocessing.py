@@ -3,19 +3,22 @@ vectors, and the non-random train/validation/test splits.
 
 Pipeline: the first 40 s and last 10 s of every run are discarded, 89
 overlapping 1.5 s windows are cut from the remainder at a uniform stride,
-and each window is z-scored. Splits hold one of the three runs per
-boundary condition (test series x damage class) out for testing; a 25%
-validation slice is carved out of the training pool, stratified by class
-and boundary condition.
+and each window is z-scored. The windows of a campaign are held in one
+columnar SampleSet: a (samples, channels, steps) array plus label and
+provenance arrays. Splits hold one of the three runs per boundary
+condition (test series x damage class) out for testing; a 25% validation
+slice is carved out of the training pool, stratified by class and
+boundary condition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import Campaign, RawRun, Sample
+from .data import Campaign, RawRun, SampleSet
 from .errors import ConfigError, DataError
 
 TRIM_HEAD_S = 40.0
@@ -35,27 +38,17 @@ def trim_run(run: RawRun) -> RawRun:
             f"run {run.key()} too short to trim: {run.duration_s:.1f} s "
             f"<= {TRIM_HEAD_S + TRIM_TAIL_S:.0f} s"
         )
-    trimmed = RawRun(
-        values=run.values[:, head:run.n_steps - tail],
-        test_series=run.test_series,
-        damage_class=run.damage_class,
-        run_index=run.run_index,
-        aoa_deg=run.aoa_deg,
-        excitation_hz=run.excitation_hz,
-        wind_speed=run.wind_speed,
-        sample_rate=run.sample_rate,
-        seed=run.seed,
-    )
-    return trimmed
+    return replace(run, values=run.values[:, head:run.n_steps - tail])
 
 
 def window_run(run: RawRun, window_steps: int = WINDOW_STEPS,
-               window_count: int = WINDOW_COUNT) -> list[Sample]:
+               window_count: int = WINDOW_COUNT) -> SampleSet:
     """Cut uniformly strided windows from a trimmed run.
 
     Stride is floor((N - W) / (count - 1)); leftover steps at the tail are
     discarded. Windows are ordered by start time and all carry the run's
-    damage class as label.
+    damage class as label. Their values are a read-only strided view of
+    the run, not a copy.
     """
     n = run.n_steps
     if window_steps < 1 or window_count < 1:
@@ -63,58 +56,52 @@ def window_run(run: RawRun, window_steps: int = WINDOW_STEPS,
     if n < window_steps:
         raise DataError(
             f"run {run.key()} has {n} steps, shorter than one {window_steps}-step window")
-    if window_count == 1:
-        starts = [0]
-    else:
+    stride = 1
+    if window_count > 1:
         if n - window_steps < window_count - 1:
             raise DataError(
                 f"run {run.key()}: {n} steps cannot host {window_count} distinct "
                 f"{window_steps}-step windows")
         stride = (n - window_steps) // (window_count - 1)
-        starts = [i * stride for i in range(window_count)]
-    return [
-        Sample(
-            values=run.values[:, s:s + window_steps].copy(),
-            label=run.damage_class,
-            test_series=run.test_series,
-            run_index=run.run_index,
-            window_index=w,
-        )
-        for w, s in enumerate(starts)
-    ]
+    # (channels, starts, steps) -> (windows, channels, steps)
+    windows = sliding_window_view(run.values, window_steps, axis=1)[:, ::stride]
+    values = windows[:, :window_count].transpose(1, 0, 2)
+
+    def column(value):
+        return np.full(window_count, value, dtype=np.int64)
+
+    return SampleSet(values=values, labels=column(run.damage_class),
+                     test_series=column(run.test_series),
+                     run_index=column(run.run_index),
+                     window_index=np.arange(window_count, dtype=np.int64))
 
 
-def zscore(values: np.ndarray, scope: str = "joint") -> np.ndarray:
-    """Z-score a (channels, steps) array.
+def zscore(values: np.ndarray, scope: str = "joint",
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Z-score each (channels, steps) block of a (..., channels, steps) array.
 
-    scope "joint" uses a single mean/std over all elements, preserving the
+    scope "joint" uses a single mean/std per block, preserving the
     relative magnitudes between channels; "per-channel" normalizes each
-    channel independently. Zero-variance input maps to all zeros.
+    channel independently. Zero-variance input maps to all zeros. The
+    result goes to `out` (which may be `values` itself) or a new array.
     """
     if scope == "joint":
-        mean = values.mean()
-        std = values.std()
-        if std == 0.0:
-            return np.zeros_like(values)
-        return (values - mean) / std
-    if scope == "per-channel":
-        mean = values.mean(axis=1, keepdims=True)
-        std = values.std(axis=1, keepdims=True)
-        out = np.zeros_like(values)
-        ok = std[:, 0] > 0.0
-        out[ok] = (values[ok] - mean[ok]) / std[ok]
-        return out
-    raise ConfigError(f"unknown z-score scope {scope!r}")
-
-
-def zscore_sample(sample: Sample, scope: str = "joint") -> Sample:
-    return Sample(
-        values=zscore(sample.values, scope=scope),
-        label=sample.label,
-        test_series=sample.test_series,
-        run_index=sample.run_index,
-        window_index=sample.window_index,
-    )
+        # the block's mean over its flattened elements: bit-identical to
+        # the mean of that block on its own, unlike mean(axis=(-2, -1))
+        flat = values.reshape(*values.shape[:-2], -1)
+        mean = flat.mean(axis=-1)[..., None, None]
+        std = flat.std(axis=-1)[..., None, None]
+    elif scope == "per-channel":
+        mean = values.mean(axis=-1, keepdims=True)
+        std = values.std(axis=-1, keepdims=True)
+    else:
+        raise ConfigError(f"unknown z-score scope {scope!r}")
+    flat_std = std == 0.0
+    out = np.subtract(values, mean, out=out)
+    out /= np.where(flat_std, 1.0, std)
+    if flat_std.any():
+        out[np.broadcast_to(flat_std, out.shape)] = 0.0
+    return out
 
 
 @dataclass
@@ -125,25 +112,27 @@ class MeanVectorStats:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, samples: list[Sample]) -> "MeanVectorStats":
-        if not samples:
+    def fit(cls, vectors: np.ndarray) -> "MeanVectorStats":
+        """Fit on the (n, channels) per-channel temporal means of the
+        training samples."""
+        if len(vectors) == 0:
             raise DataError("cannot fit mean-vector statistics on an empty set")
-        vectors = np.stack([s.values.mean(axis=1) for s in samples])
         std = vectors.std(axis=0)
         std[std == 0.0] = 1.0
         return cls(mean=vectors.mean(axis=0), std=std)
 
 
-def mean_vector(sample: Sample, stats: MeanVectorStats) -> np.ndarray:
-    """Per-channel temporal mean, z-scored against training-set statistics."""
+def mean_vector(samples: SampleSet, stats: MeanVectorStats) -> np.ndarray:
+    """Per-channel temporal means, z-scored against training-set
+    statistics: (n, channels) for a SampleSet, (channels,) for one sample."""
     if stats is None:
         raise ConfigError("mean_vector requires fitted training statistics")
-    return (sample.values.mean(axis=1) - stats.mean) / stats.std
+    return (samples.values.mean(axis=-1) - stats.mean) / stats.std
 
 
 @dataclass
 class SplitAssignment:
-    """Index lists into a sample list, plus how they were derived."""
+    """Index lists into a SampleSet, plus how they were derived."""
 
     split_index: int
     seed: int
@@ -158,16 +147,21 @@ class SplitAssignment:
 
 def build_samples(campaign: Campaign, window_steps: int = WINDOW_STEPS,
                   window_count: int = WINDOW_COUNT,
-                  zscore_scope: str = "joint") -> list[Sample]:
-    """Trim, window, and normalize every run of a campaign."""
-    samples: list[Sample] = []
-    for run in sorted(campaign.runs, key=lambda r: r.key()):
-        for sample in window_run(trim_run(run), window_steps, window_count):
-            samples.append(zscore_sample(sample, scope=zscore_scope))
+                  zscore_scope: str = "joint") -> SampleSet:
+    """Trim, window, and normalize every run of a campaign, in run-key
+    order."""
+    runs = sorted(campaign.runs, key=lambda r: r.key())
+    samples = SampleSet.concatenate(
+        [window_run(trim_run(run), window_steps, window_count) for run in runs])
+    # in place and one run at a time: the temporary that std() makes is
+    # then one run's windows, not a second copy of the whole set
+    for start in range(0, len(samples), window_count):
+        block = samples.values[start:start + window_count]
+        zscore(block, scope=zscore_scope, out=block)
     return samples
 
 
-def assign_splits(samples: list[Sample], split_index: int, seed: int = 0,
+def assign_splits(samples: SampleSet, split_index: int, seed: int = 0,
                   val_fraction: float = 0.25) -> SplitAssignment:
     """Per boundary condition, hold one run index out for testing and carve
     a stratified validation slice from the remaining two.
@@ -179,54 +173,42 @@ def assign_splits(samples: list[Sample], split_index: int, seed: int = 0,
     """
     if split_index not in HELD_OUT_RUN:
         raise ConfigError(f"split_index must be 1, 2 or 3, got {split_index}")
-    if not samples:
+    if len(samples) == 0:
         raise DataError("empty sample list")
     if not 0.0 <= val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in [0, 1), got {val_fraction}")
 
-    cells: dict[tuple[int, int], set[int]] = {}
-    for s in samples:
-        cells.setdefault((s.test_series, s.label), set()).add(s.run_index)
-    for key, runs in sorted(cells.items()):
-        if runs != {1, 2, 3}:
+    labels, series, runs = samples.labels, samples.test_series, samples.run_index
+    for ts, label in sorted(set(zip(series.tolist(), labels.tolist()))):
+        have = set(runs[(series == ts) & (labels == label)].tolist())
+        if have != {1, 2, 3}:
             raise DataError(
-                f"boundary condition ts={key[0]} class={key[1]} has runs "
-                f"{sorted(runs)}, need exactly (1, 2, 3)")
+                f"boundary condition ts={ts} class={label} has runs "
+                f"{sorted(have)}, need exactly (1, 2, 3)")
 
     held_out = HELD_OUT_RUN[split_index]
-    test_idx = [i for i, s in enumerate(samples) if s.run_index == held_out]
-    pool_by_cell: dict[tuple[int, int], list[int]] = {}
-    for i, s in enumerate(samples):
-        if s.run_index != held_out:
-            pool_by_cell.setdefault((s.label, s.test_series), []).append(i)
-
-    pool_total = sum(len(v) for v in pool_by_cell.values())
-    val_total = round(val_fraction * pool_total)
-    classes = sorted({label for label, _ in pool_by_cell})
-    class_sizes = {c: sum(len(v) for (label, ts), v in pool_by_cell.items() if label == c)
-                   for c in classes}
-
+    pool = np.flatnonzero(runs != held_out)
+    # (class, test series) -> ascending sample indices of the training pool
+    cells = {key: pool[(labels[pool] == key[0]) & (series[pool] == key[1])]
+             for key in sorted(set(zip(labels[pool].tolist(), series[pool].tolist())))}
+    classes = sorted({label for label, _ in cells})
     class_quota = _largest_remainder(
-        [class_sizes[c] for c in classes], val_total)
+        [sum(len(v) for k, v in cells.items() if k[0] == c) for c in classes],
+        round(val_fraction * len(pool)))
     rng = np.random.default_rng(np.random.SeedSequence((seed, split_index)))
 
-    val_idx: list[int] = []
+    val_idx = []
     for c, quota in zip(classes, class_quota):
-        cell_keys = sorted(k for k in pool_by_cell if k[0] == c)
-        cell_quota = _largest_remainder(
-            [len(pool_by_cell[k]) for k in cell_keys], quota)
+        cell_keys = [k for k in cells if k[0] == c]
+        cell_quota = _largest_remainder([len(cells[k]) for k in cell_keys], quota)
         for key, q in zip(cell_keys, cell_quota):
-            members = sorted(pool_by_cell[key])
-            chosen = rng.choice(len(members), size=q, replace=False)
-            val_idx.extend(members[j] for j in chosen)
-
-    val_set = set(val_idx)
-    train_idx = [i for i, s in enumerate(samples)
-                 if s.run_index != held_out and i not in val_set]
+            members = cells[key]
+            val_idx.append(members[rng.choice(len(members), size=q, replace=False)])
+    validation = np.sort(np.concatenate(val_idx))
     return SplitAssignment(
         split_index=split_index, seed=seed,
-        train=sorted(train_idx), validation=sorted(val_idx), test=sorted(test_idx),
-        held_out_run=held_out,
+        train=np.setdiff1d(pool, validation).tolist(), validation=validation.tolist(),
+        test=np.flatnonzero(runs == held_out).tolist(), held_out_run=held_out,
     )
 
 

@@ -95,10 +95,6 @@ class DamageSpec:
     heave_offset_m: float = 0.0  # static equilibrium sag
     added_mass: float = 0.0  # kg, only nonzero for the mass-attachment class
 
-    @property
-    def is_added_mass(self) -> bool:
-        return self.added_mass > 0.0
-
     def validate(self):
         if not 0.0 < self.stiffness_scale_heave <= 1.0:
             raise ConfigError(f"class {self.index}: heave stiffness scale out of (0, 1]")

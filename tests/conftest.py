@@ -1,6 +1,10 @@
-"""Shared test helpers: finite-difference oracles and small random models."""
+"""Shared test helpers: finite-difference oracles, small random models and
+checkpoint header surgery."""
 
 from __future__ import annotations
+
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -79,6 +83,17 @@ def random_small_model(rng: np.random.Generator):
     if kind == 2:  # warm the running statistics so infer mode is nontrivial
         stack.forward(rng.normal(size=(8, channels, steps)), train=True)
     return stack, x
+
+
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy a checkpoint with its JSON header passed through edit(header),
+    keeping the array data."""
+    blob = src.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[12:20])
+    header = json.loads(blob[20:20 + header_len])
+    edit(header)
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    dst.write_bytes(blob[:12] + struct.pack("<Q", len(new)) + new + blob[20 + header_len:])
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aeroshm.baselines import BaselineKind, make_baseline, reduce_dataset
-from aeroshm.data import Sample
+from aeroshm.data import SampleSet
 from aeroshm.errors import ConfigError
 
 
@@ -51,35 +51,41 @@ class TestMakeBaseline:
 
 class TestReduceDataset:
     def _samples(self, rng, n=6):
-        return [Sample(rng.normal(size=(4, 10)), label=i % 3, test_series=1,
-                       run_index=1 + i % 3, window_index=i) for i in range(n)]
+        i = np.arange(n)
+        return SampleSet(values=rng.normal(size=(n, 4, 10)), labels=i % 3,
+                         test_series=np.ones(n, dtype=np.int64), run_index=1 + i % 3,
+                         window_index=i)
 
     def test_labels_and_provenance_preserved(self, rng):
         samples = self._samples(rng)
         reduced = reduce_dataset(samples, "tvb")
-        assert [s.label for s in reduced] == [s.label for s in samples]
-        assert [s.provenance() for s in reduced] == [s.provenance() for s in samples]
+        assert len(reduced) == len(samples)
+        assert reduced.labels.tolist() == samples.labels.tolist()
+        assert [reduced.provenance(i) for i in range(len(reduced))] == \
+            [samples.provenance(i) for i in range(len(samples))]
 
     def test_apb_reduction_makes_all_samples_identical(self, rng):
         reduced = reduce_dataset(self._samples(rng), "apb")
-        for s in reduced:
-            np.testing.assert_array_equal(s.values, reduced[0].values)
+        np.testing.assert_array_equal(reduced.values, np.zeros((6, 4, 10)))
 
     def test_mvb_reduction_preserves_mean_vectors(self, rng):
         samples = self._samples(rng)
         reduced = reduce_dataset(samples, "mvb")
-        for orig, red in zip(samples, reduced):
-            np.testing.assert_allclose(red.values.mean(axis=1),
-                                       orig.values.mean(axis=1), atol=1e-15)
+        np.testing.assert_allclose(reduced.values.mean(axis=2),
+                                   samples.values.mean(axis=2), atol=1e-15)
+        np.testing.assert_allclose(reduced.values.std(axis=2), 0.0, atol=1e-15)
 
     def test_tvb_reduction_zeroes_every_channel_mean(self, rng):
         reduced = reduce_dataset(self._samples(rng), "tvb")
-        for s in reduced:
-            np.testing.assert_allclose(s.values.mean(axis=1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(reduced.values.mean(axis=2), 0.0, atol=1e-12)
 
     def test_originals_untouched(self, rng):
-        samples = self._samples(rng)
-        before = [s.values.copy() for s in samples]
-        reduce_dataset(samples, "apb")
-        for s, b in zip(samples, before):
-            np.testing.assert_array_equal(s.values, b)
+        for kind in ("apb", "tvb", "mvb"):
+            samples = self._samples(rng)
+            before = samples.values.copy()
+            reduced = reduce_dataset(samples, kind)
+            np.testing.assert_array_equal(samples.values, before)
+            assert not np.shares_memory(reduced.values, samples.values)
+            for i in range(len(samples)):  # the same as reducing one sample at a time
+                np.testing.assert_array_equal(reduced.values[i],
+                                              make_baseline(samples.values[i], kind))

@@ -1,0 +1,118 @@
+"""End-to-end CLI runs on a tiny surrogate campaign: exit codes, bit-exact
+reruns, and the one-line errors for bad configs, datasets and checkpoints."""
+
+import json
+
+import pytest
+from conftest import rewrite_checkpoint_header
+
+from aeroshm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from aeroshm.errors import ConfigError
+from aeroshm.harness import ExperimentConfig
+
+TRAIN = ["--window-count", "2", "--epochs", "1"]
+
+
+def run_pipeline(root):
+    """generate -> train -> eval -> ablate -> retrain mvb -> eval (MLP) ->
+    attribute -> report; returns the exit code of every step."""
+    data, out = str(root / "data"), root / "run"
+    ckpt, mlp_ckpt = str(out / "checkpoint.ckpt"), str(out / "checkpoint_mvb.ckpt")
+    steps = {
+        "generate": ["generate", "--out", data, "--seed", "0", "--duration", "55",
+                     "--aoa", "0"],
+        "train": ["train", "--data", data, "--out", str(out), *TRAIN],
+        "eval": ["eval", "--checkpoint", ckpt, "--data", data, "--out", str(out)],
+        "ablate": ["ablate", "--checkpoint", ckpt, "--data", data, "--out", str(out)],
+        "retrain": ["retrain", "--data", data, "--out", str(out), "--baseline", "mvb",
+                    *TRAIN],
+        "eval-mlp": ["eval", "--checkpoint", mlp_ckpt, "--data", data,
+                     "--out", str(out / "mlp")],
+        "attribute": ["attribute", "--checkpoint", ckpt, "--data", data, "--steps", "16",
+                      "--max-samples", "1", "--out", str(out)],
+        "report": ["report", str(out / "report.json")],
+    }
+    return {name: main(argv) for name, argv in steps.items()}
+
+
+def without_wall_clock(path):
+    report = json.loads(path.read_text())
+    report.pop("wall_clock_s")
+    return report
+
+
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    roots = [tmp_path_factory.mktemp(name) for name in ("first", "second")]
+    return roots, [run_pipeline(root) for root in roots]
+
+
+def test_every_step_exits_ok(two_runs):
+    _, codes = two_runs
+    for run_codes in codes:
+        assert run_codes == {name: EXIT_OK for name in run_codes}
+
+
+def test_rerun_is_bit_exact(two_runs):
+    (a, b), _ = two_runs
+    for name in ("checkpoint.ckpt", "checkpoint_mvb.ckpt"):
+        assert (a / "run" / name).read_bytes() == (b / "run" / name).read_bytes(), name
+    reports = ["report.json", "retrain_mvb.json", "eval_test.json", "mlp/eval_test.json",
+               "ablate_apb.json", "ablate_tvb.json", "ablate_mvb.json",
+               "attribution_apb.json"]
+    for name in reports:
+        assert without_wall_clock(a / "run" / name) == without_wall_clock(b / "run" / name)
+
+
+def test_mlp_checkpoint_evaluates_with_its_stored_statistics(two_runs):
+    (root, _), _ = two_runs
+    report = json.loads((root / "run" / "mlp" / "eval_test.json").read_text())
+    retrain = json.loads((root / "run" / "retrain_mvb.json").read_text())
+    assert report["config"]["arch"] == "mean-mlp"
+    # evaluating the saved model on the test slice repeats the retrain's score
+    assert report["balanced_accuracy"] == retrain["balanced_accuracy"]
+    assert report["confusion"] == retrain["confusion"]
+
+
+def test_zero_batch_size_exits_config_error(two_runs, tmp_path, capsys):
+    (root, _), _ = two_runs
+    code = main(["train", "--data", str(root / "data"), "--out", str(tmp_path),
+                 "--batch-size", "0"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.count("\n") == 0 and "batch_size" in err
+
+
+def test_manifest_without_runs_exits_data_error(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text("{}")
+    code = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert "runs" in capsys.readouterr().err
+
+
+def test_checkpoint_without_layers_exits_data_error(two_runs, tmp_path, capsys):
+    (root, _), _ = two_runs
+    path = tmp_path / "broken.ckpt"
+    rewrite_checkpoint_header(root / "run" / "checkpoint.ckpt", path,
+                              lambda h: h.pop("layers"))
+    code = main(["eval", "--checkpoint", str(path), "--data", str(root / "data")])
+    assert code == EXIT_DATA
+    assert "layers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("batch_size", 0), ("max_epochs", 0), ("window_steps", 0), ("window_count", -1),
+    ("ig_steps", 0), ("ig_chunk", 0), ("batch_size", 2.5), ("ig_max_samples", 0),
+    ("split_index", 0), ("split_index", 4),
+    ("val_fraction", -0.1), ("val_fraction", 1.0),
+])
+def test_config_values_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_dict({key: value})
+
+
+def test_fit_settings_copy_every_shared_field():
+    config = ExperimentConfig(batch_size=7, max_epochs=3, lr=0.5, seed=11, log_every=2)
+    settings = config.fit_settings()
+    assert (settings.batch_size, settings.max_epochs, settings.lr, settings.seed,
+            settings.log_every) == (7, 3, 0.5, 11, 2)

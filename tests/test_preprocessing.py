@@ -4,7 +4,7 @@ full-grid sample counts."""
 import numpy as np
 import pytest
 
-from aeroshm.data import RawRun, Sample
+from aeroshm.data import RawRun, SampleSet
 from aeroshm.errors import DataError
 from aeroshm.preprocessing import (
     MeanVectorStats,
@@ -14,7 +14,6 @@ from aeroshm.preprocessing import (
     trim_run,
     window_run,
     zscore,
-    zscore_sample,
 )
 
 
@@ -27,18 +26,27 @@ def make_run(duration_s, test_series=1, damage_class=0, run_index=1,
                   aoa_deg=0.0, excitation_hz=1.0, wind_speed=12.0)
 
 
-def fake_sample(test_series, damage_class, run_index, window_index):
-    return Sample(values=np.zeros((1, 1)), label=damage_class,
-                  test_series=test_series, run_index=run_index,
-                  window_index=window_index)
+def fake_samples(rows, values=None):
+    """A SampleSet of (test_series, damage_class, run_index, window_index)
+    rows; values default to one zero per sample."""
+    ts, labels, runs, windows = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    if values is None:
+        values = np.zeros((len(rows), 1, 1))
+    return SampleSet(values=np.asarray(values, dtype=np.float64), labels=labels,
+                     test_series=ts, run_index=runs, window_index=windows)
+
+
+def numbered_samples(values):
+    """Samples of class 0 from run 1 of series 1, numbered in order."""
+    return fake_samples([(1, 0, 1, i) for i in range(len(values))], values)
 
 
 def full_grid_samples(n_series=4, n_classes=6, n_runs=3, n_windows=89):
-    return [fake_sample(ts, d, r, w)
-            for ts in range(1, n_series + 1)
-            for d in range(n_classes)
-            for r in range(1, n_runs + 1)
-            for w in range(n_windows)]
+    return fake_samples([(ts, d, r, w)
+                         for ts in range(1, n_series + 1)
+                         for d in range(n_classes)
+                         for r in range(1, n_runs + 1)
+                         for w in range(n_windows)])
 
 
 class TestTrim:
@@ -62,16 +70,21 @@ class TestWindow:
         run = trim_run(make_run(150.0))
         windows = window_run(run, 150, 89)
         assert len(windows) == 89
+        assert windows.values.shape == (89, 4, 150)
         # stride = floor((10000 - 150) / 88) = 111; last start = 88 * 111
-        starts = [w.window_index for w in windows]
-        assert starts == list(range(89))
-        np.testing.assert_array_equal(windows[1].values, run.values[:, 111:261])
+        assert windows.window_index.tolist() == list(range(89))
+        for w in (0, 1, 47, 88):
+            np.testing.assert_array_equal(windows.values[w],
+                                          run.values[:, w * 111:w * 111 + 150])
         np.testing.assert_array_equal(windows[88].values, run.values[:, 9768:9918])
+        # the windows are a view of the run, not copies
+        assert np.shares_memory(windows.values, run.values)
 
     def test_single_full_length_window(self):
         run = make_run(1.5)
         windows = window_run(run, 150, 1)
         assert len(windows) == 1
+        assert windows.window_index.tolist() == [0]
         np.testing.assert_array_equal(windows[0].values, run.values)
 
     def test_exact_tiling(self):
@@ -83,12 +96,16 @@ class TestWindow:
     def test_too_short_errors(self):
         with pytest.raises(DataError):
             window_run(make_run(1.0), 150, 1)
+        with pytest.raises(DataError):  # 151 steps cannot host 3 distinct windows
+            window_run(make_run(1.51), 150, 3)
 
     def test_labels_and_provenance_carried(self):
         run = make_run(3.0, test_series=5, damage_class=3, run_index=2)
         windows = window_run(run, 150, 2)
-        assert all(w.label == 3 and w.test_series == 5 and w.run_index == 2
-                   for w in windows)
+        assert windows.labels.tolist() == [3, 3]
+        assert windows.test_series.tolist() == [5, 5]
+        assert windows.run_index.tolist() == [2, 2]
+        assert [windows.provenance(i) for i in range(2)] == [(5, 2, 0), (5, 2, 1)]
 
 
 class TestZScore:
@@ -118,34 +135,45 @@ class TestZScore:
         z = zscore(values)
         assert z[1, 0] > z[0, 0]  # inter-channel ordering survives
 
+    @pytest.mark.parametrize("scope", ["joint", "per-channel"])
+    def test_stack_matches_each_block_bit_for_bit(self, rng, scope):
+        stack = rng.normal(loc=2.0, size=(5, 4, 30))
+        stack[2] = 7.0  # a zero-variance block
+        expected = np.stack([zscore(block, scope) for block in stack])
+        np.testing.assert_array_equal(zscore(stack, scope), expected)
+        zscore(stack, scope, out=stack)  # in place
+        np.testing.assert_array_equal(stack, expected)
+        np.testing.assert_array_equal(expected[2], 0.0)
+
 
 class TestMeanVector:
     def test_time_constant_sample(self):
-        samples = [Sample(np.full((3, 10), v), 0, 1, 1, i)
-                   for i, v in enumerate([1.0, 2.0, 3.0])]
-        stats = MeanVectorStats.fit(samples)
+        samples = numbered_samples([np.full((3, 10), v) for v in (1.0, 2.0, 3.0)])
+        stats = MeanVectorStats.fit(samples.values.mean(axis=-1))
         vec = mean_vector(samples[0], stats)
         expected = (1.0 - stats.mean) / stats.std
         np.testing.assert_allclose(vec, expected, atol=1e-12)
+        np.testing.assert_array_equal(mean_vector(samples, stats)[0], vec)
 
     def test_mvb_collapse_preserves_mean_vector(self, rng):
-        from aeroshm.baselines import reduce_sample
-        sample = Sample(rng.normal(size=(5, 20)), 0, 1, 1, 0)
-        stats = MeanVectorStats.fit([sample])
-        collapsed = reduce_sample(sample, "mvb")
-        np.testing.assert_allclose(mean_vector(sample, stats),
+        from aeroshm.baselines import reduce_dataset
+        samples = numbered_samples(rng.normal(size=(1, 5, 20)))
+        stats = MeanVectorStats.fit(samples.values.mean(axis=-1))
+        collapsed = reduce_dataset(samples, "mvb")
+        np.testing.assert_allclose(mean_vector(samples, stats),
                                    mean_vector(collapsed, stats), atol=1e-12)
 
     def test_training_set_normalizes_to_zero_mean(self, rng):
-        samples = [Sample(rng.normal(size=(4, 30)), 0, 1, 1, i) for i in range(20)]
-        stats = MeanVectorStats.fit(samples)
-        vectors = np.stack([mean_vector(s, stats) for s in samples])
+        samples = numbered_samples(rng.normal(size=(20, 4, 30)))
+        stats = MeanVectorStats.fit(samples.values.mean(axis=-1))
+        vectors = mean_vector(samples, stats)
+        assert vectors.shape == (20, 4)
         np.testing.assert_allclose(vectors.mean(axis=0), 0.0, atol=1e-9)
 
     def test_missing_stats_rejected(self):
         from aeroshm.errors import ConfigError
         with pytest.raises(ConfigError):
-            mean_vector(fake_sample(1, 0, 1, 0), None)
+            mean_vector(fake_samples([(1, 0, 1, 0)]), None)
 
 
 class TestSplits:
@@ -158,18 +186,19 @@ class TestSplits:
         samples = full_grid_samples(n_series=1, n_windows=4)
         for split_index, held in ((1, 3), (2, 1), (3, 2)):
             split = assign_splits(samples, split_index, seed=0)
-            test_runs = {samples[i].run_index for i in split.test}
-            train_runs = {samples[i].run_index for i in split.train}
+            test_runs = set(samples.run_index[split.test].tolist())
+            train_runs = set(samples.run_index[split.train].tolist())
             assert test_runs == {held}
             assert held not in train_runs
 
     def test_test_pairs_disjoint_from_train_validation(self):
         samples = full_grid_samples()
         split = assign_splits(samples, 2, seed=5)
-        test_pairs = {(samples[i].test_series, samples[i].run_index)
-                      for i in split.test}
-        other_pairs = {(samples[i].test_series, samples[i].run_index)
-                       for i in split.train + split.validation}
+        def pairs(idx):
+            return set(zip(samples.test_series[idx].tolist(),
+                           samples.run_index[idx].tolist()))
+        test_pairs = pairs(split.test)
+        other_pairs = pairs(split.train + split.validation)
         assert test_pairs.isdisjoint(other_pairs)
 
     def test_class_balance_per_split(self):
@@ -177,7 +206,7 @@ class TestSplits:
         split = assign_splits(samples, 1, seed=3)
         for indices, per_class in ((split.train, 534), (split.validation, 178),
                                    (split.test, 356)):
-            counts = np.bincount([samples[i].label for i in indices], minlength=6)
+            counts = np.bincount(samples.labels[indices], minlength=6)
             assert set(counts.tolist()) == {per_class}
 
     def test_no_overlap_and_complete(self):
@@ -195,15 +224,22 @@ class TestSplits:
         s3 = assign_splits(samples, 1, seed=10)
         assert s1.validation != s3.validation
 
+    def test_validation_draw_is_pinned(self):
+        # the seeded draws per (class, test-series) cell, in their fixed
+        # order; a change here changes every trained checkpoint
+        samples = full_grid_samples(n_series=2, n_classes=2, n_windows=4)
+        assert assign_splits(samples, 1, seed=7).validation == [6, 7, 13, 19, 24, 26, 39, 40]
+        assert assign_splits(samples, 2, seed=7).validation == [5, 6, 19, 21, 31, 35, 41, 47]
+
     def test_single_boundary_condition(self):
-        samples = [fake_sample(1, 0, r, w) for r in (1, 2, 3) for w in range(10)]
+        samples = fake_samples([(1, 0, r, w) for r in (1, 2, 3) for w in range(10)])
         split = assign_splits(samples, 1, seed=0)
-        assert {samples[i].run_index for i in split.test} == {3}
+        assert set(samples.run_index[split.test].tolist()) == {3}
         assert len(split.test) == 10
         assert len(split.train) + len(split.validation) == 20
 
     def test_missing_run_rejected(self):
-        samples = [fake_sample(1, 0, r, w) for r in (1, 2) for w in range(5)]
+        samples = fake_samples([(1, 0, r, w) for r in (1, 2) for w in range(5)])
         with pytest.raises(DataError):
             assign_splits(samples, 1, seed=0)
 
@@ -216,6 +252,12 @@ class TestBuildSamples:
         campaign = Campaign(runs=runs)
         samples = build_samples(campaign, window_steps=100, window_count=3)
         assert len(samples) == 9
+        assert samples.values.shape == (9, 4, 100)
+        assert samples.run_index.tolist() == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+        assert samples.window_index.tolist() == [0, 1, 2] * 3
         for s in samples:
             assert abs(s.values.mean()) < 1e-12
             assert abs(s.values.std() - 1.0) < 1e-9
+        # each window is its run's tile, z-scored on its own
+        np.testing.assert_array_equal(
+            samples.values[4], zscore(trim_run(runs[1]).values[:, 100:200]))

@@ -209,3 +209,24 @@ class TestDatasetRoundTrip:
         export_csv_run(run, tmp_path / "run.csv", tmp_path / "meta.json")
         with pytest.raises(DataError, match="non-finite"):
             ingest_csv_run(tmp_path / "run.csv", tmp_path / "meta.json")
+
+    @pytest.mark.parametrize("manifest", [{}, {"runs": "all"}, {"runs": [{"n_steps": 5}]}, []])
+    def test_manifest_without_runs_or_dirs_rejected(self, tmp_path, manifest):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="runs"):
+            load_campaign(tmp_path)
+
+    def test_missing_metadata_key_named(self, config, tmp_path):
+        campaign = generate_campaign(config, seed=1, aoa_deg=0.0, duration_s=5.0)
+        save_campaign(campaign, tmp_path / "ds")
+        run = campaign.runs[0]
+        export_csv_run(run, tmp_path / "run.csv", tmp_path / "meta.json")
+        for meta_path in (tmp_path / "meta.json",
+                          next((tmp_path / "ds" / "runs").iterdir()) / "meta.json"):
+            meta = json.loads(meta_path.read_text())
+            del meta["wind_speed"]
+            meta_path.write_text(json.dumps(meta))
+        with pytest.raises(DataError, match="wind_speed"):
+            ingest_csv_run(tmp_path / "run.csv", tmp_path / "meta.json")
+        with pytest.raises(DataError, match="wind_speed"):
+            load_campaign(tmp_path / "ds")
