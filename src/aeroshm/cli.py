@@ -5,7 +5,8 @@ spectra, report. All experiment settings can come from a single JSON
 config file (--config) with individual command-line overrides.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numeric failure.
+4 numeric failure, 5 internal error (any other exception, reported in
+one line).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -52,8 +54,20 @@ def _load_data(args) -> Campaign:
 
 
 def _prepare_for_checkpoint(campaign: Campaign, metadata: dict, overrides: dict | None = None):
+    """The prepared data and config of a checkpoint's run on a campaign,
+    and the report hashes that record which dataset it was trained on.
+    A campaign other than the training one is allowed (say, another AoA)
+    but warned about."""
     if "config" not in metadata:
         raise DataError("checkpoint metadata holds no experiment config")
+    hashes = {}
+    trained_on = metadata.get("dataset_fingerprint")
+    if trained_on is not None:
+        hashes["trained_on"] = trained_on
+        fingerprint = campaign.fingerprint()
+        if trained_on != fingerprint:
+            print(f"warning: checkpoint was trained on dataset {trained_on}, "
+                  f"this dataset is {fingerprint}", file=sys.stderr)
     config = ExperimentConfig.from_dict({**metadata["config"], **(overrides or {})})
     stored = metadata.get("mean_stats")
     stats = None
@@ -62,7 +76,7 @@ def _prepare_for_checkpoint(campaign: Campaign, metadata: dict, overrides: dict 
     data = harness.prepare_data(campaign, config,
                                 baseline_reduce=metadata.get("baseline_reduce"),
                                 mean_stats=stats)
-    return data, config
+    return data, config, hashes
 
 
 def cmd_generate(args) -> int:
@@ -114,11 +128,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     stack, metadata = load_checkpoint(Path(args.checkpoint))
     campaign = _load_data(args)
-    data, config = _prepare_for_checkpoint(campaign, metadata)
+    data, config, hashes = _prepare_for_checkpoint(campaign, metadata)
     inputs, labels, _ = data.slice(args.slice)
     report = harness.evaluate(stack, inputs, labels, config,
                               slice_name=args.slice,
-                              hashes={"dataset": campaign.fingerprint()})
+                              hashes={"dataset": campaign.fingerprint(), **hashes})
     if args.out:
         report.save(Path(args.out) / f"eval_{args.slice}.json")
     print(report.text_summary())
@@ -128,10 +142,10 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     stack, metadata = load_checkpoint(Path(args.checkpoint))
     campaign = _load_data(args)
-    data, config = _prepare_for_checkpoint(campaign, metadata)
+    data, config, hashes = _prepare_for_checkpoint(campaign, metadata)
     kinds = [k.strip() for k in args.baselines.split(",") if k.strip()]
     reports = harness.ablate_on_baselines(stack, data, config, kinds=kinds,
-                                          slice_name=args.slice)
+                                          slice_name=args.slice, hashes=hashes)
     for kind, report in reports.items():
         if args.out:
             report.save(Path(args.out) / f"ablate_{kind}.json")
@@ -156,10 +170,10 @@ def cmd_attribute(args) -> int:
     campaign = _load_data(args)
     overrides = {key: getattr(args, key) for key in ("baseline", "ig_steps", "ig_max_samples")
                  if getattr(args, key) is not None}
-    data, config = _prepare_for_checkpoint(campaign, metadata, overrides)
+    data, config, hashes = _prepare_for_checkpoint(campaign, metadata, overrides)
     outcome = harness.attribute_campaign(
         stack, data, config, slice_name=args.slice,
-        export_dir=Path(args.out) if args.out else None)
+        export_dir=Path(args.out) if args.out else None, hashes=hashes)
     print(outcome.report.text_summary())
     top = outcome.report.extras["top_channels_by_mean_abs"]
     print(f"top channels by |mean attribution|: {top}")
@@ -304,6 +318,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -77,10 +77,23 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("seed", "plateau_patience", "early_stop_patience", "log_every"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
         if self.split_index not in (1, 2, 3):
             raise ConfigError(f"split_index must be 1, 2 or 3, got {self.split_index!r}")
-        if not isinstance(self.val_fraction, (int, float)) or not 0 <= self.val_fraction < 1:
+        for name in ("aoa_deg", "val_fraction", "lr", "weight_decay", "label_smoothing",
+                     "plateau_factor", "min_lr"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not 0 <= self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
+        for name in ("arch", "baseline", "zscore_scope", "ig_target"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -322,7 +335,8 @@ def evaluate(stack: LayerStack, inputs: np.ndarray, labels: np.ndarray,
 def ablate_on_baselines(stack: LayerStack, data: PreparedData,
                         config: ExperimentConfig,
                         kinds=("apb", "tvb", "mvb"),
-                        slice_name: str = "test") -> dict[str, Report]:
+                        slice_name: str = "test",
+                        hashes: dict | None = None) -> dict[str, Report]:
     """Evaluate an unmodified trained stack on baseline-reduced inputs."""
     _, _, idx = data.slice(slice_name)
     reports = {}
@@ -331,7 +345,7 @@ def ablate_on_baselines(stack: LayerStack, data: PreparedData,
         reduced = reduce_dataset(data.samples[idx], kind)
         inputs = model_inputs(reduced, config.arch, data.mean_stats)
         report = evaluate(stack, inputs, reduced.labels, config,
-                          slice_name=slice_name)
+                          slice_name=slice_name, hashes=dict(hashes or {}))
         report.kind = f"ablate-{kind}"
         report.extras["baseline"] = kind
         reports[kind] = report
@@ -364,7 +378,8 @@ class AttributionOutcome:
 
 def attribute_campaign(stack: LayerStack, data: PreparedData,
                        config: ExperimentConfig, slice_name: str = "validation",
-                       export_dir: Path | None = None) -> AttributionOutcome:
+                       export_dir: Path | None = None,
+                       hashes: dict | None = None) -> AttributionOutcome:
     """Integrated-gradients maps for correctly classified samples of a
     slice, channel sums, and population statistics.
 
@@ -407,7 +422,7 @@ def attribute_campaign(stack: LayerStack, data: PreparedData,
         kind=f"attribute-{kind.value}", balanced_accuracy=None,
         per_class_recall=None, confusion=None,
         n_samples=int(chosen.size), config=config.to_dict(),
-        wall_clock_s=time.perf_counter() - t0,
+        wall_clock_s=time.perf_counter() - t0, hashes=dict(hashes or {}),
         extras={
             "slice": slice_name,
             "baseline": kind.value,

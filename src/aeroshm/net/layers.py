@@ -13,6 +13,21 @@ Array conventions:
 The backward passes optionally skip parameter-gradient work
 (`need_param_grads=False`), which roughly halves the cost of input-only
 gradients as used by attribution.
+
+Layers never modify their inputs: neither `x` in forward nor `dout` in
+backward. In-place arithmetic only touches arrays a layer has just
+allocated itself. That is how BatchNorm works: it centres `x` once into a
+new array and scales that into `xhat`, applies its affine to a fresh
+output, and builds its input gradient in the buffer of `dout * gamma`.
+
+Conv1d's input gradient is one batched GEMM, `w_mat.T @ dout`, whose
+(n, c*k, t) result reads as (n, c, k, t): for each kernel tap j the slice
+`[:, :, j]` is a contiguous (n, c, t) block, and the k blocks are added
+at shifts 0..k-1 onto the zero-padded input gradient, in tap order.
+
+Every such rewrite keeps the float64 arithmetic and its order, so results
+are bit-identical to the plain formulas, with one exception: ReLU's
+backward (`dout * mask`) can give -0.0 where `np.where` gave 0.0.
 """
 
 from __future__ import annotations
@@ -107,15 +122,16 @@ class Conv1d(Layer):
     def backward(self, dout, need_param_grads=True):
         cols, (n, c, t) = self._cache
         k = self.kernel_size
-        dout2 = dout.transpose(0, 2, 1).reshape(n * t, self.filters)
         w_mat = self.params["weight"].reshape(self.filters, c * k)
         if need_param_grads:
+            dout2 = dout.transpose(0, 2, 1).reshape(n * t, self.filters)
             self.grads["weight"] += (dout2.T @ cols).reshape(self.params["weight"].shape)
             self.grads["bias"] += dout2.sum(axis=0)
-        dcols = (dout2 @ w_mat).reshape(n, t, c, k).transpose(0, 2, 1, 3)
+        # one batched GEMM: (c*k, filters) @ (n, filters, t) -> (n, c, k, t)
+        dcols = (w_mat.T @ dout).reshape(n, c, k, t)
         dxp = np.zeros((n, c, t + k - 1))
         for j in range(k):  # fold the k shifted copies back onto the padded input
-            dxp[:, :, j:j + t] += dcols[:, :, :, j]
+            dxp[:, :, j:j + t] += dcols[:, :, j]
         return dxp[:, :, self.pad_left:self.pad_left + t]
 
     def config(self):
@@ -159,21 +175,25 @@ class BatchNorm(Layer):
         beta = self.params["beta"].reshape(bshape)
         if train:
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            xhat = x - mean.reshape(bshape)
+            n_reduced = x.size // self.channels
+            var = np.square(xhat).sum(axis=axes) / n_reduced  # np.var's arithmetic
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean.reshape(bshape)) * inv_std.reshape(bshape)
+            xhat *= inv_std.reshape(bshape)
             m = self.momentum
             self.buffers["running_mean"] *= 1.0 - m
             self.buffers["running_mean"] += m * mean
             self.buffers["running_var"] *= 1.0 - m
             self.buffers["running_var"] += m * var
-            n_reduced = x.size // self.channels
             self._cache = ("train", xhat, inv_std, axes, bshape, n_reduced)
         else:
             inv_std = 1.0 / np.sqrt(self.buffers["running_var"] + self.eps)
-            xhat = (x - self.buffers["running_mean"].reshape(bshape)) * inv_std.reshape(bshape)
+            xhat = x - self.buffers["running_mean"].reshape(bshape)
+            xhat *= inv_std.reshape(bshape)
             self._cache = ("infer", xhat, inv_std, axes, bshape, None)
-        return gamma * xhat + beta
+        out = gamma * xhat
+        out += beta
+        return out
 
     def backward(self, dout, need_param_grads=True):
         mode, xhat, inv_std, axes, bshape, n = self._cache
@@ -181,12 +201,18 @@ class BatchNorm(Layer):
         if need_param_grads:
             self.grads["gamma"] += (dout * xhat).sum(axis=axes)
             self.grads["beta"] += dout.sum(axis=axes)
-        dxhat = dout * gamma
+        dx = dout * gamma  # dxhat, then turned into dx in place
         if mode == "infer":
-            return dxhat * inv_std.reshape(bshape)
-        s1 = dxhat.sum(axis=axes).reshape(bshape)
-        s2 = (dxhat * xhat).sum(axis=axes).reshape(bshape)
-        return (inv_std.reshape(bshape) / n) * (n * dxhat - s1 - xhat * s2)
+            dx *= inv_std.reshape(bshape)
+            return dx
+        prod = dx * xhat
+        s1 = dx.sum(axis=axes).reshape(bshape)
+        s2 = prod.sum(axis=axes).reshape(bshape)
+        dx *= n
+        dx -= s1
+        dx -= np.multiply(xhat, s2, out=prod)
+        dx *= inv_std.reshape(bshape) / n
+        return dx
 
     def config(self):
         return {"kind": self.kind, "channels": self.channels,
@@ -198,10 +224,10 @@ class ReLU(Layer):
 
     def forward(self, x, train=False):
         self._cache = x > 0
-        return np.where(self._cache, x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, dout, need_param_grads=True):
-        return np.where(self._cache, dout, 0.0)
+        return dout * self._cache
 
 
 class GlobalAvgPool(Layer):

@@ -54,8 +54,10 @@ class LayerStack:
 
     # -- forward ---------------------------------------------------------
 
-    # ReLU maps NaN to 0, so non-finite values must be caught where they
-    # can appear: at the input and after every parametric layer.
+    # Non-finite values are caught where they can first appear: at the
+    # input and after every parametric layer. The layers between pass a NaN
+    # or inf on (ReLU's np.maximum propagates NaN), so checking after them
+    # as well would only repeat these checks.
     _CHECKED_KINDS = frozenset({"conv1d", "dense", "batchnorm"})
 
     def _batched(self, x: np.ndarray) -> tuple[np.ndarray, bool]:

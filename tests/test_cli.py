@@ -2,11 +2,17 @@
 reruns, and the one-line errors for bad configs, datasets and checkpoints."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import rewrite_checkpoint_header
 
-from aeroshm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+import aeroshm
+from aeroshm import harness
+from aeroshm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, main
 from aeroshm.errors import ConfigError
 from aeroshm.harness import ExperimentConfig
 
@@ -74,6 +80,61 @@ def test_mlp_checkpoint_evaluates_with_its_stored_statistics(two_runs):
     assert report["confusion"] == retrain["confusion"]
 
 
+def test_reports_record_the_training_dataset(two_runs):
+    (root, _), _ = two_runs
+    trained_on = json.loads((root / "run" / "report.json").read_text())["hashes"]["dataset"]
+    for name in ("eval_test.json", "ablate_apb.json", "ablate_tvb.json",
+                 "ablate_mvb.json", "attribution_apb.json"):
+        hashes = json.loads((root / "run" / name).read_text())["hashes"]
+        assert hashes["trained_on"] == trained_on, name
+    assert json.loads((root / "run" / "eval_test.json").read_text())["hashes"]["dataset"] \
+        == trained_on
+
+
+@pytest.fixture(scope="module")
+def other_dataset(two_runs, tmp_path_factory):
+    data = tmp_path_factory.mktemp("other") / "data"
+    assert main(["generate", "--out", str(data), "--seed", "1", "--duration", "55",
+                 "--aoa", "0"]) == EXIT_OK
+    return data
+
+
+def test_checkpoint_on_other_dataset_warns(two_runs, other_dataset, tmp_path, capsys):
+    (root, _), _ = two_runs
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(root / "run" / "checkpoint.ckpt"),
+                 "--data", str(other_dataset), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    hashes = json.loads((tmp_path / "eval_test.json").read_text())["hashes"]
+    assert hashes["trained_on"] != hashes["dataset"]
+    warning = (f"warning: checkpoint was trained on dataset {hashes['trained_on']}, "
+               f"this dataset is {hashes['dataset']}")
+    assert capsys.readouterr().err.splitlines() == [warning]
+
+
+def test_checkpoint_on_its_own_dataset_does_not_warn(two_runs, capsys):
+    (root, _), _ = two_runs
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(root / "run" / "checkpoint.ckpt"),
+                 "--data", str(root / "data")])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_checkpoint_without_fingerprint_stays_silent(two_runs, other_dataset, tmp_path,
+                                                     capsys):
+    (root, _), _ = two_runs
+    path = tmp_path / "old.ckpt"
+    rewrite_checkpoint_header(root / "run" / "checkpoint.ckpt", path,
+                              lambda h: h["metadata"].pop("dataset_fingerprint"))
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(path), "--data", str(other_dataset),
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert "trained_on" not in json.loads((tmp_path / "eval_test.json").read_text())["hashes"]
+
+
 def test_zero_batch_size_exits_config_error(two_runs, tmp_path, capsys):
     (root, _), _ = two_runs
     code = main(["train", "--data", str(root / "data"), "--out", str(tmp_path),
@@ -104,11 +165,46 @@ def test_checkpoint_without_layers_exits_data_error(two_runs, tmp_path, capsys):
     ("batch_size", 0), ("max_epochs", 0), ("window_steps", 0), ("window_count", -1),
     ("ig_steps", 0), ("ig_chunk", 0), ("batch_size", 2.5), ("ig_max_samples", 0),
     ("split_index", 0), ("split_index", 4),
-    ("val_fraction", -0.1), ("val_fraction", 1.0),
+    ("val_fraction", -0.1), ("val_fraction", 1.0), ("val_fraction", "0.2"),
+    ("seed", -1), ("seed", "0"), ("plateau_patience", 1.5), ("early_stop_patience", None),
+    ("log_every", -1),
+    ("aoa_deg", "0"), ("lr", "fast"), ("lr", True), ("weight_decay", None),
+    ("label_smoothing", [0.05]), ("plateau_factor", {"x": 1}), ("min_lr", "1e-5"),
+    ("arch", ["x"]), ("baseline", 1), ("zscore_scope", None), ("ig_target", 0.0),
 ])
 def test_config_values_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig.from_dict({key: value})
+
+
+@pytest.mark.parametrize("config", [{"lr": "fast"}, {"arch": ["x"]}])
+def test_bad_config_file_exits_config_error(two_runs, tmp_path, capsys, config):
+    (root, _), _ = two_runs
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(["train", "--data", str(root / "data"), "--out", str(tmp_path / "out"),
+                 "--config", str(path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert next(iter(config)) in err
+
+
+def test_unexpected_exception_exits_internal_error(tmp_path, monkeypatch, capsys):
+    def broken(path):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(harness, "render_report_text", broken)
+    assert main(["report", str(tmp_path / "report.json")]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: RuntimeError: first line second line\n"
+
+
+def test_python_m_aeroshm_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(aeroshm.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "aeroshm", "--help"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: aeroshm")
 
 
 def test_fit_settings_copy_every_shared_field():

@@ -34,6 +34,26 @@ def brute_force_conv1d(x, weight, bias):
     return out
 
 
+def direct_conv1d_input_grad(dout, weight, t):
+    """Input gradient of same-padded Conv1d as a direct-sum transposed
+    convolution: dx[b, c, s] = sum_{f, j} w[f, c, j] dout[b, f, s - j + pad]."""
+    n, f, _ = dout.shape
+    _, c, k = weight.shape
+    pl = (k - 1) // 2
+    dx = np.zeros((n, c, t))
+    for b in range(n):
+        for ci in range(c):
+            for s in range(t):
+                acc = 0.0
+                for fi in range(f):
+                    for j in range(k):
+                        ti = s - j + pl
+                        if 0 <= ti < t:
+                            acc += weight[fi, ci, j] * dout[b, fi, ti]
+                dx[b, ci, s] = acc
+    return dx
+
+
 def layer_fd_input(layer, x, dout_weights, train=False, h=1e-6):
     """Finite differences of sum(forward(x) * R) w.r.t. x."""
     grad = np.zeros_like(x)
@@ -90,6 +110,20 @@ class TestConv1d:
             layer.grads["weight"], layer_fd_param(layer, x, r, "weight"), atol=1e-7)
         np.testing.assert_allclose(
             layer.grads["bias"], layer_fd_param(layer, x, r, "bias"), atol=1e-7)
+
+    @pytest.mark.parametrize("need_param_grads", [True, False])
+    @pytest.mark.parametrize("kernel", [1, 3, 4, 8])
+    def test_input_grad_matches_direct_transposed_conv(self, rng, kernel,
+                                                       need_param_grads):
+        layer = Conv1d(3, 5, kernel, rng)
+        x = rng.normal(size=(2, 3, 13))
+        dout = rng.normal(size=(2, 5, 13))
+        layer.forward(x)
+        dx = layer.backward(dout, need_param_grads=need_param_grads)
+        # a tolerance, not equality: BLAS builds may sum in other orders
+        np.testing.assert_allclose(
+            dx, direct_conv1d_input_grad(dout, layer.params["weight"], 13),
+            rtol=1e-12, atol=1e-14)
 
     def test_skip_param_grads_leaves_them_zero(self, rng):
         layer = Conv1d(2, 2, 3, rng)
@@ -245,3 +279,39 @@ class TestSoftmax:
             seed = np.zeros((1, 4))
             seed[0, k] = 1.0
             np.testing.assert_allclose(layer.backward(seed)[0], jac[k], atol=1e-12)
+
+
+def make_layer(kind, rng):
+    """One layer of every kind, with its (batch, ...) input and output shapes."""
+    if kind == "conv1d":
+        return Conv1d(3, 4, 5, rng), (6, 3, 10), (6, 4, 10)
+    if kind == "batchnorm-3d":
+        return BatchNorm(3), (6, 3, 10), (6, 3, 10)
+    if kind == "batchnorm-2d":
+        return BatchNorm(3), (6, 3), (6, 3)
+    if kind == "relu":
+        return ReLU(), (6, 3, 10), (6, 3, 10)
+    if kind == "global-avg-pool":
+        return GlobalAvgPool(), (6, 3, 10), (6, 3)
+    if kind == "dense":
+        return Dense(5, 4, rng), (6, 5), (6, 4)
+    if kind == "dropout":
+        return Dropout(0.5, rng), (6, 5), (6, 5)
+    return Softmax(), (6, 5), (6, 5)
+
+
+@pytest.mark.parametrize("need_param_grads", [True, False])
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("kind", ["conv1d", "batchnorm-3d", "batchnorm-2d", "relu",
+                                  "global-avg-pool", "dense", "dropout", "softmax"])
+def test_layers_never_modify_their_inputs(rng, kind, train, need_param_grads):
+    layer, in_shape, out_shape = make_layer(kind, rng)
+    if isinstance(layer, BatchNorm):  # nontrivial running statistics for infer mode
+        layer.forward(rng.normal(loc=1.0, scale=2.0, size=in_shape), train=True)
+    x = rng.normal(size=in_shape)
+    dout = rng.normal(size=out_shape)
+    x_before, dout_before = x.copy(), dout.copy()
+    layer.forward(x, train=train)
+    layer.backward(dout, need_param_grads=need_param_grads)
+    np.testing.assert_array_equal(x, x_before)
+    np.testing.assert_array_equal(dout, dout_before)
