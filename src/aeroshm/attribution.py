@@ -29,6 +29,12 @@ from .data import SensorLayout
 from .errors import ConfigError, DataError
 
 MAX_STEPS = 5000
+# The completeness gap is judged relative to |F(x) - F(x')|. Measured gaps
+# stay near 1e-6 whatever that difference is, so below this floor the
+# ratio reads noise, not the integral, and the map is left unchecked.
+GAP_CHECK_FLOOR = 1e-4
+# A relative gap above this calls for more steps (Sundararajan et al. 2017).
+GAP_WARN_RATIO = 0.05
 
 
 @dataclass
@@ -100,6 +106,17 @@ def integrated_gradients(model, values: np.ndarray, baseline_kind,
         target_class=target_class, target_kind=target,
         completeness_gap=gap, output_delta=output_delta, sample_id=sample_id,
     )
+
+
+def relative_completeness_gap(maps: list[AttributionMap]) -> tuple[float | None, int]:
+    """The largest completeness gap relative to |F(x) - F(x')| over the maps
+    where that difference reaches GAP_CHECK_FLOOR (None if none does), and
+    the number of maps below the floor."""
+    deltas = np.array([abs(m.output_delta) for m in maps])
+    gaps = np.array([m.completeness_gap for m in maps])
+    checked = deltas >= GAP_CHECK_FLOOR
+    worst = float((gaps[checked] / deltas[checked]).max()) if checked.any() else None
+    return worst, int((~checked).sum())
 
 
 def channel_sum(attribution: AttributionMap) -> np.ndarray:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
+from .attribution import GAP_WARN_RATIO
 from .data import Campaign, ingest_csv_run, load_campaign, save_campaign
 from .errors import ConfigError, DataError, NumericError
 from .harness import ExperimentConfig
@@ -177,6 +178,11 @@ def cmd_attribute(args) -> int:
     print(outcome.report.text_summary())
     top = outcome.report.extras["top_channels_by_mean_abs"]
     print(f"top channels by |mean attribution|: {top}")
+    worst = outcome.report.extras["max_relative_completeness_gap"]
+    if worst is not None and worst > GAP_WARN_RATIO:
+        print(f"warning: completeness gap reaches {worst:.1%} of |F(x) - F(x')|, "
+              f"above {GAP_WARN_RATIO:.0%}; more --steps would tighten it",
+              file=sys.stderr)
     return EXIT_OK
 
 

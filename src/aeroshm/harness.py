@@ -22,6 +22,7 @@ from .attribution import (
     export_stats_csv,
     integrated_gradients,
     population_stats,
+    relative_completeness_gap,
     top_channels,
 )
 from .baselines import BaselineKind, reduce_dataset
@@ -417,6 +418,7 @@ def attribute_campaign(stack: LayerStack, data: PreparedData,
 
     stats = population_stats(vectors, sample_ids=sample_ids)
     gaps = np.array([m.completeness_gap for m in maps])
+    max_relative_gap, n_gap_unchecked = relative_completeness_gap(maps)
     overall_top = top_channels(np.abs(stats.mean), k=5)
     report = Report(
         kind=f"attribute-{kind.value}", balanced_accuracy=None,
@@ -433,6 +435,8 @@ def attribute_campaign(stack: LayerStack, data: PreparedData,
             "n_attributed": int(chosen.size),
             "mean_completeness_gap": float(gaps.mean()),
             "max_completeness_gap": float(gaps.max()),
+            "max_relative_completeness_gap": max_relative_gap,
+            "n_gap_unchecked": n_gap_unchecked,
             "top_channels_by_mean_abs": overall_top,
         },
     )

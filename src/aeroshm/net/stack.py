@@ -5,6 +5,28 @@ probabilities; `logits` stops just before the softmax. Gradients are
 available with respect to parameters (for training) and with respect to
 the input (for attribution), against either the pre-softmax logit of a
 target class or its post-softmax probability.
+
+Infer-mode passes (`forward` and `logits` with train=False, `predict`,
+`class_gradients`) run over their batch in blocks of INFER_BLOCK_ROWS rows
+and concatenate the per-block results. That keeps the im2col and
+input-gradient buffers of a block small enough to be reused from the heap
+instead of being mapped afresh on every pass. In infer mode no row reads
+another: BatchNorm applies its running statistics, each output row of the
+im2col GEMM reads only its own row of columns, the input-gradient GEMM is
+batched per sample, and pooling, dense and softmax work row by row. So
+the results equal those of one whole-batch pass bit for bit, as far as
+the BLAS rounds a row alike in any matrix size. Two cases where it does
+not (OpenBLAS): numpy runs a one-row matmul as a matrix-vector product,
+so a lone last row joins the block before it; and the dense input
+gradient `dout @ W.T` takes a kernel chosen by matrix size, so the
+mean-mlp's input gradients may differ from a whole-batch pass in the
+last bits. The fcn-cnn's passes and the mean-mlp's forward passes are
+bit-identical (tests/test_netcore.py::TestInferBlocks).
+
+After a blocked pass the layer caches hold only its last block, so
+`backprop_logits` checks that its gradient has as many rows as the pass
+the caches hold. Train mode runs the whole batch at once, since
+BatchNorm's batch statistics couple the rows.
 """
 
 from __future__ import annotations
@@ -13,6 +35,22 @@ import numpy as np
 
 from ..errors import ConfigError, NumericError, ShapeError
 from .layers import Layer, Softmax, layer_from_config
+
+# Rows per infer-mode block. On the benchmark's `attribute` workload (2-core
+# box, OpenBLAS, 30 s runs, seeds 11-16) the median IG-sample p50 read
+# 1472 ms with 8 rows (6 runs), 1570 ms with 16 (6 runs) and 1512 ms with
+# 32 (3 runs); 8 rows also gave the lowest peak RSS (295 vs 307/309 MB).
+INFER_BLOCK_ROWS = 8
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Row slices of an infer-mode pass over n rows: INFER_BLOCK_ROWS each,
+    except that a lone last row joins the block before it (a one-row
+    matmul would round differently)."""
+    stops = list(range(INFER_BLOCK_ROWS, n, INFER_BLOCK_ROWS))
+    if stops and n - stops[-1] == 1:
+        stops.pop()
+    return [slice(a, b) for a, b in zip([0] + stops, stops + [n])]
 
 
 class LayerStack:
@@ -24,6 +62,7 @@ class LayerStack:
         self.input_shape = tuple(int(d) for d in input_shape)
         self.seed = seed
         self.arch = arch
+        self._cached_rows = None  # rows of the pass the layer caches hold
 
     # -- construction ----------------------------------------------------
 
@@ -74,18 +113,29 @@ class LayerStack:
         return xb, single
 
     def _run(self, xb: np.ndarray, layers, train: bool) -> np.ndarray:
+        self._cached_rows = None  # until every layer has cached this pass
         out = xb
         for i, layer in enumerate(layers):
             out = layer.forward(out, train=train)
             if layer.kind in self._CHECKED_KINDS and not np.isfinite(out).all():
                 raise NumericError(
                     f"non-finite activation after {layer.kind} layer {i}")
+        self._cached_rows = len(xb)
         return out
+
+    def _pass(self, xb: np.ndarray, layers, train: bool) -> np.ndarray:
+        """One pass of `layers` over a batch: whole in train mode, where
+        BatchNorm's batch statistics couple the rows, and in row blocks in
+        infer mode."""
+        if train:
+            return self._run(xb, layers, train)
+        return np.concatenate([self._run(xb[rows], layers, train)
+                               for rows in _row_blocks(len(xb))])
 
     def forward(self, x, train: bool = False) -> np.ndarray:
         """Class probabilities, shape (batch, m) or (m,) for a single input."""
         xb, single = self._batched(x)
-        out = self._run(xb, self.layers, train)
+        out = self._pass(xb, self.layers, train)
         return out[0] if single else out
 
     def logits(self, x, train: bool = False) -> np.ndarray:
@@ -93,17 +143,12 @@ class LayerStack:
         if not self.has_softmax_head:
             raise ConfigError("logits() requires a softmax-terminated stack")
         xb, single = self._batched(x)
-        out = self._run(xb, self.layers[:-1], train)
+        out = self._pass(xb, self.layers[:-1], train)
         return out[0] if single else out
 
-    def predict(self, x, batch_size: int = 64) -> np.ndarray:
-        """Argmax class indices in infer mode, computed in batches."""
-        xb, single = self._batched(x)
-        preds = np.empty(len(xb), dtype=np.int64)
-        for start in range(0, len(xb), batch_size):
-            chunk = xb[start:start + batch_size]
-            preds[start:start + len(chunk)] = self.logits(chunk).argmax(axis=1)
-        return preds[0] if single else preds
+    def predict(self, x) -> np.ndarray:
+        """Argmax class indices in infer mode."""
+        return self.logits(x).argmax(axis=-1)
 
     # -- backward --------------------------------------------------------
 
@@ -114,7 +159,12 @@ class LayerStack:
     def backprop_logits(self, dlogits: np.ndarray,
                         need_param_grads: bool = True) -> np.ndarray:
         """Backpropagate a gradient seeded at the logits through the stack
-        prefix. Caches from the most recent logits() call are consumed."""
+        prefix. The caches of the most recent pass are consumed; dlogits
+        must have as many rows as that pass (its last block in infer mode)."""
+        if self._cached_rows is None or len(dlogits) != self._cached_rows:
+            raise ShapeError(
+                f"dlogits has {len(dlogits)} rows, but the layer caches hold "
+                f"a pass over {self._cached_rows} rows")
         grad = dlogits
         for layer in reversed(self.layers[:-1]):
             grad = layer.backward(grad, need_param_grads=need_param_grads)
@@ -129,7 +179,8 @@ class LayerStack:
         class_index may be a single int (applied to every row) or an array
         of per-row indices. target selects the differentiated scalar:
         "logit" for the pre-softmax class score, "prob" for the softmax
-        probability.
+        probability. The batch runs in infer-mode row blocks; parameter
+        gradients, if asked for, are summed block by block.
         """
         xb, single = self._batched(x)
         n = len(xb)
@@ -140,24 +191,33 @@ class LayerStack:
         m = self.n_classes
         if (idx < 0).any() or (idx >= m).any():
             raise ConfigError(f"class index out of range [0, {m})")
+        if target not in ("logit", "prob"):
+            raise ConfigError(f"target must be 'logit' or 'prob', got {target!r}")
+        values = np.empty(n)
+        grads = np.empty_like(xb)
+        for rows in _row_blocks(n):
+            values[rows], grads[rows] = self._block_gradients(
+                xb[rows], idx[rows], target, need_param_grads)
+        if single:
+            return float(values[0]), grads[0]
+        return values, grads
+
+    def _block_gradients(self, xb, idx, target, need_param_grads):
+        """class_gradients of one row block, in one forward and one
+        backward pass."""
         logits = self.logits(xb)
-        rows = np.arange(n)
+        rows = np.arange(len(xb))
         if target == "logit":
             values = logits[rows, idx]
             dlogits = np.zeros_like(logits)
             dlogits[rows, idx] = 1.0
-        elif target == "prob":
+        else:
             probs = self.layers[-1].forward(logits)
             values = probs[rows, idx]
             # row of the softmax Jacobian: dp_k/dz = p_k (e_k - p)
             dlogits = -probs * values[:, None]
             dlogits[rows, idx] += values
-        else:
-            raise ConfigError(f"target must be 'logit' or 'prob', got {target!r}")
-        grads = self.backprop_logits(dlogits, need_param_grads=need_param_grads)
-        if single:
-            return float(values[0]), grads[0]
-        return values, grads
+        return values, self.backprop_logits(dlogits, need_param_grads=need_param_grads)
 
     # -- state -----------------------------------------------------------
 

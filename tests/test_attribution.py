@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from aeroshm.attribution import (
+    AttributionMap,
     channel_sum,
     convergence_study,
     export_map_csv,
     export_stats_csv,
     integrated_gradients,
     population_stats,
+    relative_completeness_gap,
     top_channels,
 )
 from aeroshm.baselines import make_baseline
@@ -208,6 +210,24 @@ class TestConvergenceStudy:
         assert gaps[-1] <= gaps[0]
         drifts = [r["max_abs_diff_vs_reference"] for r in rows]
         assert drifts[-1] == 0.0  # reference row
+
+
+class TestRelativeCompletenessGap:
+    @staticmethod
+    def maps(gaps_and_deltas):
+        return [AttributionMap(scores=np.zeros((1, 1)), baseline_kind="apb", steps=1,
+                               target_class=0, target_kind="logit",
+                               completeness_gap=gap, output_delta=delta)
+                for gap, delta in gaps_and_deltas]
+
+    def test_largest_ratio_over_checkable_maps(self):
+        worst, unchecked = relative_completeness_gap(
+            self.maps([(0.01, 1.0), (0.1, -0.5), (0.5, 5e-5), (0.0, 1e-4)]))
+        assert worst == 0.2  # 0.1 / |-0.5|; the 5e-5 map is below the floor
+        assert unchecked == 1
+
+    def test_all_below_floor_is_unchecked(self):
+        assert relative_completeness_gap(self.maps([(1e-6, 0.0), (1e-6, -9e-5)])) == (None, 2)
 
 
 class TestExports:

@@ -21,7 +21,7 @@ TRAIN = ["--window-count", "2", "--epochs", "1"]
 
 def run_pipeline(root):
     """generate -> train -> eval -> ablate -> retrain mvb -> eval (MLP) ->
-    attribute -> report; returns the exit code of every step."""
+    attribute -> spectra -> report; returns the exit code of every step."""
     data, out = str(root / "data"), root / "run"
     ckpt, mlp_ckpt = str(out / "checkpoint.ckpt"), str(out / "checkpoint_mvb.ckpt")
     steps = {
@@ -36,6 +36,8 @@ def run_pipeline(root):
                      "--out", str(out / "mlp")],
         "attribute": ["attribute", "--checkpoint", ckpt, "--data", data, "--steps", "16",
                       "--max-samples", "1", "--out", str(out)],
+        "spectra": ["spectra", "--data", data, "--test-series", "1", "--damage-class", "0",
+                    "--sensor", "18", "--out", str(out / "spectra")],
         "report": ["report", str(out / "report.json")],
     }
     return {name: main(argv) for name, argv in steps.items()}
@@ -61,7 +63,8 @@ def test_every_step_exits_ok(two_runs):
 
 def test_rerun_is_bit_exact(two_runs):
     (a, b), _ = two_runs
-    for name in ("checkpoint.ckpt", "checkpoint_mvb.ckpt"):
+    for name in ("checkpoint.ckpt", "checkpoint_mvb.ckpt", "spectra/shedding_scan.json",
+                 "spectra/stft.csv"):
         assert (a / "run" / name).read_bytes() == (b / "run" / name).read_bytes(), name
     reports = ["report.json", "retrain_mvb.json", "eval_test.json", "mlp/eval_test.json",
                "ablate_apb.json", "ablate_tvb.json", "ablate_mvb.json",
@@ -89,6 +92,25 @@ def test_reports_record_the_training_dataset(two_runs):
         assert hashes["trained_on"] == trained_on, name
     assert json.loads((root / "run" / "eval_test.json").read_text())["hashes"]["dataset"] \
         == trained_on
+
+
+def test_attribution_records_its_completeness_check(two_runs, tmp_path, capsys):
+    (root, _), _ = two_runs
+    extras = json.loads((root / "run" / "attribution_apb.json").read_text())["extras"]
+    # 16 steps: one checked sample, its gap well under the warning level
+    assert extras["n_gap_unchecked"] == 0
+    assert 0 < extras["max_relative_completeness_gap"] <= 0.05
+    capsys.readouterr()
+    code = main(["attribute", "--checkpoint", str(root / "run" / "checkpoint.ckpt"),
+                 "--data", str(root / "data"), "--steps", "1", "--max-samples", "1",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    worst = json.loads((tmp_path / "attribution_apb.json").read_text())[
+        "extras"]["max_relative_completeness_gap"]
+    assert worst > 0.05
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: completeness gap reaches {worst:.1%} of |F(x) - F(x')|, above 5%; "
+        "more --steps would tighten it"]
 
 
 @pytest.fixture(scope="module")

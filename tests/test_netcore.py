@@ -13,6 +13,7 @@ from conftest import (
 
 from aeroshm.errors import ConfigError, NumericError, ShapeError
 from aeroshm.models import build_cnn, build_mlp
+from aeroshm.net import stack as stack_module
 from aeroshm.net import (
     AdamW,
     Conv1d,
@@ -132,6 +133,98 @@ class TestBackward:
         for i in range(4):
             _, single = stack.class_gradients(xs[i], 1)
             np.testing.assert_allclose(batch_grads[i], single, atol=1e-12)
+
+
+B = stack_module.INFER_BLOCK_ROWS
+
+
+def warmed_model(arch):
+    """A model whose BatchNorm running statistics are not the identity."""
+    rng = np.random.default_rng(31)
+    if arch == "fcn-cnn":
+        stack, shape = build_cnn(3, 16, seed=4), (3, 16)
+    else:
+        stack, shape = build_mlp(5, seed=4), (5,)
+    stack.forward(rng.normal(size=(8,) + shape), train=True)
+    return stack, shape
+
+
+def infer_outputs(stack, x):
+    out = [stack.logits(x), stack.forward(x), stack.predict(x)]
+    for target in ("logit", "prob"):
+        for class_index in (1, np.arange(len(x)) % stack.n_classes):
+            out.extend(stack.class_gradients(x, class_index, target=target))
+    return out
+
+
+class TestInferBlocks:
+    """Infer-mode passes run in row blocks and must give what one pass over
+    the whole batch gives. The reference is the same code with a block size
+    larger than the batch. (Row-by-row passes are no reference: numpy runs a
+    one-row matmul as a matrix-vector product, which rounds differently; see
+    test_batched_rows_are_independent.)"""
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1, 2 * B + 2])
+    @pytest.mark.parametrize("arch", ["fcn-cnn", "mean-mlp"])
+    def test_blocked_passes_equal_one_whole_batch_pass(self, arch, n, monkeypatch):
+        stack, shape = warmed_model(arch)
+        x = np.random.default_rng(n).normal(size=(n,) + shape)
+        blocked = infer_outputs(stack, x)
+        monkeypatch.setattr(stack_module, "INFER_BLOCK_ROWS", 10 * n)
+        whole = infer_outputs(stack, x)
+        for i, (a, b) in enumerate(zip(blocked, whole)):
+            if arch == "mean-mlp" and i >= 4 and i % 2 == 0:
+                # input gradients of the dense layers, `dout @ W.T`: OpenBLAS
+                # picks its dgemm kernel by matrix size, so another block
+                # size may round differently
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+            else:
+                np.testing.assert_array_equal(a, b, err_msg=f"output {i}")
+
+    def test_lone_last_row_joins_the_previous_block(self):
+        stack, shape = warmed_model("fcn-cnn")
+        x = np.random.default_rng(0).normal(size=(2 * B + 2,) + shape)
+        stack.logits(x[:2 * B + 1])
+        stack.backprop_logits(np.ones((B + 1, stack.n_classes)))  # the cached block
+        stack.logits(x)
+        with pytest.raises(ShapeError):
+            stack.backprop_logits(np.ones((B + 1, stack.n_classes)))
+        stack.backprop_logits(np.ones((2, stack.n_classes)))
+
+    @pytest.mark.parametrize("arch", ["fcn-cnn", "mean-mlp"])
+    def test_backprop_refuses_gradient_of_other_rows(self, arch):
+        stack, shape = warmed_model(arch)
+        rng = np.random.default_rng(2)
+        stack.logits(rng.normal(size=(2 * B + 1,) + shape))
+        with pytest.raises(ShapeError):  # the caches hold the last block only
+            stack.backprop_logits(np.ones((2 * B + 1, stack.n_classes)),
+                                  need_param_grads=False)
+        stack.logits(rng.normal(size=(1,) + shape))
+        with pytest.raises(ShapeError):
+            stack.backprop_logits(np.ones((5, stack.n_classes)), need_param_grads=False)
+
+    def test_backprop_before_any_pass_raises(self):
+        stack, _ = warmed_model("mean-mlp")
+        fresh = type(stack)(stack.layers, stack.input_shape)
+        with pytest.raises(ShapeError):
+            fresh.backprop_logits(np.ones((1, stack.n_classes)))
+
+    def test_failed_pass_leaves_no_cache_to_backprop(self):
+        stack, shape = warmed_model("fcn-cnn")
+        x = np.ones((2,) + shape)
+        stack.logits(x)
+        stack.layers[0].params["weight"][...] = 1e308  # conv output overflows
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            stack.logits(x)
+        with pytest.raises(ShapeError):
+            stack.backprop_logits(np.ones((2, stack.n_classes)))
+
+    def test_train_pass_is_not_blocked(self, rng):
+        stack, shape = warmed_model("fcn-cnn")
+        x = rng.normal(size=(2 * B + 1,) + shape)
+        stack.logits(x, train=True)
+        grad = stack.backprop_logits(np.ones((2 * B + 1, stack.n_classes)))
+        assert grad.shape == x.shape
 
 
 class TestLoss:
