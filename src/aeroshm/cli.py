@@ -141,10 +141,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    kinds = [k.strip() for k in args.baselines.split(",") if k.strip()]
+    if not kinds:
+        raise ConfigError(f"--baselines {args.baselines!r} names no baseline")
     stack, metadata = load_checkpoint(Path(args.checkpoint))
     campaign = _load_data(args)
     data, config, hashes = _prepare_for_checkpoint(campaign, metadata)
-    kinds = [k.strip() for k in args.baselines.split(",") if k.strip()]
     reports = harness.ablate_on_baselines(stack, data, config, kinds=kinds,
                                           slice_name=args.slice, hashes=hashes)
     for kind, report in reports.items():
@@ -187,10 +189,14 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_spectra(args) -> int:
+    try:
+        candidates = [float(c) for c in args.candidates.split(",") if c.strip()]
+    except ValueError:
+        raise ConfigError(f"--candidates {args.candidates!r} is not a "
+                          f"comma-separated list of frequencies") from None
     campaign = _load_data(args)
     run = campaign.run(args.test_series, args.damage_class, args.run_index)
     spec = StftSpec.wide() if args.preset == "wide" else StftSpec.fine()
-    candidates = [float(c) for c in args.candidates.split(",") if c.strip()]
     report = shedding_scan(run, args.sensor, candidates, spec=spec,
                            layout=campaign.layout)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

@@ -7,8 +7,12 @@ respect to its input while accumulating parameter gradients. All math is
 float64 and runs on plain numpy arrays.
 
 Array conventions:
-    conv/pool layers   (batch, channels, time)
+    conv/pool layers   (batch, time, channels)
     dense layers       (batch, features)
+
+The time-major layout is the engine's compute layout only: the data and
+the stored conv weights stay channels-first, and `LayerStack` maps one
+to the other (see net/stack.py).
 
 The backward passes optionally skip parameter-gradient work
 (`need_param_grads=False`), which roughly halves the cost of input-only
@@ -19,15 +23,25 @@ backward. In-place arithmetic only touches arrays a layer has just
 allocated itself. That is how BatchNorm works: it centres `x` once into a
 new array and scales that into `xhat`, applies its affine to a fresh
 output, and builds its input gradient in the buffer of `dout * gamma`.
+It is also why GlobalAvgPool can return its input gradient as a
+read-only broadcast view of `dout / T`: no layer writes into it.
 
-Conv1d's input gradient is one batched GEMM, `w_mat.T @ dout`, whose
-(n, c*k, t) result reads as (n, c, k, t): for each kernel tap j the slice
-`[:, :, j]` is a contiguous (n, c, t) block, and the k blocks are added
-at shifts 0..k-1 onto the zero-padded input gradient, in tap order.
+Conv1d im2col: in the zero-padded (batch, time + k - 1, channels) buffer
+the k input steps that output step s reads are one contiguous run of k*c
+values, `xp[b, s:s+k, :]`. So every im2col row is a plain copy of such a
+run, taken as every c-th window of a sample's flattened buffer, and the
+GEMM's K axis is in (tap, channel) order; the weight is reordered to
+match on each call. The forward GEMM's (n*t, filters) result is the
+(n, t, filters) output as it stands. Backward multiplies `dout` as one
+(n*t, filters) matrix: the weight gradient comes back in (tap, channel)
+order and is stored as (filters, in_channels, kernel_size), and the
+input-gradient columns (n, t, k, c) are folded, tap by tap in tap order,
+into the unpadded (n, t, c) input gradient.
 
-Every such rewrite keeps the float64 arithmetic and its order, so results
-are bit-identical to the plain formulas, with one exception: ReLU's
-backward (`dout * mask`) can give -0.0 where `np.where` gave 0.0.
+Summing K in (tap, channel) order rounds differently from the plain
+direct-sum formulas, so conv results agree with them to rounding, not bit
+for bit. ReLU's backward (`dout * mask`) can give -0.0 where `np.where`
+gave 0.0.
 """
 
 from __future__ import annotations
@@ -79,8 +93,9 @@ class Layer:
 class Conv1d(Layer):
     """1-D convolution over time with zero-padded "same" output length.
 
-    Weight shape (filters, in_channels, kernel_size); stride fixed at 1.
-    For even kernels the extra pad column goes on the right.
+    Input (batch, time, in_channels), output (batch, time, filters); weight
+    shape (filters, in_channels, kernel_size); stride fixed at 1. For even
+    kernels the extra pad step goes on the right.
     """
 
     kind = "conv1d"
@@ -97,42 +112,43 @@ class Conv1d(Layer):
         self.filters = filters
         self.kernel_size = kernel_size
         self.pad_left = (kernel_size - 1) // 2
-        self.pad_right = kernel_size - 1 - self.pad_left
         fan_in = in_channels * kernel_size
         self.params["weight"] = self._init_uniform(rng, (filters, in_channels, kernel_size), fan_in)
         self.params["bias"] = self._init_uniform(rng, (filters,), fan_in)
         self.zero_grads()
 
     def forward(self, x, train=False):
-        n, c, t = x.shape
+        n, t, c = x.shape
         if c != self.in_channels:
             raise ShapeError(f"conv1d expects {self.in_channels} channels, got {c}")
         if t < self.kernel_size:
             raise ShapeError(f"conv1d kernel {self.kernel_size} longer than input ({t})")
         k = self.kernel_size
-        xp = np.pad(x, ((0, 0), (0, 0), (self.pad_left, self.pad_right)))
-        # im2col: one GEMM of (n*t, c*k) @ (c*k, filters)
-        windows = sliding_window_view(xp, k, axis=2)  # (n, c, t, k)
-        cols = windows.transpose(0, 2, 1, 3).reshape(n * t, c * k)
-        w_mat = self.params["weight"].reshape(self.filters, c * k)
-        out = cols @ w_mat.T + self.params["bias"]
-        self._cache = (cols, (n, c, t))
-        return np.ascontiguousarray(out.reshape(n, t, self.filters).transpose(0, 2, 1))
+        xp = np.zeros((n, t + k - 1, c))
+        xp[:, self.pad_left:self.pad_left + t] = x
+        # im2col: row (b, s) is the contiguous run xp[b, s:s+k, :], (tap, channel)
+        windows = sliding_window_view(xp.reshape(n, -1), k * c, axis=1)[:, ::c]
+        cols = windows.reshape(n * t, k * c)
+        w_mat = self.params["weight"].transpose(0, 2, 1).reshape(self.filters, k * c)
+        out = cols @ w_mat.T
+        out += self.params["bias"]
+        self._cache = (cols, w_mat, (n, t, c))
+        return out.reshape(n, t, self.filters)
 
     def backward(self, dout, need_param_grads=True):
-        cols, (n, c, t) = self._cache
-        k = self.kernel_size
-        w_mat = self.params["weight"].reshape(self.filters, c * k)
+        cols, w_mat, (n, t, c) = self._cache
+        k, pl = self.kernel_size, self.pad_left
+        dout2 = dout.reshape(n * t, self.filters)
         if need_param_grads:
-            dout2 = dout.transpose(0, 2, 1).reshape(n * t, self.filters)
-            self.grads["weight"] += (dout2.T @ cols).reshape(self.params["weight"].shape)
+            dw = (dout2.T @ cols).reshape(self.filters, k, c)
+            self.grads["weight"] += dw.transpose(0, 2, 1)
             self.grads["bias"] += dout2.sum(axis=0)
-        # one batched GEMM: (c*k, filters) @ (n, filters, t) -> (n, c, k, t)
-        dcols = (w_mat.T @ dout).reshape(n, c, k, t)
-        dxp = np.zeros((n, c, t + k - 1))
-        for j in range(k):  # fold the k shifted copies back onto the padded input
-            dxp[:, :, j:j + t] += dcols[:, :, j]
-        return dxp[:, :, self.pad_left:self.pad_left + t]
+        dcols = (dout2 @ w_mat).reshape(n, t, k, c)
+        dx = np.zeros((n, t, c))
+        for j in range(k):  # tap j of output step s reads input step s + j - pad_left
+            lo, hi = max(pl - j, 0), min(t + pl - j, t)
+            dx[:, lo + j - pl:hi + j - pl] += dcols[:, lo:hi, j]
+        return dx
 
     def config(self):
         return {"kind": self.kind, "in_channels": self.in_channels,
@@ -140,7 +156,8 @@ class Conv1d(Layer):
 
 
 class BatchNorm(Layer):
-    """Per-channel batch normalization with running statistics.
+    """Per-channel batch normalization with running statistics, over every
+    axis but the last: (batch, channels) or (batch, time, channels).
 
     Train mode normalizes by batch statistics (biased variance) and updates
     the running estimates; infer mode applies the running statistics, which
@@ -160,58 +177,54 @@ class BatchNorm(Layer):
         self.buffers["running_var"] = np.ones(channels)
         self.zero_grads()
 
-    def _shape_info(self, x):
-        if x.ndim == 2:
-            return (0,), (1, self.channels)
-        if x.ndim == 3:
-            return (0, 2), (1, self.channels, 1)
-        raise ShapeError(f"batchnorm expects 2-D or 3-D input, got {x.ndim}-D")
+    def _axes(self, x):
+        """Every axis but the last, which holds the channels."""
+        if x.ndim not in (2, 3):
+            raise ShapeError(f"batchnorm expects 2-D or 3-D input, got {x.ndim}-D")
+        if x.shape[-1] != self.channels:
+            raise ShapeError(f"batchnorm expects {self.channels} channels, got {x.shape[-1]}")
+        return tuple(range(x.ndim - 1))
 
     def forward(self, x, train=False):
-        axes, bshape = self._shape_info(x)
-        if x.shape[1] != self.channels:
-            raise ShapeError(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
-        gamma = self.params["gamma"].reshape(bshape)
-        beta = self.params["beta"].reshape(bshape)
+        axes = self._axes(x)
         if train:
             mean = x.mean(axis=axes)
-            xhat = x - mean.reshape(bshape)
+            xhat = x - mean
             n_reduced = x.size // self.channels
             var = np.square(xhat).sum(axis=axes) / n_reduced  # np.var's arithmetic
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat *= inv_std.reshape(bshape)
+            xhat *= inv_std
             m = self.momentum
             self.buffers["running_mean"] *= 1.0 - m
             self.buffers["running_mean"] += m * mean
             self.buffers["running_var"] *= 1.0 - m
             self.buffers["running_var"] += m * var
-            self._cache = ("train", xhat, inv_std, axes, bshape, n_reduced)
+            self._cache = ("train", xhat, inv_std, axes, n_reduced)
         else:
             inv_std = 1.0 / np.sqrt(self.buffers["running_var"] + self.eps)
-            xhat = x - self.buffers["running_mean"].reshape(bshape)
-            xhat *= inv_std.reshape(bshape)
-            self._cache = ("infer", xhat, inv_std, axes, bshape, None)
-        out = gamma * xhat
-        out += beta
+            xhat = x - self.buffers["running_mean"]
+            xhat *= inv_std
+            self._cache = ("infer", xhat, inv_std, axes, None)
+        out = self.params["gamma"] * xhat
+        out += self.params["beta"]
         return out
 
     def backward(self, dout, need_param_grads=True):
-        mode, xhat, inv_std, axes, bshape, n = self._cache
-        gamma = self.params["gamma"].reshape(bshape)
+        mode, xhat, inv_std, axes, n = self._cache
         if need_param_grads:
             self.grads["gamma"] += (dout * xhat).sum(axis=axes)
             self.grads["beta"] += dout.sum(axis=axes)
-        dx = dout * gamma  # dxhat, then turned into dx in place
+        dx = dout * self.params["gamma"]  # dxhat, then turned into dx in place
         if mode == "infer":
-            dx *= inv_std.reshape(bshape)
+            dx *= inv_std
             return dx
         prod = dx * xhat
-        s1 = dx.sum(axis=axes).reshape(bshape)
-        s2 = prod.sum(axis=axes).reshape(bshape)
+        s1 = dx.sum(axis=axes)
+        s2 = prod.sum(axis=axes)
         dx *= n
         dx -= s1
         dx -= np.multiply(xhat, s2, out=prod)
-        dx *= inv_std.reshape(bshape) / n
+        dx *= inv_std / n
         return dx
 
     def config(self):
@@ -231,20 +244,21 @@ class ReLU(Layer):
 
 
 class GlobalAvgPool(Layer):
-    """Average over the time axis: (batch, channels, time) -> (batch, channels)."""
+    """Average over the time axis: (batch, time, channels) -> (batch, channels)."""
 
     kind = "global-avg-pool"
 
     def forward(self, x, train=False):
         if x.ndim != 3:
             raise ShapeError(f"global-avg-pool expects 3-D input, got {x.ndim}-D")
-        self._cache = x.shape[2]
-        return x.mean(axis=2)
+        self._cache = x.shape[1]
+        return x.mean(axis=1)
 
     def backward(self, dout, need_param_grads=True):
         t = self._cache
         # every time step receives exactly 1/T of the pooled gradient
-        return np.repeat(dout[:, :, None], t, axis=2) / t
+        n, c = dout.shape
+        return np.broadcast_to((dout / t)[:, None, :], (n, t, c))
 
 
 class Dense(Layer):

@@ -6,14 +6,24 @@ available with respect to parameters (for training) and with respect to
 the input (for attribution), against either the pre-softmax logit of a
 target class or its post-softmax probability.
 
+The stack is the one place that maps the data's layout to the layers'
+layout and back. Inputs and input gradients are (batch, channels, time)
+like the data; conv, batchnorm and pool layers compute on (batch, time,
+channels), where each im2col row is one contiguous run (see
+net/layers.py). A rank-3 batch goes to the first layer as the view
+`x.transpose(0, 2, 1)`, and `backprop_logits` hands the input gradient
+back through the same transpose. Rank-2 (batch, features) batches pass
+as they are.
+
 Infer-mode passes (`forward` and `logits` with train=False, `predict`,
 `class_gradients`) run over their batch in blocks of INFER_BLOCK_ROWS rows
 and concatenate the per-block results. That keeps the im2col and
 input-gradient buffers of a block small enough to be reused from the heap
 instead of being mapped afresh on every pass. In infer mode no row reads
 another: BatchNorm applies its running statistics, each output row of the
-im2col GEMM reads only its own row of columns, the input-gradient GEMM is
-batched per sample, and pooling, dense and softmax work row by row. So
+conv GEMMs (forward and input gradient) reads only its own row of the
+(batch * time)-row operand, and pooling, dense and softmax work row by
+row. So
 the results equal those of one whole-batch pass bit for bit, as far as
 the BLAS rounds a row alike in any matrix size. Two cases where it does
 not (OpenBLAS): numpy runs a one-row matmul as a matrix-vector product,
@@ -37,9 +47,10 @@ from ..errors import ConfigError, NumericError, ShapeError
 from .layers import Layer, Softmax, layer_from_config
 
 # Rows per infer-mode block. On the benchmark's `attribute` workload (2-core
-# box, OpenBLAS, 30 s runs, seeds 11-16) the median IG-sample p50 read
-# 1472 ms with 8 rows (6 runs), 1570 ms with 16 (6 runs) and 1512 ms with
-# 32 (3 runs); 8 rows also gave the lowest peak RSS (295 vs 307/309 MB).
+# box, OpenBLAS, 30 s runs, seeds 7101-7109, time-major layers) the IG-sample
+# p50 read 1048/1153/1084 ms with 8 rows (median 1084), 1050/1105/1124 with
+# 16 (median 1105) and 1222/1304/1169 with 32 (median 1222); peak RSS
+# 296/296/308, 296/300/296 and 310/310/310 MB.
 INFER_BLOCK_ROWS = 8
 
 
@@ -114,7 +125,7 @@ class LayerStack:
 
     def _run(self, xb: np.ndarray, layers, train: bool) -> np.ndarray:
         self._cached_rows = None  # until every layer has cached this pass
-        out = xb
+        out = xb.transpose(0, 2, 1) if xb.ndim == 3 else xb  # layers run time-major
         for i, layer in enumerate(layers):
             out = layer.forward(out, train=train)
             if layer.kind in self._CHECKED_KINDS and not np.isfinite(out).all():
@@ -160,7 +171,9 @@ class LayerStack:
                         need_param_grads: bool = True) -> np.ndarray:
         """Backpropagate a gradient seeded at the logits through the stack
         prefix. The caches of the most recent pass are consumed; dlogits
-        must have as many rows as that pass (its last block in infer mode)."""
+        must have as many rows as that pass (its last block in infer mode).
+        Returns the gradient with respect to that pass's input, in the
+        input's own layout."""
         if self._cached_rows is None or len(dlogits) != self._cached_rows:
             raise ShapeError(
                 f"dlogits has {len(dlogits)} rows, but the layer caches hold "
@@ -170,7 +183,7 @@ class LayerStack:
             grad = layer.backward(grad, need_param_grads=need_param_grads)
         if not np.isfinite(grad).all():
             raise NumericError("non-finite gradient in backward pass")
-        return grad
+        return grad.transpose(0, 2, 1) if grad.ndim == 3 else grad
 
     def class_gradients(self, x, class_index, target: str = "logit",
                         need_param_grads: bool = False):

@@ -192,6 +192,8 @@ def shedding_scan(run: RawRun, sensor_id: int, candidates_hz: list[float],
     layout = layout or SensorLayout()
     if sensor_id not in layout.working_ids:
         raise DataError(f"unknown or dead sensor id {sensor_id}")
+    if not candidates_hz:
+        raise ConfigError("no candidate frequency to scan")
     nyquist = run.sample_rate / 2.0
     for f in candidates_hz:
         if f <= 0.0:

@@ -212,6 +212,27 @@ def test_bad_config_file_exits_config_error(two_runs, tmp_path, capsys, config):
     assert next(iter(config)) in err
 
 
+@pytest.mark.parametrize("step,flags,word", [
+    ("spectra", ["--candidates", "abc"], "candidates"),
+    ("spectra", ["--candidates", ","], "candidate"),
+    ("ablate", ["--baselines", ","], "baselines"),
+], ids=["spectra-not-a-number", "spectra-empty", "ablate-empty"])
+def test_malformed_cli_list_exits_config_error(two_runs, tmp_path, capsys, step, flags,
+                                               word):
+    (root, _), _ = two_runs
+    argv = {
+        "spectra": ["spectra", "--test-series", "1", "--damage-class", "0",
+                    "--sensor", "18"],
+        "ablate": ["ablate", "--checkpoint", str(root / "run" / "checkpoint.ckpt")],
+    }[step]
+    code = main([*argv, "--data", str(root / "data"), "--out", str(tmp_path), *flags])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert word in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unexpected_exception_exits_internal_error(tmp_path, monkeypatch, capsys):
     def broken(path):
         raise RuntimeError("first line\nsecond line")

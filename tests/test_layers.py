@@ -15,6 +15,14 @@ from aeroshm.net import (
 )
 
 
+def time_major(a):
+    """(batch, channels, time) <-> (batch, time, channels) as a view. The
+    oracles below work on (batch, channels, time) arrays; conv, batchnorm
+    and pool layers take and return (batch, time, channels) ones. 2-D
+    arrays pass through."""
+    return a.transpose(0, 2, 1) if a.ndim == 3 else a
+
+
 def brute_force_conv1d(x, weight, bias):
     """Direct convolution sum with same padding; the oracle for Conv1d."""
     n, c, t = x.shape
@@ -90,18 +98,20 @@ class TestConv1d:
         layer = Conv1d(3, 4, 5, rng)
         x = rng.normal(size=(2, 3, 11))
         expected = brute_force_conv1d(x, layer.params["weight"], layer.params["bias"])
-        np.testing.assert_allclose(layer.forward(x), expected, atol=1e-12)
+        np.testing.assert_allclose(time_major(layer.forward(time_major(x))), expected,
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("kernel", [1, 2, 3, 8])
     def test_same_padding_preserves_length(self, rng, kernel):
         layer = Conv1d(2, 3, kernel, rng)
-        out = layer.forward(rng.normal(size=(1, 2, 16)))
+        out = time_major(layer.forward(time_major(rng.normal(size=(1, 2, 16)))))
         assert out.shape == (1, 3, 16)
 
     def test_backward_matches_fd(self, rng):
         layer = Conv1d(3, 4, 4, rng)
-        x = rng.normal(size=(2, 3, 9))
-        r = rng.normal(size=(2, 4, 9))
+        # contiguous copies: the finite differences perturb x in place
+        x = np.ascontiguousarray(time_major(rng.normal(size=(2, 3, 9))))
+        r = np.ascontiguousarray(time_major(rng.normal(size=(2, 4, 9))))
         layer.forward(x)
         layer.zero_grads()
         dx = layer.backward(r.copy())
@@ -118,8 +128,8 @@ class TestConv1d:
         layer = Conv1d(3, 5, kernel, rng)
         x = rng.normal(size=(2, 3, 13))
         dout = rng.normal(size=(2, 5, 13))
-        layer.forward(x)
-        dx = layer.backward(dout, need_param_grads=need_param_grads)
+        layer.forward(time_major(x))
+        dx = time_major(layer.backward(time_major(dout), need_param_grads=need_param_grads))
         # a tolerance, not equality: BLAS builds may sum in other orders
         np.testing.assert_allclose(
             dx, direct_conv1d_input_grad(dout, layer.params["weight"], 13),
@@ -128,37 +138,37 @@ class TestConv1d:
     def test_skip_param_grads_leaves_them_zero(self, rng):
         layer = Conv1d(2, 2, 3, rng)
         x = rng.normal(size=(1, 2, 8))
-        layer.forward(x)
+        layer.forward(time_major(x))
         layer.zero_grads()
-        layer.backward(np.ones((1, 2, 8)), need_param_grads=False)
+        layer.backward(time_major(np.ones((1, 2, 8))), need_param_grads=False)
         assert np.all(layer.grads["weight"] == 0.0)
 
     def test_rejects_bad_shapes(self, rng):
         layer = Conv1d(3, 2, 3, rng)
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((1, 4, 10)))
+            layer.forward(time_major(np.zeros((1, 4, 10))))
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((1, 3, 2)))
+            layer.forward(time_major(np.zeros((1, 3, 2))))
 
 
 class TestBatchNorm:
     def test_train_normalizes_batch(self, rng):
         layer = BatchNorm(4)
         x = rng.normal(loc=3.0, scale=2.5, size=(16, 4, 10))
-        out = layer.forward(x, train=True)
+        out = time_major(layer.forward(time_major(x), train=True))
         np.testing.assert_allclose(out.mean(axis=(0, 2)), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=(0, 2)), 1.0, atol=1e-6)
 
     def test_infer_is_affine_per_channel(self, rng):
         layer = BatchNorm(3)
         for _ in range(5):
-            layer.forward(rng.normal(size=(8, 3, 6)), train=True)
+            layer.forward(time_major(rng.normal(size=(8, 3, 6))), train=True)
         x = rng.normal(size=(4, 3, 6))
         a, b = 1.7, -0.4
-        out1 = layer.forward(a * x + b)
+        out1 = time_major(layer.forward(time_major(a * x + b)))
         # affine map commutes: f(a x + b) = a f(x) + (f(b) - f(0)) elementwise
         scale = layer.params["gamma"] / np.sqrt(layer.buffers["running_var"] + layer.eps)
-        out2 = layer.forward(x)
+        out2 = time_major(layer.forward(time_major(x)))
         np.testing.assert_allclose(out1 - out2, (a - 1) * x * scale[None, :, None]
                                    + b * scale[None, :, None], atol=1e-10)
 
@@ -174,8 +184,9 @@ class TestBatchNorm:
         layer = BatchNorm(3)
         layer.params["gamma"] = rng.normal(size=3) + 1.0
         layer.params["beta"] = rng.normal(size=3)
-        x = rng.normal(size=shape)
-        r = rng.normal(size=shape)
+        # contiguous copies: the finite differences perturb x in place
+        x = np.ascontiguousarray(time_major(rng.normal(size=shape)))
+        r = np.ascontiguousarray(time_major(rng.normal(size=shape)))
         layer.forward(x, train=True)
         layer.zero_grads()
         dx = layer.backward(r.copy())
@@ -187,11 +198,11 @@ class TestBatchNorm:
 
     def test_infer_backward_is_scaled_identity(self, rng):
         layer = BatchNorm(2)
-        layer.forward(rng.normal(size=(32, 2, 5)), train=True)
+        layer.forward(time_major(rng.normal(size=(32, 2, 5))), train=True)
         x = rng.normal(size=(3, 2, 5))
-        layer.forward(x)
+        layer.forward(time_major(x))
         dout = rng.normal(size=(3, 2, 5))
-        dx = layer.backward(dout.copy())
+        dx = time_major(layer.backward(time_major(dout.copy())))
         scale = layer.params["gamma"] / np.sqrt(layer.buffers["running_var"] + layer.eps)
         np.testing.assert_allclose(dx, dout * scale[None, :, None], atol=1e-12)
 
@@ -210,14 +221,14 @@ class TestGlobalAvgPool:
     def test_forward_mean(self, rng):
         layer = GlobalAvgPool()
         x = rng.normal(size=(2, 3, 10))
-        np.testing.assert_allclose(layer.forward(x), x.mean(axis=2))
+        np.testing.assert_allclose(layer.forward(time_major(x)), x.mean(axis=2))
 
     def test_backward_uniform_share(self, rng):
         t = 12
         layer = GlobalAvgPool()
-        layer.forward(rng.normal(size=(2, 3, t)))
+        layer.forward(time_major(rng.normal(size=(2, 3, t))))
         dout = rng.normal(size=(2, 3))
-        dx = layer.backward(dout)
+        dx = time_major(layer.backward(dout))
         # each time step receives exactly 1/T of the pooled gradient
         np.testing.assert_array_equal(dx, np.repeat(dout[:, :, None], t, axis=2) / t)
 
@@ -282,7 +293,8 @@ class TestSoftmax:
 
 
 def make_layer(kind, rng):
-    """One layer of every kind, with its (batch, ...) input and output shapes."""
+    """One layer of every kind, with its (batch, ...) input and output shapes
+    ((batch, channels, time) for 3-D ones)."""
     if kind == "conv1d":
         return Conv1d(3, 4, 5, rng), (6, 3, 10), (6, 4, 10)
     if kind == "batchnorm-3d":
@@ -307,11 +319,11 @@ def make_layer(kind, rng):
 def test_layers_never_modify_their_inputs(rng, kind, train, need_param_grads):
     layer, in_shape, out_shape = make_layer(kind, rng)
     if isinstance(layer, BatchNorm):  # nontrivial running statistics for infer mode
-        layer.forward(rng.normal(loc=1.0, scale=2.0, size=in_shape), train=True)
+        layer.forward(time_major(rng.normal(loc=1.0, scale=2.0, size=in_shape)), train=True)
     x = rng.normal(size=in_shape)
     dout = rng.normal(size=out_shape)
     x_before, dout_before = x.copy(), dout.copy()
-    layer.forward(x, train=train)
-    layer.backward(dout, need_param_grads=need_param_grads)
+    layer.forward(time_major(x), train=train)
+    layer.backward(time_major(dout), need_param_grads=need_param_grads)
     np.testing.assert_array_equal(x, x_before)
     np.testing.assert_array_equal(dout, dout_before)

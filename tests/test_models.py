@@ -61,11 +61,11 @@ class TestCnn:
     def test_temporal_length_preserved_through_blocks(self, rng):
         stack = build_cnn(5, 150)
         x = rng.normal(size=(2, 5, 150))
-        out = x
+        out = x.transpose(0, 2, 1)  # the layers run on (batch, time, channels)
         for layer in stack.layers:
             out = layer.forward(out)
             if layer.kind in ("conv1d", "batchnorm", "relu"):
-                assert out.shape[2] == 150
+                assert out.shape[1] == 150
             if layer.kind == "global-avg-pool":
                 assert layer._cache == 150  # pool averaged all 150 positions
                 break

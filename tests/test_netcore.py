@@ -57,7 +57,8 @@ class TestForward:
         conv.params["weight"][...] = [[[1.0, -1.0], [2.0, 0.5]]]
         conv.params["bias"][...] = [0.25]
         x = np.array([[[1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, -1.0]]])
-        np.testing.assert_allclose(conv.forward(x)[0, 0],
+        # the layer takes (batch, time, channels) and returns (batch, time, filters)
+        np.testing.assert_allclose(conv.forward(x.transpose(0, 2, 1))[0, :, 0],
                                    [-0.25, 1.25, -1.25, 2.25], atol=1e-15)
 
     def test_dropout_only_active_in_train_mode(self):

@@ -140,6 +140,10 @@ class TestSheddingScan:
         with pytest.raises(ConfigError):
             shedding_scan(self._noise_run(), 16, [60.0])
 
+    def test_empty_candidate_list_rejected(self):
+        with pytest.raises(ConfigError, match="no candidate"):
+            shedding_scan(self._noise_run(), 16, [])
+
     def test_unknown_sensor_rejected(self):
         with pytest.raises(DataError):
             shedding_scan(self._noise_run(), 21, [15.0])  # dead sensor id
