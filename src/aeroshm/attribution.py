@@ -78,6 +78,11 @@ def integrated_gradients(model, values: np.ndarray, baseline_kind,
     class_gradients(batch, class_index, target=...) -> (values, grads);
     a trained LayerStack does. target_class defaults to the model's
     prediction on x.
+
+    The sample, its baseline and every path point go to the model in one
+    class_gradients call; the model batches its own passes (a LayerStack
+    runs them in infer-mode row blocks). chunk_size is ignored: it is kept
+    only for callers that still pass it, until ROADMAP item 5 drops it.
     """
     if not 1 <= steps <= MAX_STEPS:
         raise ConfigError(f"steps must be in [1, {MAX_STEPS}], got {steps}")
@@ -89,17 +94,11 @@ def integrated_gradients(model, values: np.ndarray, baseline_kind,
 
     diff = x - baseline
     gammas = (np.arange(steps) + 0.5) / steps  # midpoint rule
-    grad_sum = np.zeros_like(x)
-    for start in range(0, steps, chunk_size):
-        g = gammas[start:start + chunk_size]
-        points = baseline[None] + g.reshape((-1,) + (1,) * x.ndim) * diff[None]
-        _, grads = model.class_gradients(points, target_class, target=target)
-        grad_sum += grads.sum(axis=0)
-    scores = diff * (grad_sum / steps)
-
-    endpoint_values, _ = model.class_gradients(
-        np.stack([x, baseline]), target_class, target=target)
-    output_delta = float(endpoint_values[0] - endpoint_values[1])
+    path = baseline[None] + gammas.reshape((-1,) + (1,) * x.ndim) * diff[None]
+    outputs, grads = model.class_gradients(
+        np.concatenate([x[None], baseline[None], path]), target_class, target=target)
+    output_delta = float(outputs[0] - outputs[1])
+    scores = diff * (grads[2:].sum(axis=0) / steps)
     gap = abs(float(scores.sum()) - output_delta)
     return AttributionMap(
         scores=scores, baseline_kind=kind, steps=steps,
@@ -151,36 +150,6 @@ def population_stats(vectors, sample_ids=None) -> AttributionStats:
         raw=raw,
         sample_ids=list(sample_ids) if sample_ids is not None else [],
     )
-
-
-def convergence_study(model, values: np.ndarray, baseline_kind,
-                      steps_list: list[int], target_class: int | None = None,
-                      target: str = "logit", chunk_size: int = 64) -> list[dict]:
-    """Completeness gap and map drift per step count.
-
-    The map at the largest step count serves as the reference; each row
-    reports (steps, completeness_gap, max |IG - IG_ref|).
-    """
-    if not steps_list:
-        raise ConfigError("steps_list must be non-empty")
-    steps_sorted = sorted(set(int(s) for s in steps_list))
-    maps = {}
-    if target_class is None:
-        target_class = int(np.argmax(model.forward(np.asarray(values))))
-    for steps in steps_sorted:
-        maps[steps] = integrated_gradients(
-            model, values, baseline_kind, steps=steps,
-            target_class=target_class, target=target, chunk_size=chunk_size)
-    reference = maps[steps_sorted[-1]].scores
-    return [
-        {
-            "steps": steps,
-            "completeness_gap": maps[steps].completeness_gap,
-            "max_abs_diff_vs_reference": float(
-                np.abs(maps[steps].scores - reference).max()),
-        }
-        for steps in steps_sorted
-    ]
 
 
 # -- exports ---------------------------------------------------------------

@@ -27,6 +27,7 @@ from .harness import ExperimentConfig
 from .models import ARCHITECTURES
 from .net import load_checkpoint
 from .preprocessing import MeanVectorStats
+from .records import read_json
 from .spectra import StftSpec, shedding_scan, stft
 from .surrogate import GeneratorConfig, generate_campaign
 
@@ -82,10 +83,8 @@ def _prepare_for_checkpoint(campaign: Campaign, metadata: dict, overrides: dict 
 
 def cmd_generate(args) -> int:
     if args.generator_config:
-        path = Path(args.generator_config)
-        if not path.exists():
-            raise ConfigError(f"missing generator config {path}")
-        config = GeneratorConfig.from_dict(json.loads(path.read_text()))
+        config = GeneratorConfig.from_dict(
+            read_json(Path(args.generator_config), ConfigError, "generator config"))
     else:
         config = GeneratorConfig.named_profile(args.profile)
     if args.duration is not None:

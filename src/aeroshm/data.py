@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .records import read_json
 
 SAMPLE_RATE_HZ = 100.0
 N_PHYSICAL_SENSORS = 40
@@ -205,13 +206,6 @@ def _run_dirname(run: RawRun) -> str:
     return f"ts{run.test_series}_d{run.damage_class}_r{run.run_index}"
 
 
-def _read_json(path: Path, what: str):
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed {what} {path}: {exc}") from exc
-
-
 # metadata every run sidecar must hold; meta.json of a saved run also
 # holds sample_rate, n_channels and n_steps
 RUN_META_KEYS = ("test_series", "damage_class", "run_index", "aoa_deg",
@@ -219,7 +213,7 @@ RUN_META_KEYS = ("test_series", "damage_class", "run_index", "aoa_deg",
 
 
 def _read_run_meta(meta_path: Path, required: tuple[str, ...] = RUN_META_KEYS) -> dict:
-    meta = _read_json(meta_path, "metadata")
+    meta = read_json(meta_path, DataError, "metadata")
     missing = [k for k in required if k not in meta] if isinstance(meta, dict) else required
     if missing:
         raise DataError(f"{meta_path} missing keys: {', '.join(missing)}")
@@ -308,7 +302,7 @@ def load_campaign(dataset_dir: Path) -> Campaign:
     manifest_path = dataset_dir / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"{dataset_dir} is not a dataset directory (no manifest.json)")
-    manifest = _read_json(manifest_path, "manifest")
+    manifest = read_json(manifest_path, DataError, "manifest")
     entries = manifest.get("runs") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not all(
             isinstance(e, dict) and "dir" in e for e in entries):
@@ -316,9 +310,10 @@ def load_campaign(dataset_dir: Path) -> Campaign:
     layout_path = dataset_dir / "layout.json"
     layout = SensorLayout()
     if layout_path.exists():
-        layout = SensorLayout.from_dict(_read_json(layout_path, "layout"))
+        layout = SensorLayout.from_dict(read_json(layout_path, DataError, "layout"))
     gen_path = dataset_dir / "generator_config.json"
-    generator_config = _read_json(gen_path, "generator config") if gen_path.exists() else None
+    generator_config = (read_json(gen_path, DataError, "generator config")
+                        if gen_path.exists() else None)
     runs = [load_run(dataset_dir / entry["dir"]) for entry in entries]
     for run in runs:
         if run.n_channels != layout.n_channels:

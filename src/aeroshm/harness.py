@@ -36,8 +36,12 @@ from .preprocessing import (
     assign_splits,
     build_samples,
 )
+from .records import from_json, read_json
 
 N_CLASSES = 6
+# Config keys that earlier versions wrote into checkpoints and that no
+# longer mean anything; ExperimentConfig.from_dict drops them.
+RETIRED_CONFIG_KEYS = frozenset({"ig_chunk"})
 
 
 @dataclass
@@ -65,13 +69,11 @@ class ExperimentConfig:
     baseline: str = "apb"
     ig_steps: int = 200
     ig_target: str = "logit"
-    ig_chunk: int = 64
     ig_max_samples: int | None = None
     log_every: int = 0
 
     def __post_init__(self):
-        counts = ["batch_size", "max_epochs", "window_steps", "window_count",
-                  "ig_steps", "ig_chunk"]
+        counts = ["batch_size", "max_epochs", "window_steps", "window_count", "ig_steps"]
         if self.ig_max_samples is not None:
             counts.append("ig_max_samples")
         for name in counts:
@@ -101,6 +103,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        d = {key: value for key, value in d.items() if key not in RETIRED_CONFIG_KEYS}
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -108,13 +111,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: Path, overrides: dict | None = None) -> "ExperimentConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"missing config file {path}")
-        try:
-            d = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed config {path}: {exc}") from exc
+        d = read_json(Path(path), ConfigError, "config")
         d.update(overrides or {})
         return cls.from_dict(d)
 
@@ -166,20 +163,8 @@ class Report:
 def render_report_text(path: Path) -> str:
     """Human-readable summary of a saved JSON report."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing report file {path}")
-    try:
-        d = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed report {path}: {exc}") from exc
-    report = Report(
-        kind=d.get("kind", "?"), balanced_accuracy=d.get("balanced_accuracy"),
-        per_class_recall=d.get("per_class_recall"), confusion=d.get("confusion"),
-        n_samples=d.get("n_samples", 0), config=d.get("config", {}),
-        wall_clock_s=d.get("wall_clock_s", 0.0), hashes=d.get("hashes", {}),
-        extras=d.get("extras", {}),
-    )
-    return report.text_summary()
+    d = read_json(path, DataError, "report")
+    return from_json(Report, d, DataError, f"report {path}").text_summary()
 
 
 def balanced_scores(y_true: np.ndarray, y_pred: np.ndarray,
@@ -409,8 +394,7 @@ def attribute_campaign(stack: LayerStack, data: PreparedData,
         sample_id = data.samples.provenance(idx[j])
         amap = integrated_gradients(
             stack, inputs[j], kind, steps=config.ig_steps,
-            target_class=int(preds[j]), target=config.ig_target,
-            chunk_size=config.ig_chunk, sample_id=sample_id)
+            target_class=int(preds[j]), target=config.ig_target, sample_id=sample_id)
         maps.append(amap)
         vectors[row] = channel_sum(amap)
         top3.append(top_channels(vectors[row], k=3))

@@ -60,9 +60,7 @@ def build_cnn(input_channels: int = 37, input_steps: int = 150,
     layers.append(GlobalAvgPool())
     layers.append(Dense(channels, n_classes, rng))
     layers.append(Softmax())
-    stack = LayerStack(layers, (input_channels, input_steps), seed=seed, arch="fcn-cnn")
-    stack.rng = rng
-    return stack
+    return LayerStack(layers, (input_channels, input_steps), seed=seed, arch="fcn-cnn")
 
 
 def build_mlp(input_dim: int = 37, n_classes: int = 6, seed: int = 0) -> LayerStack:
@@ -80,9 +78,7 @@ def build_mlp(input_dim: int = 37, n_classes: int = 6, seed: int = 0) -> LayerSt
         width_in = width
     layers.append(Dense(width_in, n_classes, rng))
     layers.append(Softmax())
-    stack = LayerStack(layers, (input_dim,), seed=seed, arch="mean-mlp")
-    stack.rng = rng
-    return stack
+    return LayerStack(layers, (input_dim,), seed=seed, arch="mean-mlp")
 
 
 @dataclass(frozen=True)

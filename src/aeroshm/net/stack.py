@@ -17,9 +17,11 @@ as they are.
 
 Infer-mode passes (`forward` and `logits` with train=False, `predict`,
 `class_gradients`) run over their batch in blocks of INFER_BLOCK_ROWS rows
-and concatenate the per-block results. That keeps the im2col and
-input-gradient buffers of a block small enough to be reused from the heap
-instead of being mapped afresh on every pass. In infer mode no row reads
+and concatenate the per-block results. These blocks are the only batching
+on inference paths: callers pass whole batches (integrated gradients its
+whole path, `evaluate_loss` a whole validation slice). The blocks keep
+the im2col and input-gradient buffers small enough to be reused from the
+heap instead of being mapped afresh on every pass. In infer mode no row reads
 another: BatchNorm applies its running statistics, each output row of the
 conv GEMMs (forward and input gradient) reads only its own row of the
 (batch * time)-row operand, and pooling, dense and softmax work row by
@@ -81,9 +83,7 @@ class LayerStack:
     def from_configs(cls, configs: list[dict], input_shape, seed=0, arch="custom"):
         rng = np.random.default_rng(seed)
         layers = [layer_from_config(c, rng) for c in configs]
-        stack = cls(layers, input_shape, seed=seed, arch=arch)
-        stack.rng = rng
-        return stack
+        return cls(layers, input_shape, seed=seed, arch=arch)
 
     @property
     def has_softmax_head(self) -> bool:
@@ -195,6 +195,8 @@ class LayerStack:
         probability. The batch runs in infer-mode row blocks; parameter
         gradients, if asked for, are summed block by block.
         """
+        if not self.has_softmax_head:
+            raise ConfigError("class_gradients() requires a softmax-terminated stack")
         xb, single = self._batched(x)
         n = len(xb)
         idx = np.full(n, class_index, dtype=np.int64) if np.isscalar(class_index) \
@@ -218,7 +220,7 @@ class LayerStack:
     def _block_gradients(self, xb, idx, target, need_param_grads):
         """class_gradients of one row block, in one forward and one
         backward pass."""
-        logits = self.logits(xb)
+        logits = self._run(xb, self.layers[:-1], False)
         rows = np.arange(len(xb))
         if target == "logit":
             values = logits[rows, idx]

@@ -53,18 +53,12 @@ def train_step(stack: LayerStack, x_batch: np.ndarray, labels: np.ndarray,
 
 
 def evaluate_loss(stack: LayerStack, x: np.ndarray, labels: np.ndarray,
-                  label_smoothing: float, batch_size: int = 64):
+                  label_smoothing: float):
     """Mean loss and accuracy in infer mode."""
-    total, correct = 0.0, 0
-    n = len(x)
-    for start in range(0, n, batch_size):
-        xb = x[start:start + batch_size]
-        yb = labels[start:start + batch_size]
-        logits = stack.logits(xb)
-        loss, _ = cross_entropy_from_logits(logits, yb, label_smoothing)
-        total += loss * len(xb)
-        correct += int((logits.argmax(axis=1) == yb).sum())
-    return total / n, correct / n
+    logits = stack.logits(x)
+    loss, _ = cross_entropy_from_logits(logits, labels, label_smoothing)
+    correct = (logits.argmax(axis=1) == labels).sum()
+    return loss, int(correct) / len(x)
 
 
 def fit(stack: LayerStack, train_x: np.ndarray, train_y: np.ndarray,

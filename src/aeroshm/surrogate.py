@@ -47,6 +47,7 @@ from scipy.linalg import expm
 
 from .data import Campaign, RawRun, SensorLayout
 from .errors import ConfigError, NumericError
+from .records import from_json
 
 GRID_TEST_SERIES = (
     {"test_series": 1, "aoa_deg": 0.0, "excitation_hz": 1.0, "wind_speed": 12.0},
@@ -218,21 +219,8 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
-        return cls(
-            profile=d.get("profile", "static-dominant"),
-            section=SectionParams(**d["section"]),
-            damage_table=[DamageSpec(**row) for row in d["damage_table"]],
-            pressure=PressureFieldParams(**d["pressure"]),
-            test_series=[dict(r) for r in d["test_series"]],
-            sample_rate=d.get("sample_rate", 100.0),
-            duration_s=d.get("duration_s", 150.0),
-            quiet_s=d.get("quiet_s", 15.0),
-            runs_per_condition=d.get("runs_per_condition", 3),
-            stiffness_jitter=d.get("stiffness_jitter", 0.02),
-            damping_jitter=d.get("damping_jitter", 0.05),
-            force_jitter=d.get("force_jitter", 0.03),
-            dead_sensors=tuple(d.get("dead_sensors", (5, 21, 33))),
-        )
+        """Inverse of to_dict: every field present and of its declared type."""
+        return from_json(cls, d, ConfigError, "generator config")
 
 
 def pressure_profiles(pressure: PressureFieldParams, layout: SensorLayout,

@@ -10,7 +10,6 @@ import pytest
 from aeroshm.attribution import (
     AttributionMap,
     channel_sum,
-    convergence_study,
     export_map_csv,
     export_stats_csv,
     integrated_gradients,
@@ -42,6 +41,33 @@ class LinearModel:
         values = (x * w).sum(axis=tuple(range(1, x.ndim)))
         grads = np.broadcast_to(w, x.shape).copy()
         return values, grads
+
+
+class CountingLinearModel(LinearModel):
+    """LinearModel that keeps every batch handed to class_gradients."""
+
+    def __init__(self, weights):
+        super().__init__(weights)
+        self.batches = []
+
+    def class_gradients(self, x, class_index, **kwargs):
+        self.batches.append(np.array(x))
+        return super().class_gradients(x, class_index, **kwargs)
+
+
+def chunked_reference(model, x, kind, steps, target_class, target, chunk=64):
+    """The map and F(x) - F(x') computed the way the engine once did: the
+    path points in chunks of `chunk` rows, the two endpoints in a separate
+    call."""
+    baseline = make_baseline(x, kind)
+    diff = x - baseline
+    gammas = (np.arange(steps) + 0.5) / steps
+    grad_sum = np.zeros_like(x)
+    for start in range(0, steps, chunk):
+        points = baseline[None] + gammas[start:start + chunk, None, None] * diff[None]
+        grad_sum += model.class_gradients(points, target_class, target=target)[1].sum(axis=0)
+    values, _ = model.class_gradients(np.stack([x, baseline]), target_class, target=target)
+    return diff * (grad_sum / steps), float(values[0] - values[1])
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +113,23 @@ class TestIntegratedGradients:
         gap_large = integrated_gradients(toy_cnn, x, "apb", steps=600).completeness_gap
         assert gap_large <= gap_small
 
-    def test_chunking_does_not_change_result(self, toy_cnn, rng):
+    def test_one_model_call_with_the_endpoints_first(self, rng):
+        model = CountingLinearModel([rng.normal(size=(5, 12)), rng.normal(size=(5, 12))])
+        x = rng.normal(size=(5, 12))
+        integrated_gradients(model, x, "mvb", steps=7, target_class=1)
+        (batch,) = model.batches
+        assert batch.shape == (9, 5, 12)
+        np.testing.assert_array_equal(batch[0], x)
+        np.testing.assert_array_equal(batch[1], make_baseline(x, "mvb"))
+
+    @pytest.mark.parametrize("target", ["logit", "prob"])
+    def test_matches_chunked_reference(self, toy_cnn, rng, target):
         x = rng.normal(size=(6, 24))
-        a = integrated_gradients(toy_cnn, x, "mvb", steps=64, chunk_size=64)
-        b = integrated_gradients(toy_cnn, x, "mvb", steps=64, chunk_size=7)
-        np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
+        amap = integrated_gradients(toy_cnn, x, "apb", steps=200, target_class=2,
+                                    target=target)
+        scores, output_delta = chunked_reference(toy_cnn, x, "apb", 200, 2, target)
+        assert np.abs(amap.scores - scores).max() <= 1e-12 * np.abs(scores).max()
+        assert amap.output_delta == output_delta
 
     def test_baselines_give_distinct_maps(self, toy_cnn, rng):
         x = rng.normal(size=(6, 24))
@@ -187,29 +225,6 @@ class TestPopulationStats:
     def test_empty_population_rejected(self):
         with pytest.raises(DataError):
             population_stats(np.empty((0, 37)))
-
-
-class TestConvergenceStudy:
-    def test_linear_model_gap_zero_everywhere(self, rng):
-        model = LinearModel([rng.normal(size=(3, 8)), rng.normal(size=(3, 8))])
-        rows = convergence_study(model, rng.normal(size=(3, 8)), "apb",
-                                 [1, 5, 50], target_class=0)
-        assert [r["steps"] for r in rows] == [1, 5, 50]
-        assert all(r["completeness_gap"] <= 1e-12 for r in rows)
-        assert rows[-1]["max_abs_diff_vs_reference"] == 0.0
-
-    def test_single_step_reported_not_errored(self, toy_cnn, rng):
-        rows = convergence_study(toy_cnn, rng.normal(size=(6, 24)), "apb", [1, 100])
-        assert rows[0]["steps"] == 1
-        assert np.isfinite(rows[0]["completeness_gap"])
-
-    def test_trend_on_nonlinear_model(self, toy_cnn, rng):
-        x = rng.normal(size=(6, 24))
-        rows = convergence_study(toy_cnn, x, "apb", [5, 20, 100, 400])
-        gaps = [r["completeness_gap"] for r in rows]
-        assert gaps[-1] <= gaps[0]
-        drifts = [r["max_abs_diff_vs_reference"] for r in rows]
-        assert drifts[-1] == 0.0  # reference row
 
 
 class TestRelativeCompletenessGap:

@@ -15,6 +15,7 @@ from aeroshm import harness
 from aeroshm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, main
 from aeroshm.errors import ConfigError
 from aeroshm.harness import ExperimentConfig
+from aeroshm.surrogate import GeneratorConfig
 
 TRAIN = ["--window-count", "2", "--epochs", "1"]
 
@@ -157,6 +158,70 @@ def test_checkpoint_without_fingerprint_stays_silent(two_runs, other_dataset, tm
     assert "trained_on" not in json.loads((tmp_path / "eval_test.json").read_text())["hashes"]
 
 
+def test_checkpoint_with_retired_config_key_still_loads(two_runs, tmp_path):
+    (root, _), _ = two_runs
+    path = tmp_path / "old.ckpt"
+    rewrite_checkpoint_header(root / "run" / "checkpoint.ckpt", path,
+                              lambda h: h["metadata"]["config"].update(ig_chunk=64))
+    data = str(root / "data")
+    assert main(["eval", "--checkpoint", str(path), "--data", data]) == EXIT_OK
+    assert main(["attribute", "--checkpoint", str(path), "--data", data, "--steps", "4",
+                 "--max-samples", "1"]) == EXIT_OK
+
+
+def test_stored_generator_config_regenerates_the_dataset(two_runs, tmp_path):
+    (root, _), _ = two_runs
+    code = main(["generate", "--out", str(tmp_path / "data"), "--seed", "0", "--aoa", "0",
+                 "--generator-config", str(root / "data" / "generator_config.json")])
+    assert code == EXIT_OK
+    for name in ("manifest.json", "generator_config.json"):
+        assert (tmp_path / "data" / name).read_bytes() == (root / "data" / name).read_bytes()
+
+
+@pytest.mark.parametrize("edit,word", [
+    (None, "malformed"),
+    (lambda d: d.pop("section"), "section"),
+    (lambda d: d["section"].update(mass="heavy"), "section.mass"),
+    (lambda d: d.update(sections={}), "sections"),
+], ids=["malformed-json", "missing-section", "wrong-type", "unknown-key"])
+def test_bad_generator_config_exits_config_error(tmp_path, capsys, edit, word):
+    path = tmp_path / "generator.json"
+    if edit is None:
+        path.write_text("{not json")
+    else:
+        d = GeneratorConfig().to_dict()
+        edit(d)
+        path.write_text(json.dumps(d))
+    code = main(["generate", "--out", str(tmp_path / "data"), "--generator-config",
+                 str(path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert word in err
+    assert not (tmp_path / "data").exists()
+
+
+def test_report_renders_its_saved_summary(two_runs):
+    (root, _), _ = two_runs
+    assert harness.render_report_text(root / "run" / "report.json") \
+        == (root / "run" / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("edit,word", [
+    (lambda d: [1], "JSON object"),
+    (lambda d: {**d, "confusion": 3}, "confusion"),
+], ids=["not-an-object", "wrong-type"])
+def test_bad_report_exits_data_error(two_runs, tmp_path, capsys, edit, word):
+    (root, _), _ = two_runs
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(edit(json.loads((root / "run" / "report.json").read_text()))))
+    capsys.readouterr()
+    assert main(["report", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert word in err
+
+
 def test_zero_batch_size_exits_config_error(two_runs, tmp_path, capsys):
     (root, _), _ = two_runs
     code = main(["train", "--data", str(root / "data"), "--out", str(tmp_path),
@@ -185,7 +250,7 @@ def test_checkpoint_without_layers_exits_data_error(two_runs, tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value", [
     ("batch_size", 0), ("max_epochs", 0), ("window_steps", 0), ("window_count", -1),
-    ("ig_steps", 0), ("ig_chunk", 0), ("batch_size", 2.5), ("ig_max_samples", 0),
+    ("ig_steps", 0), ("window_steps", "150"), ("batch_size", 2.5), ("ig_max_samples", 0),
     ("split_index", 0), ("split_index", 4),
     ("val_fraction", -0.1), ("val_fraction", 1.0), ("val_fraction", "0.2"),
     ("seed", -1), ("seed", "0"), ("plateau_patience", 1.5), ("early_stop_patience", None),
