@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,14 +39,14 @@ EXIT_NUMERIC = 4
 EXIT_INTERNAL = 5
 
 
+def _config_overrides(args) -> dict:
+    """Every ExperimentConfig field that the command line set."""
+    return {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+            if getattr(args, f.name, None) is not None}
+
+
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = {}
-    for key in ("arch", "aoa_deg", "split_index", "seed", "max_epochs",
-                "batch_size", "baseline", "ig_steps", "ig_max_samples",
-                "window_count", "log_every"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    overrides = _config_overrides(args)
     if getattr(args, "config", None):
         return ExperimentConfig.from_file(args.config, overrides)
     return ExperimentConfig.from_dict(overrides)
@@ -70,7 +71,7 @@ def _prepare_for_checkpoint(campaign: Campaign, metadata: dict, overrides: dict 
         if trained_on != fingerprint:
             print(f"warning: checkpoint was trained on dataset {trained_on}, "
                   f"this dataset is {fingerprint}", file=sys.stderr)
-    config = ExperimentConfig.from_dict({**metadata["config"], **(overrides or {})})
+    config = ExperimentConfig.from_dict(metadata["config"], overrides)
     stored = metadata.get("mean_stats")
     stats = None
     if stored:
@@ -170,9 +171,8 @@ def cmd_retrain(args) -> int:
 def cmd_attribute(args) -> int:
     stack, metadata = load_checkpoint(Path(args.checkpoint))
     campaign = _load_data(args)
-    overrides = {key: getattr(args, key) for key in ("baseline", "ig_steps", "ig_max_samples")
-                 if getattr(args, key) is not None}
-    data, config, hashes = _prepare_for_checkpoint(campaign, metadata, overrides)
+    data, config, hashes = _prepare_for_checkpoint(campaign, metadata,
+                                                   _config_overrides(args))
     outcome = harness.attribute_campaign(
         stack, data, config, slice_name=args.slice,
         export_dir=Path(args.out) if args.out else None, hashes=hashes)

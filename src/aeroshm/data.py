@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .records import read_json
+from .records import from_json, json_object, read_json, typed
 
 SAMPLE_RATE_HZ = 100.0
 N_PHYSICAL_SENSORS = 40
@@ -82,8 +82,11 @@ class SensorLayout:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SensorLayout":
-        return cls(dead_sensors=tuple(d.get("dead_sensors", DEFAULT_DEAD_SENSORS)))
+    def from_dict(cls, d) -> "SensorLayout":
+        """The layout of a layout.json object; only dead_sensors is read."""
+        dead = json_object(d, DataError, "layout").get("dead_sensors",
+                                                       list(DEFAULT_DEAD_SENSORS))
+        return cls(typed(dead, tuple[int, ...], DataError, "layout", "dead_sensors"))
 
 
 @dataclass
@@ -116,18 +119,9 @@ class RawRun:
         return (self.test_series, self.damage_class, self.run_index)
 
     def meta_dict(self) -> dict:
-        return {
-            "test_series": self.test_series,
-            "damage_class": self.damage_class,
-            "run_index": self.run_index,
-            "aoa_deg": self.aoa_deg,
-            "excitation_hz": self.excitation_hz,
-            "wind_speed": self.wind_speed,
-            "sample_rate": self.sample_rate,
-            "n_channels": self.n_channels,
-            "n_steps": self.n_steps,
-            "seed": self.seed,
-        }
+        """Every field but values, plus the shape of values (RUN_COUNTS)."""
+        meta = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "values"}
+        return {**meta, "n_channels": self.n_channels, "n_steps": self.n_steps}
 
 
 @dataclass
@@ -206,35 +200,15 @@ def _run_dirname(run: RawRun) -> str:
     return f"ts{run.test_series}_d{run.damage_class}_r{run.run_index}"
 
 
-# metadata every run sidecar must hold; meta.json of a saved run also
-# holds sample_rate, n_channels and n_steps
-RUN_META_KEYS = ("test_series", "damage_class", "run_index", "aoa_deg",
-                 "excitation_hz", "wind_speed")
+# metadata keys that give the shape of a run's values, not RawRun fields
+RUN_COUNTS = ("n_channels", "n_steps")
 
 
-def _read_run_meta(meta_path: Path, required: tuple[str, ...] = RUN_META_KEYS) -> dict:
-    meta = read_json(meta_path, DataError, "metadata")
-    missing = [k for k in required if k not in meta] if isinstance(meta, dict) else required
-    if missing:
-        raise DataError(f"{meta_path} missing keys: {', '.join(missing)}")
-    return meta
-
-
-def _run_from_meta(values: np.ndarray, meta: dict, meta_path: Path) -> RawRun:
-    try:
-        return RawRun(
-            values=values,
-            test_series=int(meta["test_series"]),
-            damage_class=int(meta["damage_class"]),
-            run_index=int(meta["run_index"]),
-            aoa_deg=float(meta["aoa_deg"]),
-            excitation_hz=float(meta["excitation_hz"]),
-            wind_speed=float(meta["wind_speed"]),
-            sample_rate=float(meta.get("sample_rate", SAMPLE_RATE_HZ)),
-            seed=meta.get("seed"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{meta_path}: malformed metadata value: {exc}") from exc
+def _pop_counts(meta: dict, what: str, defaults=(None, None)) -> tuple[int, int]:
+    """The RUN_COUNTS of a metadata object, taken out of it: ints, each
+    one its default where the object leaves it out."""
+    return tuple(typed(meta.pop(key, default), int, DataError, what, key)
+                 for key, default in zip(RUN_COUNTS, defaults))
 
 
 def _check_finite(values: np.ndarray, where) -> None:
@@ -257,21 +231,18 @@ def load_run(run_dir: Path) -> RawRun:
     run_dir = Path(run_dir)
     meta_path = run_dir / "meta.json"
     bin_path = run_dir / "signals.bin"
-    if not meta_path.exists():
-        raise DataError(f"missing metadata file {meta_path}")
     if not bin_path.exists():
         raise DataError(f"missing signal file {bin_path}")
-    meta = _read_run_meta(meta_path, RUN_META_KEYS + ("sample_rate", "n_channels", "n_steps"))
+    what = f"metadata {meta_path}"
+    meta = json_object(read_json(meta_path, DataError, "metadata"), DataError, what)
+    n_channels, n_steps = _pop_counts(meta, what)
     raw = np.frombuffer(bin_path.read_bytes(), dtype="<f8")
-    n_channels, n_steps = int(meta["n_channels"]), int(meta["n_steps"])
     if raw.size != n_channels * n_steps:
-        raise DataError(
-            f"{bin_path} holds {raw.size} values, expected "
-            f"{n_channels}x{n_steps}={n_channels * n_steps}"
-        )
+        raise DataError(f"{what} gives n_channels x n_steps = {n_channels}x{n_steps}, "
+                        f"but {bin_path} holds {raw.size} values")
     values = raw.reshape(n_channels, n_steps).copy()
     _check_finite(values, lambda ch, step: f"channel {ch}, time step {step} of {bin_path}")
-    return _run_from_meta(values, meta, meta_path)
+    return from_json(RawRun, {**meta, "values": values}, DataError, what)
 
 
 def save_campaign(campaign: Campaign, dataset_dir: Path) -> None:
@@ -305,8 +276,9 @@ def load_campaign(dataset_dir: Path) -> Campaign:
     manifest = read_json(manifest_path, DataError, "manifest")
     entries = manifest.get("runs") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and "dir" in e for e in entries):
-        raise DataError(f"{manifest_path} needs a 'runs' list whose entries each name a 'dir'")
+            isinstance(e, dict) and isinstance(e.get("dir"), str) for e in entries):
+        raise DataError(
+            f"{manifest_path} needs a 'runs' list whose entries each give a 'dir' string")
     layout_path = dataset_dir / "layout.json"
     layout = SensorLayout()
     if layout_path.exists():
@@ -336,8 +308,8 @@ def ingest_csv_run(csv_path: Path, meta_path: Path,
     csv_path, meta_path = Path(csv_path), Path(meta_path)
     if not csv_path.exists():
         raise DataError(f"missing CSV file {csv_path}")
-    if not meta_path.exists():
-        raise DataError(f"missing metadata sidecar {meta_path}")
+    what = f"metadata sidecar {meta_path}"
+    meta = json_object(read_json(meta_path, DataError, "metadata sidecar"), DataError, what)
     with open(csv_path) as fh:
         header = fh.readline().strip()
         if not header:
@@ -364,7 +336,12 @@ def ingest_csv_run(csv_path: Path, meta_path: Path,
     values = np.ascontiguousarray(table[:, columns].T, dtype=np.float64)
     _check_finite(values, lambda ch, step:
                   f"sensor id {layout.id_of_channel(ch)}, row {step + 2} of {csv_path}")
-    return _run_from_meta(values, _read_run_meta(meta_path), meta_path)
+    counts = _pop_counts(meta, what, values.shape)
+    if counts != values.shape:
+        raise DataError(f"{what} gives n_channels x n_steps = {counts[0]}x{counts[1]}, "
+                        f"but {csv_path} holds {values.shape[0]}x{values.shape[1]} values")
+    return from_json(RawRun, {"sample_rate": SAMPLE_RATE_HZ, "seed": None, **meta,
+                              "values": values}, DataError, what)
 
 
 def export_csv_run(run: RawRun, csv_path: Path, meta_path: Path,

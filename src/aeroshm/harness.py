@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .preprocessing import (
     assign_splits,
     build_samples,
 )
-from .records import from_json, read_json
+from .records import from_json, json_object, read_json
 
 N_CLASSES = 6
 # Config keys that earlier versions wrote into checkpoints and that no
@@ -45,32 +45,21 @@ RETIRED_CONFIG_KEYS = frozenset({"ig_chunk"})
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(FitSettings):
     """Every knob of one experiment; serialized into reports and
-    checkpoints."""
+    checkpoints. The training-loop settings are FitSettings' fields."""
 
     arch: str = "fcn-cnn"
     aoa_deg: float = 0.0
     split_index: int = 1
-    seed: int = 0
     window_steps: int = 150
     window_count: int = 89
     zscore_scope: str = "joint"
     val_fraction: float = 0.25
-    batch_size: int = 32
-    max_epochs: int = 150
-    lr: float = 1e-3
-    weight_decay: float = 1e-5
-    label_smoothing: float = 0.05
-    plateau_factor: float = 0.5
-    plateau_patience: int = 10
-    min_lr: float = 1e-5
-    early_stop_patience: int = 12
     baseline: str = "apb"
     ig_steps: int = 200
     ig_target: str = "logit"
     ig_max_samples: int | None = None
-    log_every: int = 0
 
     def __post_init__(self):
         counts = ["batch_size", "max_epochs", "window_steps", "window_count", "ig_steps"]
@@ -78,45 +67,31 @@ class ExperimentConfig:
             counts.append("ig_max_samples")
         for name in counts:
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("seed", "plateau_patience", "early_stop_patience", "log_every"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if value < 0:
                 raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
         if self.split_index not in (1, 2, 3):
             raise ConfigError(f"split_index must be 1, 2 or 3, got {self.split_index!r}")
-        for name in ("aoa_deg", "val_fraction", "lr", "weight_decay", "label_smoothing",
-                     "plateau_factor", "min_lr"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
-        for name in ("arch", "baseline", "zscore_scope", "ig_target"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise ConfigError(f"{name} must be a string, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = {key: value for key, value in d.items() if key not in RETIRED_CONFIG_KEYS}
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        return cls(**d)
+    def from_dict(cls, d, overrides: dict | None = None) -> "ExperimentConfig":
+        """The config of a JSON object plus overrides: fields left out keep
+        their defaults and retired keys are dropped."""
+        d = {**asdict(cls()), **json_object(d, ConfigError, "config"), **(overrides or {})}
+        return from_json(cls, {key: value for key, value in d.items()
+                               if key not in RETIRED_CONFIG_KEYS}, ConfigError, "config")
 
     @classmethod
     def from_file(cls, path: Path, overrides: dict | None = None) -> "ExperimentConfig":
-        d = read_json(Path(path), ConfigError, "config")
-        d.update(overrides or {})
-        return cls.from_dict(d)
-
-    def fit_settings(self) -> FitSettings:
-        return FitSettings(**{f.name: getattr(self, f.name) for f in fields(FitSettings)})
+        return cls.from_dict(read_json(Path(path), ConfigError, "config"), overrides)
 
 
 @dataclass
@@ -257,7 +232,7 @@ def train_classifier(config: ExperimentConfig, campaign: Campaign,
     val_x, val_y, _ = data.slice("validation")
     stack = build_architecture(config.arch, data.inputs.shape[1:],
                                n_classes=N_CLASSES, seed=config.seed)
-    result = fit(stack, train_x, train_y, val_x, val_y, config.fit_settings())
+    result = fit(stack, train_x, train_y, val_x, val_y, config)
 
     test_x, test_y, _ = data.slice("test")
     balanced, recalls, confusion = balanced_scores(test_y, stack.predict(test_x))
@@ -348,7 +323,7 @@ def retrain_on_baseline(config: ExperimentConfig, campaign: Campaign,
         raise ConfigError(
             f"cannot retrain on the {kind} baseline: every reduced sample is "
             "all zeros, so training a classifier on them is not possible")
-    cfg = ExperimentConfig.from_dict({**config.to_dict(), "arch": arch, "baseline": kind})
+    cfg = ExperimentConfig.from_dict(config.to_dict(), {"arch": arch, "baseline": kind})
     return train_classifier(cfg, campaign, baseline_reduce=kind,
                             checkpoint_path=checkpoint_path)
 

@@ -185,15 +185,14 @@ class LayerStack:
             raise NumericError("non-finite gradient in backward pass")
         return grad.transpose(0, 2, 1) if grad.ndim == 3 else grad
 
-    def class_gradients(self, x, class_index, target: str = "logit",
-                        need_param_grads: bool = False):
+    def class_gradients(self, x, class_index, target: str = "logit"):
         """Scalar output and its input-gradient for each row of a batch.
 
         class_index may be a single int (applied to every row) or an array
         of per-row indices. target selects the differentiated scalar:
         "logit" for the pre-softmax class score, "prob" for the softmax
-        probability. The batch runs in infer-mode row blocks; parameter
-        gradients, if asked for, are summed block by block.
+        probability. The batch runs in infer-mode row blocks, and no
+        parameter gradient is computed.
         """
         if not self.has_softmax_head:
             raise ConfigError("class_gradients() requires a softmax-terminated stack")
@@ -211,13 +210,12 @@ class LayerStack:
         values = np.empty(n)
         grads = np.empty_like(xb)
         for rows in _row_blocks(n):
-            values[rows], grads[rows] = self._block_gradients(
-                xb[rows], idx[rows], target, need_param_grads)
+            values[rows], grads[rows] = self._block_gradients(xb[rows], idx[rows], target)
         if single:
             return float(values[0]), grads[0]
         return values, grads
 
-    def _block_gradients(self, xb, idx, target, need_param_grads):
+    def _block_gradients(self, xb, idx, target):
         """class_gradients of one row block, in one forward and one
         backward pass."""
         logits = self._run(xb, self.layers[:-1], False)
@@ -232,7 +230,7 @@ class LayerStack:
             # row of the softmax Jacobian: dp_k/dz = p_k (e_k - p)
             dlogits = -probs * values[:, None]
             dlogits[rows, idx] += values
-        return values, self.backprop_logits(dlogits, need_param_grads=need_param_grads)
+        return values, self.backprop_logits(dlogits, need_param_grads=False)
 
     # -- state -----------------------------------------------------------
 

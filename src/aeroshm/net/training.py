@@ -16,6 +16,9 @@ from .stack import LayerStack
 
 @dataclass
 class FitSettings:
+    """The settings `fit` reads. harness.ExperimentConfig extends this
+    class, so an experiment config is passed to `fit` as it is."""
+
     batch_size: int = 32
     max_epochs: int = 150
     lr: float = 1e-3

@@ -49,15 +49,26 @@ from .data import Campaign, RawRun, SensorLayout
 from .errors import ConfigError, NumericError
 from .records import from_json
 
+
+@dataclass(frozen=True)
+class SeriesSpec:
+    """The boundary conditions of one test series of the campaign grid."""
+
+    test_series: int
+    aoa_deg: float
+    excitation_hz: float
+    wind_speed: float
+
+
 GRID_TEST_SERIES = (
-    {"test_series": 1, "aoa_deg": 0.0, "excitation_hz": 1.0, "wind_speed": 12.0},
-    {"test_series": 2, "aoa_deg": 0.0, "excitation_hz": 1.0, "wind_speed": 24.0},
-    {"test_series": 3, "aoa_deg": 0.0, "excitation_hz": 1.9, "wind_speed": 12.0},
-    {"test_series": 4, "aoa_deg": 0.0, "excitation_hz": 1.9, "wind_speed": 24.0},
-    {"test_series": 5, "aoa_deg": 8.0, "excitation_hz": 1.0, "wind_speed": 12.0},
-    {"test_series": 6, "aoa_deg": 8.0, "excitation_hz": 1.0, "wind_speed": 24.0},
-    {"test_series": 7, "aoa_deg": 8.0, "excitation_hz": 1.9, "wind_speed": 12.0},
-    {"test_series": 8, "aoa_deg": 8.0, "excitation_hz": 1.9, "wind_speed": 24.0},
+    SeriesSpec(1, aoa_deg=0.0, excitation_hz=1.0, wind_speed=12.0),
+    SeriesSpec(2, aoa_deg=0.0, excitation_hz=1.0, wind_speed=24.0),
+    SeriesSpec(3, aoa_deg=0.0, excitation_hz=1.9, wind_speed=12.0),
+    SeriesSpec(4, aoa_deg=0.0, excitation_hz=1.9, wind_speed=24.0),
+    SeriesSpec(5, aoa_deg=8.0, excitation_hz=1.0, wind_speed=12.0),
+    SeriesSpec(6, aoa_deg=8.0, excitation_hz=1.0, wind_speed=24.0),
+    SeriesSpec(7, aoa_deg=8.0, excitation_hz=1.9, wind_speed=12.0),
+    SeriesSpec(8, aoa_deg=8.0, excitation_hz=1.9, wind_speed=24.0),
 )
 
 
@@ -161,7 +172,7 @@ class GeneratorConfig:
     section: SectionParams = field(default_factory=SectionParams)
     damage_table: list[DamageSpec] = field(default_factory=_default_damage_table_static)
     pressure: PressureFieldParams = field(default_factory=PressureFieldParams)
-    test_series: list[dict] = field(default_factory=lambda: [dict(r) for r in GRID_TEST_SERIES])
+    test_series: list[SeriesSpec] = field(default_factory=lambda: list(GRID_TEST_SERIES))
     sample_rate: float = 100.0
     duration_s: float = 150.0
     quiet_s: float = 15.0  # aerodynamic loading only, before the motor starts
@@ -199,9 +210,9 @@ class GeneratorConfig:
                 return spec
         raise ConfigError(f"no damage class {damage_class} in the table")
 
-    def series(self, test_series: int) -> dict:
+    def series(self, test_series: int) -> SeriesSpec:
         for row in self.test_series:
-            if row["test_series"] == test_series:
+            if row.test_series == test_series:
                 return row
         raise ConfigError(f"no test series {test_series} in the grid")
 
@@ -399,15 +410,15 @@ def simulate_run(config: GeneratorConfig, test_series: int, damage_class: int,
 
     trace = simulate_motion(
         section, damage, duration, sample_rate=config.sample_rate,
-        quiet_s=config.quiet_s, excitation_hz=series["excitation_hz"],
+        quiet_s=config.quiet_s, excitation_hz=series.excitation_hz,
         excitation_phase=phase, excitation=with_excitation,
         buffet_rng=buffet_rng)
 
-    base, sens = pressure_profiles(config.pressure, layout, series["aoa_deg"])
+    base, sens = pressure_profiles(config.pressure, layout, series.aoa_deg)
     alpha_dev_deg = (
         damage.twist_offset_deg
         + np.degrees(trace.twist)
-        + np.degrees(np.arctan2(trace.heave_rate, series["wind_speed"]))
+        + np.degrees(np.arctan2(trace.heave_rate, series.wind_speed))
     )
     signals = base[:, None] + sens[:, None] * alpha_dev_deg[None, :]
     if with_noise and config.pressure.noise_std > 0.0:
@@ -421,9 +432,9 @@ def simulate_run(config: GeneratorConfig, test_series: int, damage_class: int,
         test_series=test_series,
         damage_class=damage_class,
         run_index=run_index,
-        aoa_deg=series["aoa_deg"],
-        excitation_hz=series["excitation_hz"],
-        wind_speed=series["wind_speed"],
+        aoa_deg=series.aoa_deg,
+        excitation_hz=series.excitation_hz,
+        wind_speed=series.wind_speed,
         sample_rate=config.sample_rate,
         seed=seed,
     )
@@ -438,7 +449,7 @@ def generate_campaign(config: GeneratorConfig, seed: int,
     config.validate()
     series_rows = config.test_series
     if aoa_deg is not None:
-        series_rows = [r for r in series_rows if r["aoa_deg"] == aoa_deg]
+        series_rows = [r for r in series_rows if r.aoa_deg == aoa_deg]
         if not series_rows:
             raise ConfigError(f"no test series at AoA {aoa_deg} deg in the grid")
     runs = []
@@ -446,7 +457,7 @@ def generate_campaign(config: GeneratorConfig, seed: int,
         for damage in config.damage_table:
             for run_index in range(1, config.runs_per_condition + 1):
                 runs.append(simulate_run(
-                    config, row["test_series"], damage.index, run_index,
+                    config, row.test_series, damage.index, run_index,
                     seed=seed, duration_s=duration_s, with_noise=with_noise))
     return Campaign(runs=runs, layout=config.layout(),
                     generator_config=config.to_dict())

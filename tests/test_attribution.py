@@ -34,8 +34,7 @@ class LinearModel:
         e = np.exp(scores - scores.max())
         return e / e.sum()
 
-    def class_gradients(self, x, class_index, target="logit",
-                        need_param_grads=False):
+    def class_gradients(self, x, class_index, target="logit"):
         x = np.asarray(x, dtype=np.float64)
         w = self.weights[class_index]
         values = (x * w).sum(axis=tuple(range(1, x.ndim)))
@@ -274,6 +273,7 @@ class TestExports:
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 38
-        raw_rows = list(csv.reader(open(tmp_path / "stats_raw.csv")))
+        with open(tmp_path / "stats_raw.csv") as fh:
+            raw_rows = list(csv.reader(fh))
         assert len(raw_rows) == 11
         assert raw_rows[1][0] == "s0"

@@ -13,8 +13,10 @@ from conftest import rewrite_checkpoint_header
 import aeroshm
 from aeroshm import harness
 from aeroshm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, main
+from aeroshm.data import load_campaign
 from aeroshm.errors import ConfigError
 from aeroshm.harness import ExperimentConfig
+from aeroshm.net import FitResult
 from aeroshm.surrogate import GeneratorConfig
 
 TRAIN = ["--window-count", "2", "--epochs", "1"]
@@ -183,7 +185,9 @@ def test_stored_generator_config_regenerates_the_dataset(two_runs, tmp_path):
     (lambda d: d.pop("section"), "section"),
     (lambda d: d["section"].update(mass="heavy"), "section.mass"),
     (lambda d: d.update(sections={}), "sections"),
-], ids=["malformed-json", "missing-section", "wrong-type", "unknown-key"])
+    (lambda d: d["test_series"][0].pop("aoa_deg"), "test_series[0]"),
+], ids=["malformed-json", "missing-section", "wrong-type", "unknown-key",
+        "series-without-aoa"])
 def test_bad_generator_config_exits_config_error(tmp_path, capsys, edit, word):
     path = tmp_path / "generator.json"
     if edit is None:
@@ -231,6 +235,20 @@ def test_zero_batch_size_exits_config_error(two_runs, tmp_path, capsys):
     assert err.count("\n") == 0 and "batch_size" in err
 
 
+@pytest.mark.parametrize("name,record,word", [
+    ("layout.json", {"dead_sensors": 5}, "dead_sensors"),
+    ("manifest.json", {"runs": [{"dir": 5}]}, "dir"),
+], ids=["layout-dead-sensors-not-a-list", "manifest-dir-not-a-string"])
+def test_bad_dataset_record_exits_data_error(tmp_path, capsys, name, record, word):
+    (tmp_path / "manifest.json").write_text(json.dumps({"runs": []}))
+    (tmp_path / name).write_text(json.dumps(record))
+    code = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert word in err
+
+
 def test_manifest_without_runs_exits_data_error(tmp_path, capsys):
     (tmp_path / "manifest.json").write_text("{}")
     code = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "out")])
@@ -258,13 +276,14 @@ def test_checkpoint_without_layers_exits_data_error(two_runs, tmp_path, capsys):
     ("aoa_deg", "0"), ("lr", "fast"), ("lr", True), ("weight_decay", None),
     ("label_smoothing", [0.05]), ("plateau_factor", {"x": 1}), ("min_lr", "1e-5"),
     ("arch", ["x"]), ("baseline", 1), ("zscore_scope", None), ("ig_target", 0.0),
+    ("batch_size", True), ("ig_steps", True), ("seed", False),
 ])
 def test_config_values_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig.from_dict({key: value})
 
 
-@pytest.mark.parametrize("config", [{"lr": "fast"}, {"arch": ["x"]}])
+@pytest.mark.parametrize("config", [{"lr": "fast"}, {"arch": ["x"]}, [1]])
 def test_bad_config_file_exits_config_error(two_runs, tmp_path, capsys, config):
     (root, _), _ = two_runs
     path = tmp_path / "config.json"
@@ -274,7 +293,7 @@ def test_bad_config_file_exits_config_error(two_runs, tmp_path, capsys, config):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
-    assert next(iter(config)) in err
+    assert (next(iter(config)) if isinstance(config, dict) else "JSON object") in err
 
 
 @pytest.mark.parametrize("step,flags,word", [
@@ -315,8 +334,18 @@ def test_python_m_aeroshm_runs_the_cli():
     assert result.stdout.startswith("usage: aeroshm")
 
 
-def test_fit_settings_copy_every_shared_field():
-    config = ExperimentConfig(batch_size=7, max_epochs=3, lr=0.5, seed=11, log_every=2)
-    settings = config.fit_settings()
+def test_train_classifier_fits_with_its_config(two_runs, monkeypatch):
+    (root, _), _ = two_runs
+    seen = []
+
+    def recording_fit(stack, train_x, train_y, val_x, val_y, settings):
+        seen.append(settings)
+        return FitResult()
+
+    monkeypatch.setattr(harness, "fit", recording_fit)
+    config = ExperimentConfig(batch_size=7, max_epochs=3, lr=0.5, seed=11, log_every=2,
+                              window_count=2)
+    harness.train_classifier(config, load_campaign(root / "data"))
+    (settings,) = seen
     assert (settings.batch_size, settings.max_epochs, settings.lr, settings.seed,
             settings.log_every) == (7, 3, 0.5, 11, 2)

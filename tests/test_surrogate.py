@@ -216,17 +216,31 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError, match="runs"):
             load_campaign(tmp_path)
 
-    def test_missing_metadata_key_named(self, config, tmp_path):
+    @staticmethod
+    def check_both_loaders_reject(config, tmp_path, edit, word):
+        """Pass a saved run's meta.json and an exported CSV sidecar through
+        edit(meta); load_campaign and ingest_csv_run must each raise a
+        DataError that names word."""
         campaign = generate_campaign(config, seed=1, aoa_deg=0.0, duration_s=5.0)
         save_campaign(campaign, tmp_path / "ds")
-        run = campaign.runs[0]
-        export_csv_run(run, tmp_path / "run.csv", tmp_path / "meta.json")
+        export_csv_run(campaign.runs[0], tmp_path / "run.csv", tmp_path / "meta.json")
         for meta_path in (tmp_path / "meta.json",
                           next((tmp_path / "ds" / "runs").iterdir()) / "meta.json"):
             meta = json.loads(meta_path.read_text())
-            del meta["wind_speed"]
+            edit(meta)
             meta_path.write_text(json.dumps(meta))
-        with pytest.raises(DataError, match="wind_speed"):
+        with pytest.raises(DataError, match=word):
             ingest_csv_run(tmp_path / "run.csv", tmp_path / "meta.json")
-        with pytest.raises(DataError, match="wind_speed"):
+        with pytest.raises(DataError, match=word):
             load_campaign(tmp_path / "ds")
+
+    def test_missing_metadata_key_named(self, config, tmp_path):
+        self.check_both_loaders_reject(config, tmp_path, lambda meta: meta.pop("wind_speed"),
+                                       "wind_speed")
+
+    @pytest.mark.parametrize("key,value", [
+        ("test_series", True), ("n_channels", None), ("n_steps", 7),
+    ], ids=["wrong-type", "null-count", "count-off-the-signals"])
+    def test_bad_metadata_value_named(self, config, tmp_path, key, value):
+        self.check_both_loaders_reject(config, tmp_path,
+                                       lambda meta: meta.update({key: value}), key)
