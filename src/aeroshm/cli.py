@@ -18,16 +18,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import harness
 from .attribution import GAP_WARN_RATIO
 from .data import Campaign, ingest_csv_run, load_campaign, save_campaign
 from .errors import ConfigError, DataError, NumericError
 from .harness import ExperimentConfig
 from .models import ARCHITECTURES
-from .net import load_checkpoint
-from .preprocessing import MeanVectorStats
 from .records import read_json
 from .spectra import StftSpec, shedding_scan, stft
 from .surrogate import GeneratorConfig, generate_campaign
@@ -50,36 +46,6 @@ def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         return ExperimentConfig.from_file(args.config, overrides)
     return ExperimentConfig.from_dict(overrides)
-
-
-def _load_data(args) -> Campaign:
-    return load_campaign(Path(args.data))
-
-
-def _prepare_for_checkpoint(campaign: Campaign, metadata: dict, overrides: dict | None = None):
-    """The prepared data and config of a checkpoint's run on a campaign,
-    and the report hashes that record which dataset it was trained on.
-    A campaign other than the training one is allowed (say, another AoA)
-    but warned about."""
-    if "config" not in metadata:
-        raise DataError("checkpoint metadata holds no experiment config")
-    hashes = {}
-    trained_on = metadata.get("dataset_fingerprint")
-    if trained_on is not None:
-        hashes["trained_on"] = trained_on
-        fingerprint = campaign.fingerprint()
-        if trained_on != fingerprint:
-            print(f"warning: checkpoint was trained on dataset {trained_on}, "
-                  f"this dataset is {fingerprint}", file=sys.stderr)
-    config = ExperimentConfig.from_dict(metadata["config"], overrides)
-    stored = metadata.get("mean_stats")
-    stats = None
-    if stored:
-        stats = MeanVectorStats(mean=np.array(stored["mean"]), std=np.array(stored["std"]))
-    data = harness.prepare_data(campaign, config,
-                                baseline_reduce=metadata.get("baseline_reduce"),
-                                mean_stats=stats)
-    return data, config, hashes
 
 
 def cmd_generate(args) -> int:
@@ -117,23 +83,20 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
-    campaign = _load_data(args)
     out = Path(args.out)
-    outcome = harness.train_classifier(config, campaign,
-                                       checkpoint_path=out / "checkpoint.ckpt")
-    outcome.report.save(out / "report.json")
-    print(outcome.report.text_summary())
+    report = harness.train_classifier(config, load_campaign(Path(args.data)),
+                                      checkpoint_path=out / "checkpoint.ckpt")
+    report.save(out / "report.json")
+    print(report.text_summary())
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    stack, metadata = load_checkpoint(Path(args.checkpoint))
-    campaign = _load_data(args)
-    data, config, hashes = _prepare_for_checkpoint(campaign, metadata)
+    stack, data, config, hashes = harness.load_model(Path(args.checkpoint),
+                                                     load_campaign(Path(args.data)))
     inputs, labels, _ = data.slice(args.slice)
     report = harness.evaluate(stack, inputs, labels, config,
-                              slice_name=args.slice,
-                              hashes={"dataset": campaign.fingerprint(), **hashes})
+                              slice_name=args.slice, hashes=hashes)
     if args.out:
         report.save(Path(args.out) / f"eval_{args.slice}.json")
     print(report.text_summary())
@@ -144,9 +107,8 @@ def cmd_ablate(args) -> int:
     kinds = [k.strip() for k in args.baselines.split(",") if k.strip()]
     if not kinds:
         raise ConfigError(f"--baselines {args.baselines!r} names no baseline")
-    stack, metadata = load_checkpoint(Path(args.checkpoint))
-    campaign = _load_data(args)
-    data, config, hashes = _prepare_for_checkpoint(campaign, metadata)
+    stack, data, config, hashes = harness.load_model(Path(args.checkpoint),
+                                                     load_campaign(Path(args.data)))
     reports = harness.ablate_on_baselines(stack, data, config, kinds=kinds,
                                           slice_name=args.slice, hashes=hashes)
     for kind, report in reports.items():
@@ -158,28 +120,24 @@ def cmd_ablate(args) -> int:
 
 def cmd_retrain(args) -> int:
     config = _config_from_args(args)
-    campaign = _load_data(args)
     out = Path(args.out)
-    outcome = harness.retrain_on_baseline(
-        config, campaign, args.baseline,
+    report = harness.retrain_on_baseline(
+        config, load_campaign(Path(args.data)), args.baseline,
         checkpoint_path=out / f"checkpoint_{args.baseline}.ckpt")
-    outcome.report.save(out / f"retrain_{args.baseline}.json")
-    print(outcome.report.text_summary())
+    report.save(out / f"retrain_{args.baseline}.json")
+    print(report.text_summary())
     return EXIT_OK
 
 
 def cmd_attribute(args) -> int:
-    stack, metadata = load_checkpoint(Path(args.checkpoint))
-    campaign = _load_data(args)
-    data, config, hashes = _prepare_for_checkpoint(campaign, metadata,
-                                                   _config_overrides(args))
-    outcome = harness.attribute_campaign(
+    stack, data, config, hashes = harness.load_model(
+        Path(args.checkpoint), load_campaign(Path(args.data)), _config_overrides(args))
+    report = harness.attribute_campaign(
         stack, data, config, slice_name=args.slice,
         export_dir=Path(args.out) if args.out else None, hashes=hashes)
-    print(outcome.report.text_summary())
-    top = outcome.report.extras["top_channels_by_mean_abs"]
-    print(f"top channels by |mean attribution|: {top}")
-    worst = outcome.report.extras["max_relative_completeness_gap"]
+    print(report.text_summary())
+    print(f"top channels by |mean attribution|: {report.extras['top_channels_by_mean_abs']}")
+    worst = report.extras["max_relative_completeness_gap"]
     if worst is not None and worst > GAP_WARN_RATIO:
         print(f"warning: completeness gap reaches {worst:.1%} of |F(x) - F(x')|, "
               f"above {GAP_WARN_RATIO:.0%}; more --steps would tighten it",
@@ -193,7 +151,7 @@ def cmd_spectra(args) -> int:
     except ValueError:
         raise ConfigError(f"--candidates {args.candidates!r} is not a "
                           f"comma-separated list of frequencies") from None
-    campaign = _load_data(args)
+    campaign = load_campaign(Path(args.data))
     run = campaign.run(args.test_series, args.damage_class, args.run_index)
     spec = StftSpec.wide() if args.preset == "wide" else StftSpec.fine()
     report = shedding_scan(run, args.sensor, candidates, spec=spec,

@@ -205,10 +205,13 @@ RUN_COUNTS = ("n_channels", "n_steps")
 
 
 def _pop_counts(meta: dict, what: str, defaults=(None, None)) -> tuple[int, int]:
-    """The RUN_COUNTS of a metadata object, taken out of it: ints, each
-    one its default where the object leaves it out."""
-    return tuple(typed(meta.pop(key, default), int, DataError, what, key)
-                 for key, default in zip(RUN_COUNTS, defaults))
+    """The RUN_COUNTS of a metadata object, taken out of it: ints >= 0,
+    each one its default where the object leaves it out."""
+    counts = tuple(typed(meta.pop(key, default), int, DataError, what, key)
+                   for key, default in zip(RUN_COUNTS, defaults))
+    if min(counts) < 0:
+        raise DataError(f"{what} gives negative n_channels x n_steps = {counts[0]}x{counts[1]}")
+    return counts
 
 
 def _check_finite(values: np.ndarray, where) -> None:

@@ -8,6 +8,7 @@ config and seeds reproduces the numbers bit-exactly.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -16,7 +17,6 @@ import numpy as np
 
 from .attribution import (
     AttributionMap,
-    AttributionStats,
     channel_sum,
     export_map_csv,
     export_stats_csv,
@@ -29,7 +29,7 @@ from .baselines import BaselineKind, reduce_dataset
 from .data import Campaign, SampleSet, SensorLayout
 from .errors import ConfigError, DataError
 from .models import ARCHITECTURES, architecture, build_architecture
-from .net import FitSettings, LayerStack, fit, save_checkpoint
+from .net import FitSettings, LayerStack, fit, load_checkpoint, save_checkpoint
 from .preprocessing import (
     MeanVectorStats,
     SplitAssignment,
@@ -214,16 +214,22 @@ def prepare_data(campaign: Campaign, config: ExperimentConfig,
 
 
 @dataclass
-class TrainOutcome:
-    stack: LayerStack
-    report: Report
-    data: PreparedData
-    checkpoint_metadata: dict
+class TrainingRecord:
+    """The metadata of a checkpoint that train_classifier saved: the run
+    that trained the stack and what evaluating it needs."""
+
+    config: dict  # the ExperimentConfig's to_dict()
+    dataset_fingerprint: str | None
+    baseline_reduce: str | None
+    best_epoch: int
+    best_val_loss: float
+    epochs_run: int
+    mean_stats: MeanVectorStats | None
 
 
 def train_classifier(config: ExperimentConfig, campaign: Campaign,
                      baseline_reduce: str | None = None,
-                     checkpoint_path: Path | None = None) -> TrainOutcome:
+                     checkpoint_path: Path | None = None) -> Report:
     """Train the configured architecture on a campaign and evaluate the
     held-out test slice. Saves a checkpoint when a path is given."""
     t0 = time.perf_counter()
@@ -236,22 +242,15 @@ def train_classifier(config: ExperimentConfig, campaign: Campaign,
 
     test_x, test_y, _ = data.slice("test")
     balanced, recalls, confusion = balanced_scores(test_y, stack.predict(test_x))
-    metadata = {
-        "config": config.to_dict(),
-        "dataset_fingerprint": campaign.fingerprint(),
-        "baseline_reduce": baseline_reduce,
-        "best_epoch": result.best_epoch,
-        "best_val_loss": result.best_val_loss,
-        "epochs_run": result.epochs_run,
-        "mean_stats": None if data.mean_stats is None else {
-            "mean": data.mean_stats.mean.tolist(),
-            "std": data.mean_stats.std.tolist(),
-        },
-    }
-    hashes = {"dataset": metadata["dataset_fingerprint"]}
+    record = TrainingRecord(
+        config=config.to_dict(), dataset_fingerprint=campaign.fingerprint(),
+        baseline_reduce=baseline_reduce, best_epoch=result.best_epoch,
+        best_val_loss=result.best_val_loss, epochs_run=result.epochs_run,
+        mean_stats=data.mean_stats)
+    hashes = {"dataset": record.dataset_fingerprint}
     if checkpoint_path is not None:
-        hashes["checkpoint"] = save_checkpoint(stack, checkpoint_path, metadata)
-    report = Report(
+        hashes["checkpoint"] = save_checkpoint(stack, checkpoint_path, asdict(record))
+    return Report(
         kind="train" if baseline_reduce is None else f"retrain-{baseline_reduce}",
         balanced_accuracy=balanced,
         per_class_recall=recalls.tolist(),
@@ -271,23 +270,46 @@ def train_classifier(config: ExperimentConfig, campaign: Campaign,
             "history": result.history,
         },
     )
-    return TrainOutcome(stack=stack, report=report, data=data,
-                        checkpoint_metadata=metadata)
+
+
+def load_model(checkpoint_path: Path, campaign: Campaign, overrides: dict | None = None):
+    """The stack of a checkpoint that train_classifier saved, with its
+    run's prepared data and config on a campaign and the report hashes:
+    `dataset`, the campaign's fingerprint, and `trained_on`, the training
+    dataset's where the checkpoint records it. A campaign other than the
+    training one is allowed (say, another AoA) but warned about."""
+    stack, metadata = load_checkpoint(checkpoint_path)
+    what = f"checkpoint metadata of {checkpoint_path}"
+    record = from_json(TrainingRecord, {"dataset_fingerprint": None, **metadata},
+                       DataError, what)
+    try:
+        config = ExperimentConfig.from_dict(record.config)
+    except ConfigError as exc:
+        raise DataError(f"{what}: {exc}") from exc
+    config = ExperimentConfig.from_dict(config.to_dict(), overrides)
+    hashes = {"dataset": campaign.fingerprint()}
+    if record.dataset_fingerprint is not None:
+        hashes["trained_on"] = record.dataset_fingerprint
+        if record.dataset_fingerprint != hashes["dataset"]:
+            print(f"warning: checkpoint was trained on dataset {hashes['trained_on']}, "
+                  f"this dataset is {hashes['dataset']}", file=sys.stderr)
+    data = prepare_data(campaign, config, baseline_reduce=record.baseline_reduce,
+                        mean_stats=record.mean_stats)
+    return stack, data, config, hashes
 
 
 def evaluate(stack: LayerStack, inputs: np.ndarray, labels: np.ndarray,
-             config: ExperimentConfig | dict | None = None,
-             slice_name: str = "test", hashes: dict | None = None) -> Report:
+             config: ExperimentConfig, slice_name: str = "test",
+             hashes: dict | None = None) -> Report:
     """Deterministic infer-mode evaluation of a trained stack."""
     t0 = time.perf_counter()
     if len(labels) == 0:
         raise DataError("cannot evaluate an empty slice")
     balanced, recalls, confusion = balanced_scores(labels, stack.predict(inputs))
-    cfg = config.to_dict() if isinstance(config, ExperimentConfig) else (config or {})
     return Report(
         kind="evaluate", balanced_accuracy=balanced,
         per_class_recall=recalls.tolist(), confusion=confusion.tolist(),
-        n_samples=len(labels), config=cfg,
+        n_samples=len(labels), config=config.to_dict(),
         wall_clock_s=time.perf_counter() - t0,
         hashes=hashes or {}, extras={"slice": slice_name},
     )
@@ -314,7 +336,7 @@ def ablate_on_baselines(stack: LayerStack, data: PreparedData,
 
 
 def retrain_on_baseline(config: ExperimentConfig, campaign: Campaign,
-                        kind: str, checkpoint_path: Path | None = None) -> TrainOutcome:
+                        kind: str, checkpoint_path: Path | None = None) -> Report:
     """Retrain from scratch on baseline-reduced data: the CNN on
     temporal-variation samples, the MLP on mean-value vectors."""
     kind = BaselineKind.parse(kind).value
@@ -328,19 +350,10 @@ def retrain_on_baseline(config: ExperimentConfig, campaign: Campaign,
                             checkpoint_path=checkpoint_path)
 
 
-@dataclass
-class AttributionOutcome:
-    maps: list[AttributionMap]
-    vectors: np.ndarray  # (n_attributed, channels) channel sums
-    stats: AttributionStats
-    top3: list[list[int]]
-    report: Report
-
-
 def attribute_campaign(stack: LayerStack, data: PreparedData,
                        config: ExperimentConfig, slice_name: str = "validation",
                        export_dir: Path | None = None,
-                       hashes: dict | None = None) -> AttributionOutcome:
+                       hashes: dict | None = None) -> Report:
     """Integrated-gradients maps for correctly classified samples of a
     slice, channel sums, and population statistics.
 
@@ -363,7 +376,6 @@ def attribute_campaign(stack: LayerStack, data: PreparedData,
     kind = BaselineKind.parse(config.baseline)
     maps: list[AttributionMap] = []
     vectors = np.empty((chosen.size, inputs.shape[1]))
-    top3 = []
     sample_ids = []
     for row, j in enumerate(chosen):
         sample_id = data.samples.provenance(idx[j])
@@ -372,7 +384,6 @@ def attribute_campaign(stack: LayerStack, data: PreparedData,
             target_class=int(preds[j]), target=config.ig_target, sample_id=sample_id)
         maps.append(amap)
         vectors[row] = channel_sum(amap)
-        top3.append(top_channels(vectors[row], k=3))
         sample_ids.append(sample_id)
 
     stats = population_stats(vectors, sample_ids=sample_ids)
@@ -410,5 +421,4 @@ def attribute_campaign(stack: LayerStack, data: PreparedData,
                 amap, export_dir / f"map_{kind.value}_ts{ts}_r{run}_w{win}.csv",
                 layout=data.layout)
         report.save(export_dir / f"attribution_{kind.value}.json")
-    return AttributionOutcome(maps=maps, vectors=vectors, stats=stats,
-                              top3=top3, report=report)
+    return report

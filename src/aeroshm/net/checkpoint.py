@@ -9,10 +9,8 @@ Byte layout (little-endian; see docs/formats.md):
     offset 20+H          concatenated float64 LE array data, in the order
                          declared by header["arrays"]
 
-The header holds the architecture name, input shape, RNG seed, the layer
-configs needed to rebuild the stack, the array directory (label + shape),
-and free-form training metadata. Identical training runs produce
-bit-identical files.
+The header is a `Header`. Identical training runs produce bit-identical
+files.
 """
 
 from __future__ import annotations
@@ -20,29 +18,50 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
+from ..records import from_json
 from .stack import LayerStack
 
 MAGIC = b"ASHMCKPT"
 FORMAT_VERSION = 1
 
 
+@dataclass
+class ArrayEntry:
+    """One stored array: its state label and shape."""
+
+    label: str
+    shape: tuple[int, ...]
+
+
+@dataclass
+class Header:
+    """The JSON header of a checkpoint file."""
+
+    arch: str
+    input_shape: tuple[int, ...]
+    seed: int
+    layers: list[dict]  # layer configs, in stack order
+    arrays: list[ArrayEntry]  # in the order of the array data
+    metadata: dict  # free-form training metadata
+
+
 def save_checkpoint(stack: LayerStack, path: Path, metadata: dict | None = None) -> str:
-    """Write the stack to path; returns the file's sha256 hex digest."""
+    """Write the stack to path; returns the file's sha256 hex digest.
+    Arrays in metadata are stored as lists."""
     arrays = stack.state_arrays()
-    header = {
-        "arch": stack.arch,
-        "input_shape": list(stack.input_shape),
-        "seed": stack.seed,
-        "layers": stack.layer_configs(),
-        "arrays": [{"label": label, "shape": list(arr.shape)} for label, arr in arrays],
-        "metadata": metadata or {},
-    }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    header = Header(
+        arch=stack.arch, input_shape=tuple(stack.input_shape), seed=stack.seed,
+        layers=stack.layer_configs(),
+        arrays=[ArrayEntry(label, arr.shape) for label, arr in arrays],
+        metadata=metadata or {})
+    header_bytes = json.dumps(asdict(header), sort_keys=True, separators=(",", ":"),
+                              default=lambda a: a.tolist()).encode()
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<I", FORMAT_VERSION)
@@ -69,25 +88,21 @@ def load_checkpoint(path: Path) -> tuple[LayerStack, dict]:
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     header_len = struct.unpack("<Q", blob[12:20])[0]
+    what = f"checkpoint header of {path}"
     try:
-        header = json.loads(blob[20:20 + header_len].decode())
+        raw = json.loads(blob[20:20 + header_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
-
-    required = ("layers", "input_shape", "arrays")
-    missing = [k for k in required if k not in header] if isinstance(header, dict) else required
-    if missing:
-        raise DataError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+        raise DataError(f"malformed {what}: {exc}") from exc
+    header = from_json(Header, raw, DataError, what)
     try:
-        stack = LayerStack.from_configs(
-            header["layers"], tuple(header["input_shape"]),
-            seed=header.get("seed", 0), arch=header.get("arch", "custom"))
-        directory = [(e["label"], tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
+        stack = LayerStack.from_configs(header.layers, header.input_shape,
+                                        seed=header.seed, arch=header.arch)
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {what}: {exc}") from exc
     offset = 20 + header_len
     state: dict[str, np.ndarray] = {}
-    for label, shape in directory:
+    for entry in header.arrays:
+        label, shape = entry.label, entry.shape
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if offset + nbytes > len(blob):
@@ -101,4 +116,4 @@ def load_checkpoint(path: Path) -> tuple[LayerStack, dict]:
         stack.load_state(state)
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    return stack, header.get("metadata", {})
+    return stack, header.metadata

@@ -127,6 +127,10 @@ def mean_vector(samples: SampleSet, stats: MeanVectorStats) -> np.ndarray:
     statistics: (n, channels) for a SampleSet, (channels,) for one sample."""
     if stats is None:
         raise ConfigError("mean_vector requires fitted training statistics")
+    n_channels = samples.values.shape[-2]
+    if stats.mean.shape != (n_channels,) or stats.std.shape != (n_channels,):
+        raise DataError(f"mean-vector statistics hold {stats.mean.size} means and "
+                        f"{stats.std.size} stds for {n_channels} channels")
     return (samples.values.mean(axis=-1) - stats.mean) / stats.std
 
 

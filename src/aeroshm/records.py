@@ -5,7 +5,8 @@ functions. Each raises the error class its caller names, with a one-line
 message, so the CLI can map it to an exit code.
 
 Values are typed strictly: a string is never read as a number, a boolean
-is not an int, and only a float field takes an int (as its float)."""
+is not an int, and only a float field takes an int (as its float). An
+array field is a JSON list of numbers."""
 
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ import json
 import types
 import typing
 from pathlib import Path
+
+import numpy as np
 
 
 def read_json(path: Path, error: type[Exception], what: str):
@@ -55,14 +58,17 @@ def from_json(cls, d, error: type[Exception], what: str, path: str = ""):
 
 def typed(value, hint, error, what, path):
     """value as the type hint declares it: checked, with a float field's
-    int converted, a tuple field's list made a tuple and a dataclass
-    field's object built. `path` names the field in messages."""
+    int converted, a tuple field's list made a tuple, an array field's
+    list of numbers made an np.ndarray and a dataclass field's object
+    built. `path` names the field in messages."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None
         (hint,) = [a for a in args if a is not type(None)]
         return typed(value, hint, error, what, path)
+    if hint is np.ndarray and not isinstance(value, np.ndarray):
+        return np.array(typed(value, list[float], error, what, path))
     if dataclasses.is_dataclass(hint):
         return from_json(hint, value, error, what, path)
     if origin in (list, tuple):

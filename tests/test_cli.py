@@ -92,9 +92,7 @@ def test_reports_record_the_training_dataset(two_runs):
     for name in ("eval_test.json", "ablate_apb.json", "ablate_tvb.json",
                  "ablate_mvb.json", "attribution_apb.json"):
         hashes = json.loads((root / "run" / name).read_text())["hashes"]
-        assert hashes["trained_on"] == trained_on, name
-    assert json.loads((root / "run" / "eval_test.json").read_text())["hashes"]["dataset"] \
-        == trained_on
+        assert hashes["trained_on"] == hashes["dataset"] == trained_on, name
 
 
 def test_attribution_records_its_completeness_check(two_runs, tmp_path, capsys):
@@ -256,14 +254,34 @@ def test_manifest_without_runs_exits_data_error(tmp_path, capsys):
     assert "runs" in capsys.readouterr().err
 
 
-def test_checkpoint_without_layers_exits_data_error(two_runs, tmp_path, capsys):
+@pytest.mark.parametrize("name,edit,word", [
+    ("checkpoint.ckpt", lambda h: h.pop("layers"), "layers"),
+    ("checkpoint.ckpt", lambda h: h.update(arch=5), "arch"),
+    ("checkpoint.ckpt", lambda h: h.update(metadata=5), "metadata"),
+    ("checkpoint.ckpt", lambda h: h["metadata"].update(config=5), "config"),
+    ("checkpoint.ckpt", lambda h: h["metadata"].update(dataset_fingerprint=5),
+     "dataset_fingerprint"),
+    ("checkpoint.ckpt", lambda h: h["metadata"].update(baseline_reduce=5),
+     "baseline_reduce"),
+    ("checkpoint_mvb.ckpt",
+     lambda h: h["metadata"].update(mean_stats={"mean": "x", "std": [1.0]}),
+     "mean_stats.mean"),
+    ("checkpoint_mvb.ckpt",
+     lambda h: h["metadata"].update(mean_stats={"mean": [0.0], "std": [1.0]}),
+     "1 means and 1 stds for 37 channels"),
+], ids=["layers", "arch", "metadata", "config", "dataset-fingerprint", "baseline-reduce",
+        "mean-stats-not-numbers", "mean-stats-one-channel"])
+def test_checkpoint_without_layers_exits_data_error(two_runs, tmp_path, capsys, name,
+                                                    edit, word):
     (root, _), _ = two_runs
     path = tmp_path / "broken.ckpt"
-    rewrite_checkpoint_header(root / "run" / "checkpoint.ckpt", path,
-                              lambda h: h.pop("layers"))
+    rewrite_checkpoint_header(root / "run" / name, path, edit)
+    capsys.readouterr()
     code = main(["eval", "--checkpoint", str(path), "--data", str(root / "data")])
     assert code == EXIT_DATA
-    assert "layers" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert word in err
 
 
 @pytest.mark.parametrize("key,value", [

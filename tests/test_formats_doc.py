@@ -1,0 +1,36 @@
+"""docs/formats.md lists the keys of each record as the code declares them."""
+
+from dataclasses import fields
+from itertools import takewhile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from aeroshm.data import RawRun
+from aeroshm.harness import TrainingRecord
+from aeroshm.net.checkpoint import Header
+
+DOC = Path(__file__).parents[1] / "docs" / "formats.md"
+
+
+def table_keys(heading: str) -> list[str]:
+    """The first-column keys of the first table under a heading."""
+    section = DOC.read_text().split(f"\n{heading}\n", 1)[1].split("\n#", 1)[0]
+    lines = section.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = list(takewhile(lambda line: line.startswith("|"), lines[start:]))[2:]
+    return [row.split("|")[1].strip().strip("`") for row in rows]
+
+
+RUN = RawRun(values=np.zeros((2, 3)), test_series=1, damage_class=0, run_index=1,
+             aoa_deg=0.0, excitation_hz=1.0, wind_speed=1.0)
+
+
+@pytest.mark.parametrize("heading,keys", [
+    ("### Header", [f.name for f in fields(Header)]),
+    ("### Metadata", [f.name for f in fields(TrainingRecord)]),
+    ("### `meta.json`", list(RUN.meta_dict())),
+], ids=["checkpoint-header", "checkpoint-metadata", "meta-json"])
+def test_doc_table_lists_the_record_keys(heading, keys):
+    assert sorted(table_keys(heading)) == sorted(keys)

@@ -352,7 +352,8 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key", ["layers", "input_shape", "arrays"])
+    @pytest.mark.parametrize("key", ["layers", "input_shape", "arrays", "arch", "seed",
+                                     "metadata"])
     def test_header_missing_key_rejected(self, tmp_path, key):
         from aeroshm.errors import DataError
         path = tmp_path / "model.ckpt"

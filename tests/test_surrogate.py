@@ -238,9 +238,14 @@ class TestDatasetRoundTrip:
         self.check_both_loaders_reject(config, tmp_path, lambda meta: meta.pop("wind_speed"),
                                        "wind_speed")
 
-    @pytest.mark.parametrize("key,value", [
-        ("test_series", True), ("n_channels", None), ("n_steps", 7),
-    ], ids=["wrong-type", "null-count", "count-off-the-signals"])
-    def test_bad_metadata_value_named(self, config, tmp_path, key, value):
-        self.check_both_loaders_reject(config, tmp_path,
-                                       lambda meta: meta.update({key: value}), key)
+    @pytest.mark.parametrize("edit,key", [
+        (lambda meta: meta.update(test_series=True), "test_series"),
+        (lambda meta: meta.update(n_channels=None), "n_channels"),
+        (lambda meta: meta.update(n_steps=7), "n_steps"),
+        # the product still equals the value count of the signals
+        (lambda meta: meta.update(n_channels=-1,
+                                  n_steps=-meta["n_channels"] * meta["n_steps"]),
+         "n_channels"),
+    ], ids=["wrong-type", "null-count", "count-off-the-signals", "negative-counts"])
+    def test_bad_metadata_value_named(self, config, tmp_path, edit, key):
+        self.check_both_loaders_reject(config, tmp_path, edit, key)
