@@ -75,14 +75,12 @@ def integrated_gradients(model, values: np.ndarray, baseline_kind,
     """Attribution map for one sample.
 
     model must expose forward(x) -> probabilities and
-    class_gradients(batch, class_index, target=...) -> (values, grads);
-    a trained LayerStack does. target_class defaults to the model's
-    prediction on x.
-
-    The sample, its baseline and every path point go to the model in one
-    class_gradients call; the model batches its own passes (a LayerStack
-    runs them in infer-mode row blocks). chunk_size is ignored: it is kept
-    only for callers that still pass it, until ROADMAP item 5 drops it.
+    path_gradients(x, baseline, steps, class_index, target=...) ->
+    (F(x), F(baseline), the input gradient of F summed over the midpoint
+    path); a trained LayerStack does, and batches its own passes.
+    target_class defaults to the model's prediction on x. chunk_size is
+    ignored: it is kept only for callers that still pass it, until ROADMAP
+    item 5 drops it.
     """
     if not 1 <= steps <= MAX_STEPS:
         raise ConfigError(f"steps must be in [1, {MAX_STEPS}], got {steps}")
@@ -92,13 +90,10 @@ def integrated_gradients(model, values: np.ndarray, baseline_kind,
     if target_class is None:
         target_class = int(np.argmax(model.forward(x)))
 
-    diff = x - baseline
-    gammas = (np.arange(steps) + 0.5) / steps  # midpoint rule
-    path = baseline[None] + gammas.reshape((-1,) + (1,) * x.ndim) * diff[None]
-    outputs, grads = model.class_gradients(
-        np.concatenate([x[None], baseline[None], path]), target_class, target=target)
-    output_delta = float(outputs[0] - outputs[1])
-    scores = diff * (grads[2:].sum(axis=0) / steps)
+    f_x, f_baseline, grad_sum = model.path_gradients(
+        x, baseline, steps, target_class, target=target)
+    output_delta = float(f_x - f_baseline)
+    scores = (x - baseline) * (grad_sum / steps)
     gap = abs(float(scores.sum()) - output_delta)
     return AttributionMap(
         scores=scores, baseline_kind=kind, steps=steps,

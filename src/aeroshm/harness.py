@@ -226,6 +226,22 @@ class TrainingRecord:
     epochs_run: int
     mean_stats: MeanVectorStats | None
 
+    def check(self, what: str) -> None:
+        """Reject values the field types let through: a baseline_reduce
+        that names no baseline kind, and a mean-vector std that is not
+        positive and finite (MeanVectorStats.fit never writes one)."""
+        kinds = [kind.value for kind in BaselineKind]
+        if self.baseline_reduce not in (None, *kinds):
+            raise DataError(f"{what} field baseline_reduce must be one of "
+                            f"{', '.join(kinds)} or null, got {self.baseline_reduce!r}")
+        if self.mean_stats is None:
+            return
+        std = self.mean_stats.std
+        bad = std[~(np.isfinite(std) & (std > 0))]
+        if bad.size:
+            raise DataError(f"{what} field mean_stats.std must hold positive finite "
+                            f"values, got {bad[0]!r}")
+
 
 def train_classifier(config: ExperimentConfig, campaign: Campaign,
                      baseline_reduce: str | None = None,
@@ -282,6 +298,7 @@ def load_model(checkpoint_path: Path, campaign: Campaign, overrides: dict | None
     what = f"checkpoint metadata of {checkpoint_path}"
     record = from_json(TrainingRecord, {"dataset_fingerprint": None, **metadata},
                        DataError, what)
+    record.check(what)
     try:
         config = ExperimentConfig.from_dict(record.config)
     except ConfigError as exc:

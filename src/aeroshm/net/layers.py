@@ -18,6 +18,12 @@ The backward passes optionally skip parameter-gradient work
 (`need_param_grads=False`), which roughly halves the cost of input-only
 gradients as used by attribution.
 
+BatchNorm is folded on infer passes: in infer mode it is a fixed
+per-channel affine map, so `LayerStack` runs a conv1d or dense layer that
+a batchnorm directly follows as one layer of the same class with scaled
+weights and a shifted bias (`BatchNorm.fold_into`). Train mode runs the
+batchnorm as a layer of its own.
+
 Layers never modify their inputs: neither `x` in forward nor `dout` in
 backward. In-place arithmetic only touches arrays a layer has just
 allocated itself. That is how BatchNorm works: it centres `x` once into a
@@ -45,6 +51,8 @@ gave 0.0.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -99,6 +107,7 @@ class Conv1d(Layer):
     """
 
     kind = "conv1d"
+    out_axis = 0  # the weight axis of the filters
 
     def __init__(self, in_channels: int, filters: int, kernel_size: int,
                  rng: np.random.Generator):
@@ -161,7 +170,8 @@ class BatchNorm(Layer):
 
     Train mode normalizes by batch statistics (biased variance) and updates
     the running estimates; infer mode applies the running statistics, which
-    makes the layer a fixed per-channel affine map.
+    makes the layer a fixed per-channel affine map. `LayerStack` folds that
+    map into a conv1d or dense layer directly before it (`fold_into`).
     """
 
     kind = "batchnorm"
@@ -227,6 +237,27 @@ class BatchNorm(Layer):
         dx *= inv_std / n
         return dx
 
+    def fold_into(self, layer: Layer) -> Layer:
+        """layer (a conv1d or dense) followed by this layer in infer mode,
+        as one layer of layer's class: weight W * s and bias
+        (b - running_mean) * s + beta, with s = gamma / sqrt(running_var +
+        eps) per output channel. The folded layer is a new object that
+        shares no array with either layer and accumulates no gradient, so
+        it serves infer passes only."""
+        s = self.params["gamma"] / np.sqrt(self.buffers["running_var"] + self.eps)
+        weight = layer.params["weight"]
+        shape = [1] * weight.ndim
+        shape[layer.out_axis] = -1
+        folded = copy.copy(layer)
+        folded.params = {
+            "weight": weight * s.reshape(shape),
+            "bias": (layer.params["bias"] - self.buffers["running_mean"]) * s
+            + self.params["beta"],
+        }
+        folded.grads = {}
+        folded._cache = None
+        return folded
+
     def config(self):
         return {"kind": self.kind, "channels": self.channels,
                 "eps": self.eps, "momentum": self.momentum}
@@ -263,6 +294,7 @@ class GlobalAvgPool(Layer):
 
 class Dense(Layer):
     kind = "dense"
+    out_axis = 1  # the weight axis of the outputs
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         super().__init__()

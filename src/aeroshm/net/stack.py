@@ -16,16 +16,25 @@ back through the same transpose. Rank-2 (batch, features) batches pass
 as they are.
 
 Infer-mode passes (`forward` and `logits` with train=False, `predict`,
-`class_gradients`) run over their batch in blocks of INFER_BLOCK_ROWS rows
+`class_gradients`, `path_gradients`) run folded layers: in infer mode a
+batchnorm is a fixed per-channel affine map, so each conv1d or dense
+layer that a batchnorm directly follows runs as one layer of its own
+class with weight W * s and bias (b - running_mean) * s + beta, where
+s = gamma / sqrt(running_var + eps) (Jacob et al. 2018, arXiv:1712.05877,
+section 3.2). `_infer_layers` builds that list afresh from the current
+parameters on each public call, with no cache, since `fit` runs infer
+passes between its steps. Train mode runs the stack's own layers.
+
+Infer-mode passes run over their batch in blocks of INFER_BLOCK_ROWS rows
 and concatenate the per-block results. These blocks are the only batching
 on inference paths: callers pass whole batches (integrated gradients its
 whole path, `evaluate_loss` a whole validation slice). The blocks keep
 the im2col and input-gradient buffers small enough to be reused from the
 heap instead of being mapped afresh on every pass. In infer mode no row reads
-another: BatchNorm applies its running statistics, each output row of the
-conv GEMMs (forward and input gradient) reads only its own row of the
-(batch * time)-row operand, and pooling, dense and softmax work row by
-row. So
+another: the folded layers apply the running statistics, each output row
+of the conv GEMMs (forward and input gradient) reads only its own row of
+the (batch * time)-row operand, and pooling, dense and softmax work row
+by row. So
 the results equal those of one whole-batch pass bit for bit, as far as
 the BLAS rounds a row alike in any matrix size. Two cases where it does
 not (OpenBLAS): numpy runs a one-row matmul as a matrix-vector product,
@@ -35,10 +44,19 @@ mean-mlp's input gradients may differ from a whole-batch pass in the
 last bits. The fcn-cnn's passes and the mean-mlp's forward passes are
 bit-identical (tests/test_netcore.py::TestInferBlocks).
 
-After a blocked pass the layer caches hold only its last block, so
-`backprop_logits` checks that its gradient has as many rows as the pass
-the caches hold. Train mode runs the whole batch at once, since
-BatchNorm's batch statistics couple the rows.
+`path_gradients` serves integrated gradients. An infer pass begins with
+a run of affine layers (the folded first conv, after any dropout), and
+on the path x' + g (x - x') that run's output is a' + g (a - a'), where
+a and a' are its outputs at x and x'. So the run goes forward on those two
+rows only, and, being linear, backward once on the gradient summed over
+the path (Sundararajan et al. 2017, arXiv:1703.01365).
+
+`backprop_logits` walks the layers the last pass ran. After a blocked
+pass their caches hold only its last block, so it checks that its
+gradient has as many rows as the pass the caches hold. After an infer
+pass it gives the input gradient only: folded layers are not the stack's
+parameters. Train mode runs the whole batch at once, since BatchNorm's
+batch statistics couple the rows.
 """
 
 from __future__ import annotations
@@ -49,11 +67,15 @@ from ..errors import ConfigError, NumericError, ShapeError
 from .layers import Layer, Softmax, layer_from_config
 
 # Rows per infer-mode block. On the benchmark's `attribute` workload (2-core
-# box, OpenBLAS, 30 s runs, seeds 7101-7109, time-major layers) the IG-sample
-# p50 read 1048/1153/1084 ms with 8 rows (median 1084), 1050/1105/1124 with
-# 16 (median 1105) and 1222/1304/1169 with 32 (median 1222); peak RSS
-# 296/296/308, 296/300/296 and 310/310/310 MB.
+# box, OpenBLAS 0.3.31, float64, 30 s runs, seeds 7201-7203, folded
+# BatchNorm and IG's affine run done once per path) the IG-sample p50 read
+# 636/566/632 ms with 8 rows (median 632), 623/654/654 with 16 (median 654)
+# and 698/725/750 with 32 (median 725); peak RSS 296/300/296, 296/296/296
+# and 367/367/367 MB.
 INFER_BLOCK_ROWS = 8
+
+# Layer kinds that are affine maps in infer mode (dropout passes its input on).
+_INFER_AFFINE = frozenset({"conv1d", "dense", "batchnorm", "dropout"})
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -66,6 +88,27 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip([0] + stops, stops + [n])]
 
 
+def _infer_layers(layers: list[Layer]) -> list[Layer]:
+    """The layers an infer-mode pass runs for `layers`: each conv1d or
+    dense layer that a batchnorm directly follows is folded with it into
+    one layer of its own class (BatchNorm.fold_into). Built from the
+    current parameters on every call."""
+    out: list[Layer] = []
+    for layer in layers:
+        if layer.kind == "batchnorm" and out and out[-1].kind in ("conv1d", "dense"):
+            out[-1] = layer.fold_into(out[-1])
+        else:
+            out.append(layer)
+    return out
+
+
+def _time_major(xb: np.ndarray) -> np.ndarray:
+    """A batch in the layers' layout: a rank-3 (batch, channels, time)
+    batch as a (batch, time, channels) view, a rank-2 one as it is. The
+    same transpose maps a layer-layout gradient back."""
+    return xb.transpose(0, 2, 1) if xb.ndim == 3 else xb
+
+
 class LayerStack:
     def __init__(self, layers: list[Layer], input_shape: tuple[int, ...],
                  seed: int = 0, arch: str = "custom"):
@@ -75,7 +118,8 @@ class LayerStack:
         self.input_shape = tuple(int(d) for d in input_shape)
         self.seed = seed
         self.arch = arch
-        self._cached_rows = None  # rows of the pass the layer caches hold
+        # (layers, rows, train) of the pass whose caches the layers hold
+        self._cached = None
 
     # -- construction ----------------------------------------------------
 
@@ -123,24 +167,25 @@ class LayerStack:
             raise NumericError("non-finite value in network input")
         return xb, single
 
-    def _run(self, xb: np.ndarray, layers, train: bool) -> np.ndarray:
-        self._cached_rows = None  # until every layer has cached this pass
-        out = xb.transpose(0, 2, 1) if xb.ndim == 3 else xb  # layers run time-major
+    def _run(self, out: np.ndarray, layers, train: bool) -> np.ndarray:
+        """Run `layers` over a batch in the layers' layout."""
+        self._cached = None  # until every layer has cached this pass
         for i, layer in enumerate(layers):
             out = layer.forward(out, train=train)
             if layer.kind in self._CHECKED_KINDS and not np.isfinite(out).all():
                 raise NumericError(
                     f"non-finite activation after {layer.kind} layer {i}")
-        self._cached_rows = len(xb)
+        self._cached = (layers, len(out), train)
         return out
 
     def _pass(self, xb: np.ndarray, layers, train: bool) -> np.ndarray:
-        """One pass of `layers` over a batch: whole in train mode, where
-        BatchNorm's batch statistics couple the rows, and in row blocks in
-        infer mode."""
+        """One pass of `layers` over a batch: the stack's own layers, whole,
+        in train mode, where BatchNorm's batch statistics couple the rows;
+        folded layers in row blocks in infer mode."""
         if train:
-            return self._run(xb, layers, train)
-        return np.concatenate([self._run(xb[rows], layers, train)
+            return self._run(_time_major(xb), layers, train)
+        layers = _infer_layers(layers)
+        return np.concatenate([self._run(_time_major(xb[rows]), layers, train)
                                for rows in _row_blocks(len(xb))])
 
     def forward(self, x, train: bool = False) -> np.ndarray:
@@ -167,23 +212,51 @@ class LayerStack:
         for layer in self.layers:
             layer.zero_grads()
 
-    def backprop_logits(self, dlogits: np.ndarray,
-                        need_param_grads: bool = True) -> np.ndarray:
-        """Backpropagate a gradient seeded at the logits through the stack
-        prefix. The caches of the most recent pass are consumed; dlogits
-        must have as many rows as that pass (its last block in infer mode).
-        Returns the gradient with respect to that pass's input, in the
-        input's own layout."""
-        if self._cached_rows is None or len(dlogits) != self._cached_rows:
+    def _backward(self, dlogits: np.ndarray, need_param_grads: bool) -> np.ndarray:
+        """backprop_logits, with the gradient left in the layers' layout."""
+        layers, rows, train = self._cached or (None, None, None)
+        if rows is None or len(dlogits) != rows:
             raise ShapeError(
                 f"dlogits has {len(dlogits)} rows, but the layer caches hold "
-                f"a pass over {self._cached_rows} rows")
+                f"a pass over {rows} rows")
+        if need_param_grads and not train:
+            raise ConfigError(
+                "parameter gradients need a train-mode pass: an infer-mode pass "
+                "runs BatchNorm folded into the layer before it")
+        if layers and isinstance(layers[-1], Softmax):
+            layers = layers[:-1]
         grad = dlogits
-        for layer in reversed(self.layers[:-1]):
+        for layer in reversed(layers):
             grad = layer.backward(grad, need_param_grads=need_param_grads)
+        return grad
+
+    def backprop_logits(self, dlogits: np.ndarray,
+                        need_param_grads: bool = True) -> np.ndarray:
+        """Backpropagate a gradient seeded at the logits through the layers
+        the most recent pass ran, consuming their caches. dlogits must have
+        as many rows as that pass (its last block in infer mode). After an
+        infer-mode pass, whose folded layers are not the stack's
+        parameters, need_param_grads must be False. Returns the gradient
+        with respect to that pass's input, in the input's own layout."""
+        grad = self._backward(dlogits, need_param_grads)
         if not np.isfinite(grad).all():
             raise NumericError("non-finite gradient in backward pass")
-        return grad.transpose(0, 2, 1) if grad.ndim == 3 else grad
+        return _time_major(grad)
+
+    def _targets(self, class_index, n: int, target: str) -> np.ndarray:
+        """class_index as n per-row indices, checked with target."""
+        if not self.has_softmax_head:
+            raise ConfigError("gradients of a class output require a softmax-terminated stack")
+        idx = np.full(n, class_index, dtype=np.int64) if np.isscalar(class_index) \
+            else np.asarray(class_index, dtype=np.int64)
+        if idx.shape != (n,):
+            raise ShapeError(f"class_index shape {idx.shape} does not match batch {n}")
+        m = self.n_classes
+        if (idx < 0).any() or (idx >= m).any():
+            raise ConfigError(f"class index out of range [0, {m})")
+        if target not in ("logit", "prob"):
+            raise ConfigError(f"target must be 'logit' or 'prob', got {target!r}")
+        return idx
 
     def class_gradients(self, x, class_index, target: str = "logit"):
         """Scalar output and its input-gradient for each row of a batch.
@@ -194,32 +267,24 @@ class LayerStack:
         probability. The batch runs in infer-mode row blocks, and no
         parameter gradient is computed.
         """
-        if not self.has_softmax_head:
-            raise ConfigError("class_gradients() requires a softmax-terminated stack")
         xb, single = self._batched(x)
         n = len(xb)
-        idx = np.full(n, class_index, dtype=np.int64) if np.isscalar(class_index) \
-            else np.asarray(class_index, dtype=np.int64)
-        if idx.shape != (n,):
-            raise ShapeError(f"class_index shape {idx.shape} does not match batch {n}")
-        m = self.n_classes
-        if (idx < 0).any() or (idx >= m).any():
-            raise ConfigError(f"class index out of range [0, {m})")
-        if target not in ("logit", "prob"):
-            raise ConfigError(f"target must be 'logit' or 'prob', got {target!r}")
+        idx = self._targets(class_index, n, target)
+        layers = _infer_layers(self.layers[:-1])
         values = np.empty(n)
         grads = np.empty_like(xb)
         for rows in _row_blocks(n):
-            values[rows], grads[rows] = self._block_gradients(xb[rows], idx[rows], target)
+            logits = self._run(_time_major(xb[rows]), layers, False)
+            values[rows], dlogits = self._seed(logits, idx[rows], target)
+            grads[rows] = self.backprop_logits(dlogits, need_param_grads=False)
         if single:
             return float(values[0]), grads[0]
         return values, grads
 
-    def _block_gradients(self, xb, idx, target):
-        """class_gradients of one row block, in one forward and one
-        backward pass."""
-        logits = self._run(xb, self.layers[:-1], False)
-        rows = np.arange(len(xb))
+    def _seed(self, logits, idx, target):
+        """The target scalar of each row of a block's logits, and its
+        gradient with respect to them."""
+        rows = np.arange(len(logits))
         if target == "logit":
             values = logits[rows, idx]
             dlogits = np.zeros_like(logits)
@@ -230,7 +295,65 @@ class LayerStack:
             # row of the softmax Jacobian: dp_k/dz = p_k (e_k - p)
             dlogits = -probs * values[:, None]
             dlogits[rows, idx] += values
-        return values, self.backprop_logits(dlogits, need_param_grads=False)
+        return values, dlogits
+
+    def path_gradients(self, x, baseline, steps: int, class_index: int,
+                       target: str = "logit") -> tuple[float, float, np.ndarray]:
+        """F(x), F(baseline) and the input gradient of F summed over the
+        midpoint path: the `steps` points baseline + g (x - baseline) with
+        g = (k + 1/2) / steps. F is the class_index output, its logit or
+        probability as in class_gradients. This is what integrated
+        gradients asks of a model.
+
+        The leading affine run of the infer layers goes forward on x and
+        the baseline only. Every path point's activation after it is
+        built from those two, block by block, and the remaining layers run
+        over the endpoints and the path points in infer-mode row blocks.
+        The gradients at the run's output are summed over the path points,
+        and that sum goes backward through the run once. A stack that
+        begins with a non-affine layer has an empty run, and the path is
+        built on the input itself.
+        """
+        if steps < 1:
+            raise ConfigError(f"steps must be >= 1, got {steps}")
+        for name, value in (("x", x), ("baseline", baseline)):
+            if np.shape(value) != self.input_shape:
+                raise ShapeError(f"{name} shape {np.shape(value)} does not match "
+                                 f"model input {self.input_shape}")
+        xb, _ = self._batched(np.stack([x, baseline]))
+        n = steps + 2  # rows: x, the baseline, then the path points
+        idx = self._targets(class_index, n, target)
+        layers = _infer_layers(self.layers[:-1])
+        affine = 0
+        while affine < len(layers) and layers[affine].kind in _INFER_AFFINE:
+            affine += 1
+        prefix, rest = layers[:affine], layers[affine:]
+
+        ends = self._run(_time_major(xb), prefix, False)
+        diff = ends[0] - ends[1]
+        gammas = np.concatenate([[1.0, 0.0], (np.arange(steps) + 0.5) / steps])
+        gammas = gammas.reshape((-1,) + (1,) * diff.ndim)
+        values = np.empty(2)
+        grad_sum = np.zeros_like(diff)
+        for rows in _row_blocks(n):
+            k = max(min(rows.stop, 2) - rows.start, 0)  # endpoint rows in the block
+            acts = ends[1] + gammas[rows] * diff
+            acts[:k] = ends[rows.start:rows.start + k]  # as they are, not a' + 1 (a - a')
+            block_values, dlogits = self._seed(self._run(acts, rest, False),
+                                               idx[rows], target)
+            grads = self._backward(dlogits, need_param_grads=False)
+            values[rows.start:rows.start + k] = block_values[:k]
+            grad_sum += grads[k:].sum(axis=0)
+
+        grad = np.zeros_like(ends)
+        grad[0] = grad_sum
+        for layer in reversed(prefix):
+            grad = layer.backward(grad, need_param_grads=False)
+        self._cached = None  # the caches hold parts of several passes
+        grad = _time_major(grad)[0]
+        if not np.isfinite(grad).all():
+            raise NumericError("non-finite gradient in backward pass")
+        return float(values[0]), float(values[1]), grad
 
     # -- state -----------------------------------------------------------
 

@@ -11,6 +11,7 @@ array field is a JSON list of numbers."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import types
 import typing
@@ -43,8 +44,7 @@ def from_json(cls, d, error: type[Exception], what: str, path: str = ""):
     names the record in messages; `path` is the field path of a nested d."""
     label = f"{what} field {path}" if path else what
     json_object(d, error, label)
-    hints = typing.get_type_hints(cls)
-    names = [f.name for f in dataclasses.fields(cls)]
+    hints, names = _fields(cls)
     unknown = sorted(set(d) - set(names))
     if unknown:
         raise error(f"{label} has unknown key(s): {', '.join(unknown)}")
@@ -54,6 +54,14 @@ def from_json(cls, d, error: type[Exception], what: str, path: str = ""):
     prefix = f"{path}." if path else ""
     return cls(**{name: typed(d[name], hints[name], error, what, prefix + name)
                   for name in names})
+
+
+@functools.cache
+def _fields(cls) -> tuple[dict, tuple[str, ...]]:
+    """The type hints and the field names of dataclass cls. Resolving the
+    hints takes most of a small record's read, so it is done once per
+    class."""
+    return typing.get_type_hints(cls), tuple(f.name for f in dataclasses.fields(cls))
 
 
 def typed(value, hint, error, what, path):

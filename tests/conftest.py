@@ -1,5 +1,5 @@
-"""Shared test helpers: finite-difference oracles, small random models and
-checkpoint header surgery."""
+"""Shared test helpers: finite-difference oracles, an unfolded infer-pass
+reference, small random models and checkpoint header surgery."""
 
 from __future__ import annotations
 
@@ -53,6 +53,69 @@ def gradient_match_fraction(analytic, numeric, rel_tol=1e-4, abs_tol=1e-6):
     diff = np.abs(analytic - numeric)
     ok = diff <= abs_tol + rel_tol * np.maximum(np.abs(analytic), np.abs(numeric))
     return ok.mean()
+
+
+def unfolded_logits(stack, xb):
+    """Infer-mode logits of a batch through the stack's own layers, one
+    by one, each BatchNorm run as a layer of its own: the infer pass as it
+    was before BatchNorm was folded into the layer before it."""
+    out = xb.transpose(0, 2, 1) if xb.ndim == 3 else xb
+    for layer in stack.layers[:-1]:
+        out = layer.forward(out, train=False)
+    return out
+
+
+def unfolded_gradients(stack, xb, class_index, target="logit"):
+    """The class output and its input gradient for each row of a batch, as
+    class_gradients gave them before the fold: unfolded_logits, then
+    backward through the same layers."""
+    logits = unfolded_logits(stack, xb)
+    rows = np.arange(len(xb))
+    if target == "logit":
+        values = logits[rows, class_index]
+        grad = np.zeros_like(logits)
+        grad[rows, class_index] = 1.0
+    else:
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        values = probs[rows, class_index]
+        grad = -probs * values[:, None]
+        grad[rows, class_index] += values
+    for layer in reversed(stack.layers[:-1]):
+        grad = layer.backward(grad, need_param_grads=False)
+    return values, grad.transpose(0, 2, 1) if grad.ndim == 3 else grad
+
+
+def unfolded_integrated_gradients(stack, x, baseline, steps, class_index,
+                                  target="logit", block=8):
+    """The IG map and F(x) - F(x') by the midpoint formula the engine used
+    before the affine run and the fold: x, x' and every path point through
+    unfolded_gradients, in blocks of `block` rows."""
+    diff = x - baseline
+    gammas = (np.arange(steps) + 0.5) / steps
+    rows = np.concatenate([x[None], baseline[None],
+                           baseline[None] + gammas.reshape((-1,) + (1,) * x.ndim) * diff])
+    values, grads = zip(*(unfolded_gradients(stack, rows[i:i + block], class_index, target)
+                          for i in range(0, len(rows), block)))
+    values, grads = np.concatenate(values), np.concatenate(grads)
+    return diff * (grads[2:].sum(axis=0) / steps), float(values[0] - values[1])
+
+
+def relative_error(a, b):
+    """The largest |a - b| relative to the largest |b|."""
+    return float(np.abs(np.asarray(a) - b).max() / np.abs(b).max())
+
+
+def warm_batchnorm(stack, rng, rows=8):
+    """Warm a stack's BatchNorm running statistics with a train-mode pass,
+    then draw its gammas and betas, so that every BatchNorm is a
+    nontrivial affine map in infer mode."""
+    stack.forward(rng.normal(size=(rows,) + stack.input_shape), train=True)
+    for layer in stack.layers:
+        if isinstance(layer, BatchNorm):
+            layer.params["gamma"][...] = rng.uniform(0.5, 1.5, layer.channels)
+            layer.params["beta"][...] = rng.normal(0.0, 0.2, layer.channels)
+    return stack
 
 
 def random_small_model(rng: np.random.Generator):

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import relative_error, unfolded_integrated_gradients, warm_batchnorm
 
 from aeroshm.attribution import (
     AttributionMap,
@@ -34,24 +35,21 @@ class LinearModel:
         e = np.exp(scores - scores.max())
         return e / e.sum()
 
-    def class_gradients(self, x, class_index, target="logit"):
-        x = np.asarray(x, dtype=np.float64)
+    def path_gradients(self, x, baseline, steps, class_index, target="logit"):
         w = self.weights[class_index]
-        values = (x * w).sum(axis=tuple(range(1, x.ndim)))
-        grads = np.broadcast_to(w, x.shape).copy()
-        return values, grads
+        return float((w * x).sum()), float((w * baseline).sum()), steps * w
 
 
 class CountingLinearModel(LinearModel):
-    """LinearModel that keeps every batch handed to class_gradients."""
+    """LinearModel that keeps the endpoints of every path_gradients call."""
 
     def __init__(self, weights):
         super().__init__(weights)
-        self.batches = []
+        self.calls = []
 
-    def class_gradients(self, x, class_index, **kwargs):
-        self.batches.append(np.array(x))
-        return super().class_gradients(x, class_index, **kwargs)
+    def path_gradients(self, x, baseline, steps, class_index, **kwargs):
+        self.calls.append((np.array(x), np.array(baseline), steps))
+        return super().path_gradients(x, baseline, steps, class_index, **kwargs)
 
 
 def chunked_reference(model, x, kind, steps, target_class, target, chunk=64):
@@ -76,6 +74,15 @@ def toy_cnn():
     rng = np.random.default_rng(0)
     stack.forward(rng.normal(size=(32, 6, 24)), train=True)
     return stack
+
+
+@pytest.fixture(scope="module")
+def paper_cnn():
+    """The fcn-cnn at the paper's 37x150 input, with nontrivial BatchNorm
+    maps, and one input."""
+    rng = np.random.default_rng(21)
+    stack = warm_batchnorm(build_cnn(37, 150, seed=0), rng, rows=32)
+    return stack, rng.normal(size=(37, 150))
 
 
 class TestIntegratedGradients:
@@ -116,10 +123,10 @@ class TestIntegratedGradients:
         model = CountingLinearModel([rng.normal(size=(5, 12)), rng.normal(size=(5, 12))])
         x = rng.normal(size=(5, 12))
         integrated_gradients(model, x, "mvb", steps=7, target_class=1)
-        (batch,) = model.batches
-        assert batch.shape == (9, 5, 12)
-        np.testing.assert_array_equal(batch[0], x)
-        np.testing.assert_array_equal(batch[1], make_baseline(x, "mvb"))
+        ((x_seen, baseline_seen, steps),) = model.calls
+        np.testing.assert_array_equal(x_seen, x)
+        np.testing.assert_array_equal(baseline_seen, make_baseline(x, "mvb"))
+        assert steps == 7
 
     @pytest.mark.parametrize("target", ["logit", "prob"])
     def test_matches_chunked_reference(self, toy_cnn, rng, target):
@@ -129,6 +136,15 @@ class TestIntegratedGradients:
         scores, output_delta = chunked_reference(toy_cnn, x, "apb", 200, 2, target)
         assert np.abs(amap.scores - scores).max() <= 1e-12 * np.abs(scores).max()
         assert amap.output_delta == output_delta
+
+    @pytest.mark.parametrize("kind", ["apb", "tvb", "mvb"])
+    def test_paper_shape_matches_unfolded_formula(self, paper_cnn, kind):
+        stack, x = paper_cnn
+        amap = integrated_gradients(stack, x, kind, steps=200, target_class=2)
+        scores, output_delta = unfolded_integrated_gradients(
+            stack, x, make_baseline(x, kind), 200, 2)
+        assert relative_error(amap.scores, scores) <= 1e-12
+        assert abs(amap.output_delta - output_delta) <= 1e-15
 
     def test_baselines_give_distinct_maps(self, toy_cnn, rng):
         x = rng.normal(size=(6, 24))

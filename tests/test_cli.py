@@ -263,14 +263,23 @@ def test_manifest_without_runs_exits_data_error(tmp_path, capsys):
      "dataset_fingerprint"),
     ("checkpoint.ckpt", lambda h: h["metadata"].update(baseline_reduce=5),
      "baseline_reduce"),
+    ("checkpoint.ckpt", lambda h: h["metadata"].update(baseline_reduce="xyz"),
+     "baseline_reduce"),
     ("checkpoint_mvb.ckpt",
      lambda h: h["metadata"].update(mean_stats={"mean": "x", "std": [1.0]}),
      "mean_stats.mean"),
     ("checkpoint_mvb.ckpt",
      lambda h: h["metadata"].update(mean_stats={"mean": [0.0], "std": [1.0]}),
      "1 means and 1 stds for 37 channels"),
+    ("checkpoint_mvb.ckpt",
+     lambda h: h["metadata"]["mean_stats"]["std"].__setitem__(3, 0.0),
+     "mean_stats.std"),
+    ("checkpoint_mvb.ckpt",
+     lambda h: h["metadata"]["mean_stats"]["std"].__setitem__(0, float("nan")),
+     "mean_stats.std"),
 ], ids=["layers", "arch", "metadata", "config", "dataset-fingerprint", "baseline-reduce",
-        "mean-stats-not-numbers", "mean-stats-one-channel"])
+        "unknown-baseline-reduce", "mean-stats-not-numbers", "mean-stats-one-channel",
+        "mean-stats-zero-std", "mean-stats-nan-std"])
 def test_checkpoint_without_layers_exits_data_error(two_runs, tmp_path, capsys, name,
                                                     edit, word):
     (root, _), _ = two_runs

@@ -8,7 +8,11 @@ from conftest import (
     fd_input_gradient,
     gradient_match_fraction,
     random_small_model,
+    relative_error,
     rewrite_checkpoint_header,
+    unfolded_integrated_gradients,
+    unfolded_logits,
+    warm_batchnorm,
 )
 
 from aeroshm.errors import ConfigError, NumericError, ShapeError
@@ -16,9 +20,11 @@ from aeroshm.models import build_cnn, build_mlp
 from aeroshm.net import stack as stack_module
 from aeroshm.net import (
     AdamW,
+    BatchNorm,
     Conv1d,
     Dense,
     FitSettings,
+    GlobalAvgPool,
     LayerStack,
     ReLU,
     Softmax,
@@ -186,11 +192,12 @@ class TestInferBlocks:
         stack, shape = warmed_model("fcn-cnn")
         x = np.random.default_rng(0).normal(size=(2 * B + 2,) + shape)
         stack.logits(x[:2 * B + 1])
-        stack.backprop_logits(np.ones((B + 1, stack.n_classes)))  # the cached block
+        stack.backprop_logits(np.ones((B + 1, stack.n_classes)),  # the cached block
+                              need_param_grads=False)
         stack.logits(x)
         with pytest.raises(ShapeError):
-            stack.backprop_logits(np.ones((B + 1, stack.n_classes)))
-        stack.backprop_logits(np.ones((2, stack.n_classes)))
+            stack.backprop_logits(np.ones((B + 1, stack.n_classes)), need_param_grads=False)
+        stack.backprop_logits(np.ones((2, stack.n_classes)), need_param_grads=False)
 
     @pytest.mark.parametrize("arch", ["fcn-cnn", "mean-mlp"])
     def test_backprop_refuses_gradient_of_other_rows(self, arch):
@@ -226,6 +233,144 @@ class TestInferBlocks:
         stack.logits(x, train=True)
         grad = stack.backprop_logits(np.ones((2 * B + 1, stack.n_classes)))
         assert grad.shape == x.shape
+
+
+class TestFoldedInferPasses:
+    """Infer-mode passes fold each BatchNorm into the conv or dense layer
+    before it; the reference runs the stack's own layers one by one."""
+
+    @pytest.mark.parametrize("arch", ["fcn-cnn", "mean-mlp"])
+    def test_folded_logits_equal_unfolded_layers(self, arch):
+        stack, shape = warmed_model(arch)
+        rng = np.random.default_rng(8)
+        warm_batchnorm(stack, rng)
+        x = rng.normal(size=(2 * B + 3,) + shape)
+        reference = unfolded_logits(stack, x)
+        logits = stack.logits(x)
+        assert relative_error(logits, reference) <= 1e-12
+        np.testing.assert_array_equal(stack.predict(x), reference.argmax(axis=1))
+        probs = stack.forward(x)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
+        np.testing.assert_array_equal(probs.argmax(axis=1), reference.argmax(axis=1))
+
+    def test_fold_follows_a_train_step(self, rng):
+        stack, shape = warmed_model("fcn-cnn")
+        x = rng.normal(size=(B + 2,) + shape)
+        before = stack.logits(x)
+        train_step(stack, rng.normal(size=(8,) + shape), np.arange(8) % 6,
+                   AdamW(stack, lr=1e-2))
+        after = stack.logits(x)
+        assert relative_error(after, unfolded_logits(stack, x)) <= 1e-12
+        assert relative_error(after, before) > 1e-6
+
+    def test_train_mode_runs_the_batchnorm_layers(self, rng, monkeypatch):
+        stack, shape = warmed_model("mean-mlp")
+        calls = []
+        forward = BatchNorm.forward
+        monkeypatch.setattr(BatchNorm, "forward",
+                            lambda self, *a, **k: calls.append(1) or forward(self, *a, **k))
+        stack.logits(rng.normal(size=(4,) + shape))
+        assert calls == []
+        stack.logits(rng.normal(size=(4,) + shape), train=True)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("arch", ["fcn-cnn", "mean-mlp"])
+    def test_param_gradients_after_an_infer_pass_raise(self, arch, rng):
+        stack, shape = warmed_model(arch)
+        x = rng.normal(size=(3,) + shape)
+        stack.logits(x)
+        with pytest.raises(ConfigError, match="train-mode"):
+            stack.backprop_logits(np.ones((3, stack.n_classes)), need_param_grads=True)
+        stack.backprop_logits(np.ones((3, stack.n_classes)), need_param_grads=False)
+        stack.logits(x, train=True)
+        stack.backprop_logits(np.ones((3, stack.n_classes)), need_param_grads=True)
+
+
+class TestPathGradients:
+    """path_gradients runs the leading affine run of the infer layers on
+    the two endpoints only; the reference runs every path point through
+    the unfolded layers."""
+
+    @staticmethod
+    def check(stack, x, baseline, steps, class_index, target="logit", exact_ends=True):
+        f_x, f_baseline, grad_sum = stack.path_gradients(x, baseline, steps, class_index,
+                                                         target=target)
+        scores = (x - baseline) * (grad_sum / steps)
+        ref_scores, ref_delta = unfolded_integrated_gradients(
+            stack, x, baseline, steps, class_index, target)
+        assert relative_error(scores, ref_scores) <= 1e-12
+        assert abs((f_x - f_baseline) - ref_delta) <= 1e-15
+        if exact_ends:  # the infer pass's own outputs at x and x'
+            values, _ = stack.class_gradients(np.stack([x, baseline]), class_index, target)
+            assert (f_x, f_baseline) == tuple(values)
+
+    @pytest.mark.parametrize("target", ["logit", "prob"])
+    @pytest.mark.parametrize("arch", ["fcn-cnn", "mean-mlp"])
+    def test_matches_unfolded_path(self, arch, target):
+        stack, shape = warmed_model(arch)
+        rng = np.random.default_rng(9)
+        warm_batchnorm(stack, rng)
+        x, baseline = rng.normal(size=(2,) + shape)
+        for steps in (1, B - 2, 3 * B):
+            self.check(stack, x, baseline, steps, 1, target)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_small_blocks(self, rows, monkeypatch):
+        stack, shape = warmed_model("fcn-cnn")
+        rng = np.random.default_rng(10)
+        x, baseline = rng.normal(size=(2,) + shape)
+        monkeypatch.setattr(stack_module, "INFER_BLOCK_ROWS", rows)
+        # one-row blocks run their matmuls as matrix-vector products, which
+        # round differently from the two-row endpoint pass
+        self.check(stack, x, baseline, 7, 3, exact_ends=rows > 1)
+
+    def test_stack_starting_with_a_nonlinearity(self, rng):
+        mrng = np.random.default_rng(3)
+        stack = LayerStack([ReLU(), Conv1d(3, 4, 3, mrng), BatchNorm(4), ReLU(),
+                            GlobalAvgPool(), Dense(4, 3, mrng), Softmax()], (3, 16))
+        warm_batchnorm(stack, rng)
+        x, baseline = rng.normal(size=(2, 3, 16))
+        self.check(stack, x, baseline, 20, 2)
+
+    def test_all_affine_stack(self, rng):
+        mrng = np.random.default_rng(3)
+        stack = LayerStack([Dense(5, 4, mrng), BatchNorm(4), Dense(4, 3, mrng), Softmax()],
+                           (5,))
+        warm_batchnorm(stack, rng)
+        x, baseline = rng.normal(size=(2, 5))
+        self.check(stack, x, baseline, 20, 0)
+
+    def test_first_conv_runs_on_the_endpoints_once(self, monkeypatch):
+        stack, shape = warmed_model("fcn-cnn")
+        rng = np.random.default_rng(4)
+        x, baseline = rng.normal(size=(2,) + shape)
+        calls = []
+        for way in ("forward", "backward"):
+            method = getattr(Conv1d, way)
+
+            def counted(layer, arr, *args, _way=way, _method=method, **kwargs):
+                calls.append((_way, layer.in_channels, len(arr)))
+                return _method(layer, arr, *args, **kwargs)
+            monkeypatch.setattr(Conv1d, way, counted)
+        stack.path_gradients(x, baseline, 3 * B, 0)
+        first = [(way, rows) for way, channels, rows in calls if channels == shape[0]]
+        assert first == [("forward", 2), ("backward", 2)]
+        blocks = len(stack_module._row_blocks(3 * B + 2))
+        assert sum(way == "forward" for way, *_ in calls) == 1 + 2 * blocks
+
+    def test_bad_arguments_rejected(self, rng):
+        stack, shape = warmed_model("mean-mlp")
+        x = rng.normal(size=shape)
+        with pytest.raises(ShapeError):
+            stack.path_gradients(x, x[:-1], 5, 0)
+        with pytest.raises(ConfigError):
+            stack.path_gradients(x, x, 0, 0)
+        with pytest.raises(ConfigError):
+            stack.path_gradients(x, x, 5, stack.n_classes)
+        with pytest.raises(ConfigError):
+            stack.path_gradients(x, x, 5, 0, target="loss")
+        with pytest.raises(NumericError):
+            stack.path_gradients(np.full(shape, np.nan), x, 5, 0)
 
 
 class TestLoss:
