@@ -16,7 +16,9 @@ to the other (see net/stack.py).
 
 The backward passes optionally skip parameter-gradient work
 (`need_param_grads=False`), which roughly halves the cost of input-only
-gradients as used by attribution.
+gradients as used by attribution. The other way round, `param_grads`
+accumulates a layer's parameter gradients alone: a training step needs no
+gradient with respect to the network's input.
 
 BatchNorm is folded on infer passes: in infer mode it is a fixed
 per-channel affine map, so `LayerStack` runs a conv1d or dense layer that
@@ -75,6 +77,12 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, dout: np.ndarray, need_param_grads: bool = True) -> np.ndarray:
+        raise NotImplementedError
+
+    def param_grads(self, dout: np.ndarray) -> None:
+        """Accumulate the parameter gradients of the last forward pass for
+        the gradient dout at its output, without the input gradient. Only
+        layers with parameters implement it."""
         raise NotImplementedError
 
     def config(self) -> dict:
@@ -144,15 +152,19 @@ class Conv1d(Layer):
         self._cache = (cols, w_mat, (n, t, c))
         return out.reshape(n, t, self.filters)
 
-    def backward(self, dout, need_param_grads=True):
-        cols, w_mat, (n, t, c) = self._cache
-        k, pl = self.kernel_size, self.pad_left
+    def param_grads(self, dout):
+        cols, _, (n, t, c) = self._cache
         dout2 = dout.reshape(n * t, self.filters)
+        dw = (dout2.T @ cols).reshape(self.filters, self.kernel_size, c)
+        self.grads["weight"] += dw.transpose(0, 2, 1)
+        self.grads["bias"] += dout2.sum(axis=0)
+
+    def backward(self, dout, need_param_grads=True):
         if need_param_grads:
-            dw = (dout2.T @ cols).reshape(self.filters, k, c)
-            self.grads["weight"] += dw.transpose(0, 2, 1)
-            self.grads["bias"] += dout2.sum(axis=0)
-        dcols = (dout2 @ w_mat).reshape(n, t, k, c)
+            self.param_grads(dout)
+        _, w_mat, (n, t, c) = self._cache
+        k, pl = self.kernel_size, self.pad_left
+        dcols = (dout.reshape(n * t, self.filters) @ w_mat).reshape(n, t, k, c)
         dx = np.zeros((n, t, c))
         for j in range(k):  # tap j of output step s reads input step s + j - pad_left
             lo, hi = max(pl - j, 0), min(t + pl - j, t)
@@ -219,11 +231,15 @@ class BatchNorm(Layer):
         out += self.params["beta"]
         return out
 
+    def param_grads(self, dout):
+        _, xhat, _, axes, _ = self._cache
+        self.grads["gamma"] += (dout * xhat).sum(axis=axes)
+        self.grads["beta"] += dout.sum(axis=axes)
+
     def backward(self, dout, need_param_grads=True):
-        mode, xhat, inv_std, axes, n = self._cache
         if need_param_grads:
-            self.grads["gamma"] += (dout * xhat).sum(axis=axes)
-            self.grads["beta"] += dout.sum(axis=axes)
+            self.param_grads(dout)
+        mode, xhat, inv_std, axes, n = self._cache
         dx = dout * self.params["gamma"]  # dxhat, then turned into dx in place
         if mode == "infer":
             dx *= inv_std
@@ -313,11 +329,13 @@ class Dense(Layer):
         self._cache = x
         return x @ self.params["weight"] + self.params["bias"]
 
+    def param_grads(self, dout):
+        self.grads["weight"] += self._cache.T @ dout
+        self.grads["bias"] += dout.sum(axis=0)
+
     def backward(self, dout, need_param_grads=True):
-        x = self._cache
         if need_param_grads:
-            self.grads["weight"] += x.T @ dout
-            self.grads["bias"] += dout.sum(axis=0)
+            self.param_grads(dout)
         return dout @ self.params["weight"].T
 
     def config(self):

@@ -78,6 +78,11 @@ INFER_BLOCK_ROWS = 8
 _INFER_AFFINE = frozenset({"conv1d", "dense", "batchnorm", "dropout"})
 
 
+def _first_with_params(layers) -> int:
+    """Index of the first layer that has parameters."""
+    return next(i for i, layer in enumerate(layers) if layer.params)
+
+
 def _row_blocks(n: int) -> list[slice]:
     """Row slices of an infer-mode pass over n rows: INFER_BLOCK_ROWS each,
     except that a lone last row joins the block before it (a one-row
@@ -212,7 +217,8 @@ class LayerStack:
         for layer in self.layers:
             layer.zero_grads()
 
-    def _backward(self, dlogits: np.ndarray, need_param_grads: bool) -> np.ndarray:
+    def _backward(self, dlogits: np.ndarray, need_param_grads: bool,
+                  need_input_grad: bool = True) -> np.ndarray | None:
         """backprop_logits, with the gradient left in the layers' layout."""
         layers, rows, train = self._cached or (None, None, None)
         if rows is None or len(dlogits) != rows:
@@ -226,22 +232,37 @@ class LayerStack:
         if layers and isinstance(layers[-1], Softmax):
             layers = layers[:-1]
         grad = dlogits
-        for layer in reversed(layers):
-            grad = layer.backward(grad, need_param_grads=need_param_grads)
-        return grad
+        if need_input_grad:
+            for layer in reversed(layers):
+                grad = layer.backward(grad, need_param_grads=need_param_grads)
+            return grad
+        first = _first_with_params(layers)
+        for layer in reversed(layers[first + 1:]):
+            grad = layer.backward(grad, need_param_grads=True)
+        layers[first].param_grads(grad)
+        return None
 
-    def backprop_logits(self, dlogits: np.ndarray,
-                        need_param_grads: bool = True) -> np.ndarray:
+    def backprop_logits(self, dlogits: np.ndarray, need_param_grads: bool = True,
+                        need_input_grad: bool = True) -> np.ndarray | None:
         """Backpropagate a gradient seeded at the logits through the layers
         the most recent pass ran, consuming their caches. dlogits must have
         as many rows as that pass (its last block in infer mode). After an
         infer-mode pass, whose folded layers are not the stack's
         parameters, need_param_grads must be False. Returns the gradient
-        with respect to that pass's input, in the input's own layout."""
-        grad = self._backward(dlogits, need_param_grads)
-        if not np.isfinite(grad).all():
+        with respect to that pass's input, in the input's own layout.
+
+        With need_input_grad=False (a training step) it returns None: the
+        first layer with parameters computes its parameter gradients only,
+        and the layers before it do nothing. The finite check then reads
+        those parameter gradients, which every gradient of the pass feeds."""
+        if not (need_param_grads or need_input_grad):
+            raise ConfigError("a backward pass must compute some gradient")
+        grad = self._backward(dlogits, need_param_grads, need_input_grad)
+        produced = [grad] if need_input_grad \
+            else self.layers[_first_with_params(self.layers)].grads.values()
+        if not all(np.isfinite(g).all() for g in produced):
             raise NumericError("non-finite gradient in backward pass")
-        return _time_major(grad)
+        return _time_major(grad) if need_input_grad else None
 
     def _targets(self, class_index, n: int, target: str) -> np.ndarray:
         """class_index as n per-row indices, checked with target."""

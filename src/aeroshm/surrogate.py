@@ -31,10 +31,15 @@ Vortex shedding is intentionally NOT simulated; spectral scans of
 generated data must come back negative at the Strouhal-predicted bands.
 
 The linear ODE is integrated exactly: the sinusoidal tip excitation is
-embedded as a harmonic oscillator in an augmented LTI system and the
-whole state is propagated by a fixed matrix exponential per 100 Hz step.
-Broadband "buffeting" forcing and sensor noise are seeded, so identical
-seeds reproduce campaigns bit-exactly.
+embedded as a harmonic oscillator in an augmented LTI system, and one
+sample step is the fixed matrix exponential S of that system over the
+sample period, plus a velocity kick from the buffet forcing. That
+recurrence z_(k+1) = S z_k + kick_k is evaluated in blocks of
+MOTION_BLOCK_STEPS samples that all take their steps at once, with only
+the block start states carried one block at a time: about
+2 * MOTION_BLOCK_STEPS + n / MOTION_BLOCK_STEPS Python steps for n
+samples, not n (`_propagate`). Broadband "buffeting" forcing and sensor
+noise are seeded, so identical seeds reproduce campaigns bit-exactly.
 """
 
 from __future__ import annotations
@@ -93,6 +98,8 @@ class SectionParams:
                      "twist_inertia", "twist_stiffness", "twist_damping"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"section parameter {name} must be > 0")
+        if not self.buffet_force_std >= 0.0:
+            raise ConfigError("section parameter buffet_force_std must be >= 0")
 
 
 @dataclass
@@ -220,8 +227,20 @@ class GeneratorConfig:
         self.section.validate()
         for spec in self.damage_table:
             spec.validate()
-        if self.duration_s <= self.quiet_s:
+        if not 0.0 < self.sample_rate < math.inf:
+            raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate}")
+        if not 0.0 <= self.quiet_s < math.inf:
+            raise ConfigError(f"quiet_s must be >= 0, got {self.quiet_s}")
+        if not self.quiet_s < self.duration_s < math.inf:
             raise ConfigError("duration must exceed the quiet lead-in")
+        if self.runs_per_condition < 1:
+            raise ConfigError(
+                f"runs_per_condition must be >= 1, got {self.runs_per_condition}")
+        if not self.pressure.noise_std >= 0.0:
+            raise ConfigError("pressure.noise_std must be >= 0")
+        for name in ("stiffness_jitter", "damping_jitter", "force_jitter"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -285,6 +304,61 @@ def _structural_matrix(mass, k_heave, d_heave, inertia, k_twist, d_twist):
     ])
 
 
+# Steps per block of `_propagate`. Generating the AoA-0 grid of 150 s runs
+# (72 runs, 2-core box, OpenBLAS 0.3.31 on 2 threads, float64), the median
+# over rounds of each round's simulate_motion p50 read 6.3 ms with 16 steps
+# (3 rounds), 5.5 with 24 (3), 5.0 with 32 (7), 4.8 with 48 (7), 4.1 with 64
+# (7), 5.6 with 96 (7) and 5.8 with 128 (4); simulate_run 19.8, 19.2 and
+# 18.3 ms with 32, 48 and 64. The one-step-per-sample loop it replaced took
+# about 55 ms.
+MOTION_BLOCK_STEPS = 64
+
+
+def _propagate(step: np.ndarray, start: np.ndarray,
+               kicks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States z_0 .. z_m of the recurrence z_(k+1) = S z_k + kick_k, where
+    S = step, z_0 = start and kick_k, row k of the (m, 2) kicks, is added
+    to the state's components 2 and 3 (the rates). Returns z_0 .. z_(m-1)
+    as an (m, d) array, and z_m.
+
+    The m steps are cut into blocks of B = MOTION_BLOCK_STEPS, and every
+    block takes its B steps at once: step i of all blocks is one
+    (blocks, d) @ (d, d) product. That is done twice. First from a zero
+    state, which gives each block's response r_j to its own kicks, and
+    alongside S^B from the identity. Then the block start states
+    x_(j+1) = S^B x_j + r_j are carried forward one block at a time, and
+    the blocks step again from those starts, which fills in every row.
+    So a call takes 2B + m/B Python steps, not m, and every product stays
+    small enough to run on one BLAS thread.
+    """
+    m, d, b = len(kicks), len(start), MOTION_BLOCK_STEPS
+    if m == 0:
+        return np.empty((0, d)), start
+    n_blocks = -(-m // b)
+    padded = np.zeros((n_blocks * b, 2))
+    padded[:m] = kicks
+    block_kicks = padded.reshape(n_blocks, b, 2).transpose(1, 0, 2)
+    step_t = step.T  # rows are states: z S^T is (S z)^T
+    # rows 0 .. n_blocks-1: each block's kick response; the last d: S^B, transposed
+    ends = np.zeros((n_blocks + d, d))
+    ends[n_blocks:] = np.eye(d)
+    for i in range(b):
+        ends = ends @ step_t
+        ends[:n_blocks, 2:4] += block_kicks[i]
+    response, power_t = ends[:n_blocks], ends[n_blocks:]
+    states = np.empty((b + 1, n_blocks, d))  # states[i, j] = z_(jB+i)
+    x = start
+    for j in range(n_blocks):
+        states[0, j] = x
+        x = x @ power_t + response[j]
+    for i in range(b):
+        np.matmul(states[i], step_t, out=states[i + 1])
+        states[i + 1, :, 2:4] += block_kicks[i]
+    last_block, last_step = divmod(m - 1, b)
+    return (states[:b].transpose(1, 0, 2).reshape(-1, d)[:m],
+            states[last_step + 1, last_block])
+
+
 def simulate_motion(section: SectionParams, damage: DamageSpec,
                     duration_s: float, sample_rate: float = 100.0,
                     quiet_s: float = 15.0, excitation_hz: float = 1.0,
@@ -293,13 +367,19 @@ def simulate_motion(section: SectionParams, damage: DamageSpec,
                     initial_deviation: np.ndarray | None = None) -> MotionTrace:
     """Integrate the damaged 2-DOF model.
 
-    Sinusoidal tip excitation starts after the quiet lead-in; the linear
-    dynamics are propagated exactly per step via a matrix exponential of
-    the augmented (state + forcing oscillator) system. Optional broadband
-    buffet forcing is added as per-step velocity kicks.
+    Sinusoidal tip excitation starts after the quiet lead-in. Each sample
+    step is exact: the matrix exponential of the structural system in the
+    lead-in, then of the augmented (state + forcing oscillator) system.
+    Optional broadband buffet forcing is added as per-step velocity kicks,
+    drawn as one normal sample per step. Both stretches of the recurrence
+    are evaluated in blocks (`_propagate`); the states agree with a
+    step-by-step loop to rounding (tests/test_surrogate.py).
     """
     section.validate()
     damage.validate()
+    if not (sample_rate > 0.0 and quiet_s >= 0.0 and duration_s >= 0.0):
+        raise ConfigError("simulate_motion needs sample_rate > 0, quiet_s >= 0 "
+                          "and duration_s >= 0")
     mass = section.mass + damage.added_mass
     k_heave = section.heave_stiffness * damage.stiffness_scale_heave
     k_twist = section.twist_stiffness * damage.stiffness_scale_twist
@@ -325,32 +405,20 @@ def simulate_motion(section: SectionParams, damage: DamageSpec,
     step_quiet = expm(a4 * dt)
     step_forced = expm(a6 * dt)
 
+    kicks = np.zeros((n, 2))  # per-step velocity kicks: heave rate, twist rate
     if buffet_rng is not None and section.buffet_force_std > 0.0:
         force_noise = buffet_rng.normal(size=n) * section.buffet_force_std * math.sqrt(dt)
-        kick_heave = force_noise / mass
-        kick_twist = force_noise * section.excitation_arm / section.twist_inertia
-    else:
-        kick_heave = kick_twist = None
+        kicks[:, 0] = force_noise / mass
+        kicks[:, 1] = force_noise * section.excitation_arm / section.twist_inertia
 
+    z = np.zeros(4) if initial_deviation is None else np.asarray(initial_deviation, float)
     traj = np.empty((n, 4))
-    z = np.zeros(4) if initial_deviation is None else np.asarray(initial_deviation, float).copy()
-    for k in range(min(k_on, n)):
-        traj[k] = z
-        z = step_quiet @ z
-        if kick_heave is not None:
-            z[2] += kick_heave[k]
-            z[3] += kick_twist[k]
+    k_quiet = min(k_on, n)
+    traj[:k_quiet], z = _propagate(step_quiet, z, kicks[:k_quiet])
     if k_on < n:
-        z6 = np.empty(6)
-        z6[:4] = z
-        z6[4] = math.sin(excitation_phase)
-        z6[5] = math.cos(excitation_phase)
-        for k in range(k_on, n):
-            traj[k] = z6[:4]
-            z6 = step_forced @ z6
-            if kick_heave is not None:
-                z6[2] += kick_heave[k]
-                z6[3] += kick_twist[k]
+        z6 = np.concatenate([z, [math.sin(excitation_phase), math.cos(excitation_phase)]])
+        forced, _ = _propagate(step_forced, z6, kicks[k_on:])
+        traj[k_on:] = forced[:, :4]
 
     if not np.isfinite(traj).all():
         raise NumericError("section-model integration produced non-finite state")

@@ -184,8 +184,20 @@ def test_stored_generator_config_regenerates_the_dataset(two_runs, tmp_path):
     (lambda d: d["section"].update(mass="heavy"), "section.mass"),
     (lambda d: d.update(sections={}), "sections"),
     (lambda d: d["test_series"][0].pop("aoa_deg"), "test_series[0]"),
+    (lambda d: d.update(sample_rate=0), "sample_rate"),
+    (lambda d: d.update(sample_rate=-100), "sample_rate"),
+    (lambda d: d.update(quiet_s=-5), "quiet_s"),
+    (lambda d: d.update(runs_per_condition=0), "runs_per_condition"),
+    (lambda d: d["section"].update(buffet_force_std=-0.1), "buffet_force_std"),
+    (lambda d: d["pressure"].update(noise_std=-0.01), "noise_std"),
+    (lambda d: d.update(stiffness_jitter=-0.02), "stiffness_jitter"),
+    (lambda d: d.update(damping_jitter=-0.05), "damping_jitter"),
+    (lambda d: d.update(force_jitter=1.5), "force_jitter"),
 ], ids=["malformed-json", "missing-section", "wrong-type", "unknown-key",
-        "series-without-aoa"])
+        "series-without-aoa", "zero-sample-rate", "negative-sample-rate",
+        "negative-quiet-lead-in", "no-runs-per-condition", "negative-buffet",
+        "negative-noise", "negative-stiffness-jitter", "negative-damping-jitter",
+        "jitter-of-one-or-more"])
 def test_bad_generator_config_exits_config_error(tmp_path, capsys, edit, word):
     path = tmp_path / "generator.json"
     if edit is None:

@@ -418,6 +418,41 @@ class TestTrainStep:
         assert loss > 0.0 and np.isfinite(loss)
         assert abs(loss - expected) < 0.2  # same magnitude; batch stats differ
 
+    @pytest.mark.parametrize("arch", ["fcn-cnn", "mean-mlp"])
+    def test_equals_a_full_backward_pass(self, arch):
+        """train_step skips the first layer's input gradient; its parameter
+        gradients and AdamW state stay those of a pass that computes it."""
+        rng = np.random.default_rng(8)
+        pair = [warmed_model(arch) for _ in range(2)]
+        shape = pair[0][1]
+        (stack, _), (full, _) = pair
+        opt, full_opt = AdamW(stack, lr=1e-2), AdamW(full, lr=1e-2)
+        for _ in range(2):
+            x, y = rng.normal(size=(6,) + shape), rng.integers(0, 6, size=6)
+            train_step(stack, x, y, opt)
+            _, dlogits = cross_entropy_from_logits(full.logits(x, train=True), y, 0.05)
+            full.zero_grads()
+            assert full.backprop_logits(dlogits).shape == x.shape
+            full_opt.step()
+        for layer, full_layer in zip(stack.layers, full.layers):
+            for name in layer.params:
+                np.testing.assert_array_equal(layer.grads[name], full_layer.grads[name])
+        for ours, theirs in ((opt._m, full_opt._m), (opt._v, full_opt._v)):
+            for layer_state, full_state in zip(ours, theirs):
+                for name in layer_state:
+                    np.testing.assert_array_equal(layer_state[name], full_state[name])
+        for (label, arr), (_, full_arr) in zip(stack.state_arrays(), full.state_arrays()):
+            np.testing.assert_array_equal(arr, full_arr, err_msg=label)
+
+    def test_non_finite_parameter_gradient_raises(self, rng):
+        stack = build_cnn(2, 16, seed=0)
+        x, y = rng.normal(size=(3, 2, 16)), np.array([0, 1, 2])
+        _, dlogits = cross_entropy_from_logits(stack.logits(x, train=True), y, 0.05)
+        dlogits[0, 0] = np.nan
+        stack.zero_grads()
+        with pytest.raises(NumericError):
+            stack.backprop_logits(dlogits, need_input_grad=False)
+
     def test_empty_batch_rejected(self):
         stack = build_mlp(4)
         with pytest.raises(ConfigError):

@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from aeroshm.data import export_csv_run, ingest_csv_run, load_campaign, save_campaign
 from aeroshm.errors import ConfigError, DataError, NumericError
 from aeroshm.spectra import StftSpec, stft
 from aeroshm.surrogate import (
+    MOTION_BLOCK_STEPS,
     GeneratorConfig,
     SectionParams,
     generate_campaign,
@@ -135,6 +137,127 @@ class TestPlantedGroundTruth:
         dyn_shift, dyn_amp_ratio = class_spread(dynamic)
         assert static_shift > 10 * dyn_shift  # statics dominate
         assert dyn_amp_ratio > 2 * static_amp_ratio  # dynamics dominate
+
+
+def step_by_step_motion(section, damage, n, quiet_steps, excitation_hz, phase,
+                        buffet_rng, initial_deviation, sample_rate=100.0):
+    """The recurrence simulate_motion evaluates in blocks, one matrix-vector
+    product per sample: the oracle for the blocked evaluation."""
+    mass = section.mass + damage.added_mass
+    a4 = np.zeros((4, 4))
+    a4[0, 2] = a4[1, 3] = 1.0
+    a4[2, 0] = -section.heave_stiffness * damage.stiffness_scale_heave / mass
+    a4[3, 1] = -section.twist_stiffness * damage.stiffness_scale_twist / section.twist_inertia
+    a4[2, 2] = -section.heave_damping / mass
+    a4[3, 3] = -section.twist_damping / section.twist_inertia
+    omega = 2.0 * np.pi * excitation_hz
+    a6 = np.zeros((6, 6))
+    a6[:4, :4] = a4
+    a6[2, 4] = section.excitation_force / mass
+    a6[3, 4] = section.excitation_force * section.excitation_arm / section.twist_inertia
+    a6[4, 5], a6[5, 4] = omega, -omega
+    dt = 1.0 / sample_rate
+    step_quiet, step_forced = expm(a4 * dt), expm(a6 * dt)
+    kicks = np.zeros((n, 2))
+    if buffet_rng is not None and section.buffet_force_std > 0.0:
+        force = buffet_rng.normal(size=n) * section.buffet_force_std * np.sqrt(dt)
+        kicks[:, 0] = force / mass
+        kicks[:, 1] = force * section.excitation_arm / section.twist_inertia
+    traj = np.empty((n, 4))
+    z = np.zeros(6)
+    if initial_deviation is not None:
+        z[:4] = initial_deviation
+    for k in range(n):
+        if k == quiet_steps:
+            z[4:] = np.sin(phase), np.cos(phase)
+        traj[k] = z[:4]
+        if k < quiet_steps:
+            z[:4] = step_quiet @ z[:4]
+        else:
+            z = step_forced @ z
+        z[2:4] += kicks[k]
+    return traj
+
+
+BLOCK = MOTION_BLOCK_STEPS
+ORACLE_CASES = {  # id: (steps, quiet steps, options)
+    "shorter-than-a-block": (BLOCK - 1, 10, {}),
+    "one-block": (BLOCK, 10, {}),
+    "block-plus-one": (BLOCK + 1, 10, {}),
+    "two-blocks": (2 * BLOCK, 10, {}),
+    "no-quiet-lead-in": (3 * BLOCK + 7, 0, {}),
+    "no-excitation": (2 * BLOCK + 5, None, {}),
+    "onset-inside-a-block": (4 * BLOCK + 11, BLOCK + 3, {}),
+    "no-buffet-rng": (3 * BLOCK, 50, {"rng": False}),
+    "zero-buffet": (3 * BLOCK, 50, {"buffet_force_std": 0.0}),
+    "initial-deviation": (3 * BLOCK, 50, {"initial": [0.01, -0.02, 0.3, -0.5]}),
+    "paper-run": (15000, 1500, {}),
+}
+
+
+class TestBlockedPropagation:
+    @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def test_matches_the_step_by_step_recurrence(self, config, case):
+        n, quiet_steps, options = case
+        section = replace(config.section,
+                          buffet_force_std=options.get("buffet_force_std", 0.2))
+        damage = config.damage(3)
+        initial = options.get("initial")
+        rngs = [np.random.default_rng(17) if options.get("rng", True) else None
+                for _ in range(2)]
+        trace = simulate_motion(
+            section, damage, n / 100.0, quiet_s=(quiet_steps or 0) / 100.0,
+            excitation_hz=1.9, excitation_phase=0.7, excitation=quiet_steps is not None,
+            buffet_rng=rngs[0],
+            initial_deviation=None if initial is None else np.array(initial))
+        blocked = np.stack([trace.heave, trace.twist, trace.heave_rate, trace.twist_rate],
+                           axis=1)
+        expected = step_by_step_motion(
+            section, damage, n, n if quiet_steps is None else quiet_steps, 1.9, 0.7,
+            rngs[1], initial)
+        assert blocked.shape == expected.shape == (n, 4)
+        for c in range(4):
+            scale = np.abs(expected[:, c]).max()
+            np.testing.assert_allclose(blocked[:, c], expected[:, c], rtol=0,
+                                       atol=1e-12 * scale)
+        if initial is not None:
+            np.testing.assert_array_equal(blocked[0], initial)
+
+    def test_rejects_a_negative_lead_in(self, config):
+        with pytest.raises(ConfigError):
+            simulate_motion(config.section, config.damage(0), 5.0, quiet_s=-1.0)
+
+
+class TestSteadyState:
+    """Physics, checked against neither implementation: without buffet, the
+    settled response of each decoupled DOF to F sin(w t) is a sinusoid of
+    amplitude (F / m) / sqrt((k / m - w^2)^2 + (c w / m)^2)."""
+
+    @pytest.mark.parametrize("damage_class", [0, 5])
+    @pytest.mark.parametrize("hz", [1.0, 1.9])
+    def test_settled_amplitude_matches_the_analytic_one(self, config, damage_class, hz):
+        section, damage = config.section, config.damage(damage_class)
+        trace = simulate_motion(section, damage, 60.0, quiet_s=15.0, excitation_hz=hz,
+                                excitation_phase=0.4, buffet_rng=None)
+        settled = trace.time >= 45.0  # 30 s after onset: transients below 1e-8
+        w = 2.0 * np.pi * hz
+        t = trace.time[settled]
+        basis = np.stack([np.sin(w * t), np.cos(w * t), np.ones_like(t)], axis=1)
+        force = section.excitation_force
+        mass = section.mass + damage.added_mass
+        dofs = [  # (response, force / inertia, stiffness / inertia, damping / inertia)
+            (trace.heave, force / mass,
+             section.heave_stiffness * damage.stiffness_scale_heave / mass,
+             section.heave_damping / mass),
+            (trace.twist, force * section.excitation_arm / section.twist_inertia,
+             section.twist_stiffness * damage.stiffness_scale_twist / section.twist_inertia,
+             section.twist_damping / section.twist_inertia),
+        ]
+        for response, f, k, c in dofs:
+            coef, *_ = np.linalg.lstsq(basis, response[settled], rcond=None)
+            analytic = f / np.hypot(k - w ** 2, c * w)
+            assert np.hypot(coef[0], coef[1]) == pytest.approx(analytic, rel=1e-6)
+            assert abs(coef[2]) < 1e-6 * analytic
 
 
 class TestCampaign:
