@@ -227,6 +227,13 @@ class GeneratorConfig:
         self.section.validate()
         for spec in self.damage_table:
             spec.validate()
+        # a repeated index would give two runs one key, and one run directory
+        indices = [spec.index for spec in self.damage_table]
+        if not indices or len(set(indices)) != len(indices):
+            raise ConfigError(f"damage_table needs distinct class indices, got {indices}")
+        numbers = [row.test_series for row in self.test_series]
+        if not numbers or len(set(numbers)) != len(numbers):
+            raise ConfigError(f"test_series needs distinct series numbers, got {numbers}")
         if not 0.0 < self.sample_rate < math.inf:
             raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate}")
         if not 0.0 <= self.quiet_s < math.inf:

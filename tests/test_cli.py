@@ -193,11 +193,14 @@ def test_stored_generator_config_regenerates_the_dataset(two_runs, tmp_path):
     (lambda d: d.update(stiffness_jitter=-0.02), "stiffness_jitter"),
     (lambda d: d.update(damping_jitter=-0.05), "damping_jitter"),
     (lambda d: d.update(force_jitter=1.5), "force_jitter"),
+    (lambda d: d["damage_table"].append(dict(d["damage_table"][0])), "damage_table"),
+    (lambda d: d.update(damage_table=[]), "damage_table"),
+    (lambda d: d["test_series"].append(dict(d["test_series"][0])), "test_series"),
 ], ids=["malformed-json", "missing-section", "wrong-type", "unknown-key",
         "series-without-aoa", "zero-sample-rate", "negative-sample-rate",
         "negative-quiet-lead-in", "no-runs-per-condition", "negative-buffet",
         "negative-noise", "negative-stiffness-jitter", "negative-damping-jitter",
-        "jitter-of-one-or-more"])
+        "jitter-of-one-or-more", "repeated-class", "no-classes", "repeated-series"])
 def test_bad_generator_config_exits_config_error(tmp_path, capsys, edit, word):
     path = tmp_path / "generator.json"
     if edit is None:
