@@ -423,9 +423,7 @@ class TestTrainStep:
         """train_step skips the first layer's input gradient; its parameter
         gradients and AdamW state stay those of a pass that computes it."""
         rng = np.random.default_rng(8)
-        pair = [warmed_model(arch) for _ in range(2)]
-        shape = pair[0][1]
-        (stack, _), (full, _) = pair
+        (stack, shape), (full, _) = warmed_model(arch), warmed_model(arch)
         opt, full_opt = AdamW(stack, lr=1e-2), AdamW(full, lr=1e-2)
         for _ in range(2):
             x, y = rng.normal(size=(6,) + shape), rng.integers(0, 6, size=6)

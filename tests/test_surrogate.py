@@ -140,7 +140,7 @@ class TestPlantedGroundTruth:
 
 
 def step_by_step_motion(section, damage, n, quiet_steps, excitation_hz, phase,
-                        buffet_rng, initial_deviation, sample_rate=100.0):
+                        buffet_rng, initial_deviation):
     """The recurrence simulate_motion evaluates in blocks, one matrix-vector
     product per sample: the oracle for the blocked evaluation."""
     mass = section.mass + damage.added_mass
@@ -156,7 +156,7 @@ def step_by_step_motion(section, damage, n, quiet_steps, excitation_hz, phase,
     a6[2, 4] = section.excitation_force / mass
     a6[3, 4] = section.excitation_force * section.excitation_arm / section.twist_inertia
     a6[4, 5], a6[5, 4] = omega, -omega
-    dt = 1.0 / sample_rate
+    dt = 0.01  # simulate_motion's default 100 Hz
     step_quiet, step_forced = expm(a4 * dt), expm(a6 * dt)
     kicks = np.zeros((n, 2))
     if buffet_rng is not None and section.buffet_force_std > 0.0:
