@@ -80,7 +80,7 @@ def integrated_gradients(model, values: np.ndarray, baseline_kind,
     path); a trained LayerStack does, and batches its own passes.
     target_class defaults to the model's prediction on x. chunk_size is
     ignored: it is kept only for callers that still pass it, until ROADMAP
-    item 5 drops it.
+    item 4 drops it.
     """
     if not 1 <= steps <= MAX_STEPS:
         raise ConfigError(f"steps must be in [1, {MAX_STEPS}], got {steps}")

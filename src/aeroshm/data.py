@@ -46,6 +46,16 @@ class SensorLayout:
 
     dead_sensors: tuple[int, ...] = DEFAULT_DEAD_SENSORS
 
+    def check(self, error: type[Exception], what: str) -> None:
+        """Reject dead-sensor ids outside 0..39 and repeated ones: either
+        would leave the working ids, and the fingerprint, unchanged."""
+        for sensor_id in self.dead_sensors:
+            if not 0 <= sensor_id < N_PHYSICAL_SENSORS:
+                raise error(f"{what} field dead_sensors holds {sensor_id}, outside "
+                            f"0..{N_PHYSICAL_SENSORS - 1}")
+        if len(set(self.dead_sensors)) != len(self.dead_sensors):
+            raise error(f"{what} field dead_sensors repeats an id: {list(self.dead_sensors)}")
+
     @property
     def working_ids(self) -> tuple[int, ...]:
         return tuple(i for i in range(N_PHYSICAL_SENSORS) if i not in self.dead_sensors)
@@ -86,7 +96,9 @@ class SensorLayout:
         """The layout of a layout.json object; only dead_sensors is read."""
         dead = json_object(d, DataError, "layout").get("dead_sensors",
                                                        list(DEFAULT_DEAD_SENSORS))
-        return cls(typed(dead, tuple[int, ...], DataError, "layout", "dead_sensors"))
+        layout = cls(typed(dead, tuple[int, ...], DataError, "layout", "dead_sensors"))
+        layout.check(DataError, "layout")
+        return layout
 
 
 @dataclass

@@ -9,6 +9,10 @@ so the pool averages exactly the input's time steps.
 mean vector, batchnorm + ReLU after each hidden layer, dropout 0.2 on the
 input and 0.4 after the first two hidden layers, softmax output.
 
+The fcn-cnn computes in float32: its convolutions are GEMM-bound, and
+float32 GEMMs run about twice as fast. The mean-mlp stays float64; it is
+small, and gains nothing.
+
 ARCHITECTURES is the one registry of both: each entry says how to build
 the stack, the rank of one input, how to build the inputs from a
 SampleSet, and which baseline the architecture is retrained on.
@@ -60,7 +64,8 @@ def build_cnn(input_channels: int = 37, input_steps: int = 150,
     layers.append(GlobalAvgPool())
     layers.append(Dense(channels, n_classes, rng))
     layers.append(Softmax())
-    return LayerStack(layers, (input_channels, input_steps), seed=seed, arch="fcn-cnn")
+    return LayerStack(layers, (input_channels, input_steps), seed=seed,
+                      arch="fcn-cnn").astype(np.float32)
 
 
 def build_mlp(input_dim: int = 37, n_classes: int = 6, seed: int = 0) -> LayerStack:

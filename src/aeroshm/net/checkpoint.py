@@ -11,6 +11,12 @@ Byte layout (little-endian; see docs/formats.md):
 
 The header is a `Header`. Identical training runs produce bit-identical
 files.
+
+Arrays are stored as float64 whatever the stack computes in; a float32
+value widens to float64 and back exactly. The header's `dtype` names the
+compute dtype of a float32 stack and is left out for a float64 one, so
+that files written before the key existed load, and save again, as they
+are.
 """
 
 from __future__ import annotations
@@ -24,11 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..records import from_json
+from ..records import from_json, json_object
 from .stack import LayerStack
 
 MAGIC = b"ASHMCKPT"
 FORMAT_VERSION = 1
+DTYPES = ("float32", "float64")  # the compute dtypes a header may name
 
 
 @dataclass
@@ -49,6 +56,7 @@ class Header:
     layers: list[dict]  # layer configs, in stack order
     arrays: list[ArrayEntry]  # in the order of the array data
     metadata: dict  # free-form training metadata
+    dtype: str  # compute dtype; left out of a float64 stack's file
 
 
 def save_checkpoint(stack: LayerStack, path: Path, metadata: dict | None = None) -> str:
@@ -59,8 +67,11 @@ def save_checkpoint(stack: LayerStack, path: Path, metadata: dict | None = None)
         arch=stack.arch, input_shape=tuple(stack.input_shape), seed=stack.seed,
         layers=stack.layer_configs(),
         arrays=[ArrayEntry(label, arr.shape) for label, arr in arrays],
-        metadata=metadata or {})
-    header_bytes = json.dumps(asdict(header), sort_keys=True, separators=(",", ":"),
+        metadata=metadata or {}, dtype=stack.dtype.name)
+    fields = asdict(header)
+    if header.dtype == "float64":
+        del fields["dtype"]
+    header_bytes = json.dumps(fields, sort_keys=True, separators=(",", ":"),
                               default=lambda a: a.tolist()).encode()
     blob = bytearray()
     blob += MAGIC
@@ -93,12 +104,17 @@ def load_checkpoint(path: Path) -> tuple[LayerStack, dict]:
         raw = json.loads(blob[20:20 + header_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"malformed {what}: {exc}") from exc
+    raw = {"dtype": "float64", **json_object(raw, DataError, what)}
     header = from_json(Header, raw, DataError, what)
+    if header.dtype not in DTYPES:
+        raise DataError(f"{what} field dtype must be one of {', '.join(DTYPES)}, "
+                        f"got {header.dtype!r}")
     try:
         stack = LayerStack.from_configs(header.layers, header.input_shape,
                                         seed=header.seed, arch=header.arch)
     except (ConfigError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {what}: {exc}") from exc
+    stack.astype(header.dtype)
     offset = 20 + header_len
     state: dict[str, np.ndarray] = {}
     for entry in header.arrays:

@@ -3,8 +3,17 @@
 Seven layer kinds: conv1d, batchnorm, relu, global-avg-pool, dense,
 dropout, softmax. Every layer implements a forward pass that caches what
 its backward pass needs, and a backward pass returning the gradient with
-respect to its input while accumulating parameter gradients. All math is
-float64 and runs on plain numpy arrays.
+respect to its input while accumulating parameter gradients. All math runs
+on plain numpy arrays.
+
+Dtype rule: a layer computes in the dtype of the array it is handed.
+Every array it allocates (conv1d's padded buffer and input gradient,
+dropout's mask) takes that dtype, and its parameters, buffers and
+gradients are expected to share it: `LayerStack.astype` casts them and
+`LayerStack` casts its inputs to match. Python-float constants (eps,
+momentum, 1/T) do not widen a numpy array, so a float32 layer stays
+float32 from end to end. Parameters are drawn in float64 and cast, so a
+float32 layer holds the float64 layer's weights rounded.
 
 Array conventions:
     conv/pool layers   (batch, time, channels)
@@ -141,7 +150,7 @@ class Conv1d(Layer):
         if t < self.kernel_size:
             raise ShapeError(f"conv1d kernel {self.kernel_size} longer than input ({t})")
         k = self.kernel_size
-        xp = np.zeros((n, t + k - 1, c))
+        xp = np.zeros((n, t + k - 1, c), dtype=x.dtype)
         xp[:, self.pad_left:self.pad_left + t] = x
         # im2col: row (b, s) is the contiguous run xp[b, s:s+k, :], (tap, channel)
         windows = sliding_window_view(xp.reshape(n, -1), k * c, axis=1)[:, ::c]
@@ -165,7 +174,7 @@ class Conv1d(Layer):
         _, w_mat, (n, t, c) = self._cache
         k, pl = self.kernel_size, self.pad_left
         dcols = (dout.reshape(n * t, self.filters) @ w_mat).reshape(n, t, k, c)
-        dx = np.zeros((n, t, c))
+        dx = np.zeros((n, t, c), dtype=dcols.dtype)
         for j in range(k):  # tap j of output step s reads input step s + j - pad_left
             lo, hi = max(pl - j, 0), min(t + pl - j, t)
             dx[:, lo + j - pl:hi + j - pl] += dcols[:, lo:hi, j]
@@ -360,7 +369,7 @@ class Dropout(Layer):
             self._cache = None
             return x
         keep = 1.0 - self.rate
-        mask = (self.rng.random(x.shape) < keep) / keep
+        mask = np.divide(self.rng.random(x.shape) < keep, keep, dtype=x.dtype)
         self._cache = mask
         return x * mask
 

@@ -24,14 +24,17 @@ def cross_entropy_from_logits(logits: np.ndarray, labels: np.ndarray,
     """Mean smoothed cross-entropy over a batch and its logit gradient.
 
     Returns (loss, dloss/dlogits). The gradient already carries the 1/N
-    batch-mean factor.
+    batch-mean factor. Both are computed in float64 whatever the logits'
+    dtype, and the gradient is handed back in the logits' dtype: a float64
+    gradient would widen the whole backward pass of a float32 stack.
     """
     n, m = logits.shape
     targets = smoothed_targets(labels, m, smoothing)
-    z = logits - logits.max(axis=1, keepdims=True)
+    wide = np.asarray(logits, dtype=np.float64)
+    z = wide - wide.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     loss = float(-(targets * log_probs).sum() / n)
     if not np.isfinite(loss):
         raise NumericError("non-finite loss")
     dlogits = (np.exp(log_probs) - targets) / n
-    return loss, dlogits
+    return loss, dlogits.astype(logits.dtype, copy=False)

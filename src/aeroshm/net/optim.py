@@ -8,7 +8,8 @@ from .stack import LayerStack
 
 
 class AdamW:
-    """Adam with decoupled weight decay, applied to every parameter.
+    """Adam with decoupled weight decay, applied to every parameter. The
+    moment estimates take each parameter's dtype.
 
     Update per step t:
         m <- b1 m + (1-b1) g         v <- b2 v + (1-b2) g^2

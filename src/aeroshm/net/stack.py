@@ -51,6 +51,14 @@ a and a' are its outputs at x and x'. So the run goes forward on those two
 rows only, and, being linear, backward once on the gradient summed over
 the path (Sundararajan et al. 2017, arXiv:1703.01365).
 
+A stack computes in its parameters' dtype (`dtype`): the fcn-cnn in
+float32, the mean-mlp and the layer-level test oracles in float64.
+`_batched` casts every input to it, and `astype` casts the parameters,
+buffers and gradients; every layer then allocates in its input's dtype
+(net/layers.py). Two sums are kept wide: the loss is taken in float64
+(net/losses.py), and `path_gradients` sums the path gradients in float64
+before they go back through the affine run.
+
 `backprop_logits` walks the layers the last pass ran. After a blocked
 pass their caches hold only its last block, so it checks that its
 gradient has as many rows as the pass the caches hold. After an infer
@@ -145,6 +153,26 @@ class LayerStack:
                 return layer.out_dim
         raise ConfigError("stack has no dense layer to define an output size")
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the stack computes in: its parameters' (float64 for
+        a stack without parameters)."""
+        for layer in self.layers:
+            for p in layer.params.values():
+                return p.dtype
+        return np.dtype(np.float64)
+
+    def astype(self, dtype) -> "LayerStack":
+        """Cast every layer's parameters, buffers and gradients to dtype, in
+        place, and return the stack. An optimizer built before keeps state
+        of the old dtype, so build it after."""
+        for layer in self.layers:
+            for store in (layer.params, layer.grads, layer.buffers):
+                for name, arr in store.items():
+                    store[name] = arr.astype(dtype, copy=False)
+        self._cached = None
+        return self
+
     def layer_configs(self) -> list[dict]:
         return [layer.config() for layer in self.layers]
 
@@ -160,7 +188,7 @@ class LayerStack:
     _CHECKED_KINDS = frozenset({"conv1d", "dense", "batchnorm"})
 
     def _batched(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.dtype)
         if x.shape == self.input_shape:
             xb, single = x[None], True
         elif x.shape[1:] == self.input_shape:
@@ -330,10 +358,10 @@ class LayerStack:
         the baseline only. Every path point's activation after it is
         built from those two, block by block, and the remaining layers run
         over the endpoints and the path points in infer-mode row blocks.
-        The gradients at the run's output are summed over the path points,
-        and that sum goes backward through the run once. A stack that
-        begins with a non-affine layer has an empty run, and the path is
-        built on the input itself.
+        The gradients at the run's output are summed over the path points
+        in float64, and that sum goes backward through the run once, in
+        the stack's dtype. A stack that begins with a non-affine layer has
+        an empty run, and the path is built on the input itself.
         """
         if steps < 1:
             raise ConfigError(f"steps must be >= 1, got {steps}")
@@ -353,9 +381,9 @@ class LayerStack:
         ends = self._run(_time_major(xb), prefix, False)
         diff = ends[0] - ends[1]
         gammas = np.concatenate([[1.0, 0.0], (np.arange(steps) + 0.5) / steps])
-        gammas = gammas.reshape((-1,) + (1,) * diff.ndim)
+        gammas = gammas.astype(diff.dtype).reshape((-1,) + (1,) * diff.ndim)
         values = np.empty(2)
-        grad_sum = np.zeros_like(diff)
+        grad_sum = np.zeros(diff.shape)  # float64, whatever the stack's dtype
         for rows in _row_blocks(n):
             k = max(min(rows.stop, 2) - rows.start, 0)  # endpoint rows in the block
             acts = ends[1] + gammas[rows] * diff
@@ -364,7 +392,7 @@ class LayerStack:
                                                idx[rows], target)
             grads = self._backward(dlogits, need_param_grads=False)
             values[rows.start:rows.start + k] = block_values[:k]
-            grad_sum += grads[k:].sum(axis=0)
+            grad_sum += grads[k:].sum(axis=0, dtype=np.float64)
 
         grad = np.zeros_like(ends)
         grad[0] = grad_sum

@@ -64,6 +64,14 @@ class SeriesSpec:
     excitation_hz: float
     wind_speed: float
 
+    def validate(self):
+        # the AoA change is arctan2(heave_rate, wind_speed): at zero wind
+        # every heave rate would swing it by 90 degrees
+        for name in ("excitation_hz", "wind_speed"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"test series {self.test_series}: {name} must be > 0, "
+                                  f"got {getattr(self, name)}")
+
 
 GRID_TEST_SERIES = (
     SeriesSpec(1, aoa_deg=0.0, excitation_hz=1.0, wind_speed=12.0),
@@ -234,6 +242,9 @@ class GeneratorConfig:
         numbers = [row.test_series for row in self.test_series]
         if not numbers or len(set(numbers)) != len(numbers):
             raise ConfigError(f"test_series needs distinct series numbers, got {numbers}")
+        for row in self.test_series:
+            row.validate()
+        self.layout().check(ConfigError, "generator config")
         if not 0.0 < self.sample_rate < math.inf:
             raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate}")
         if not 0.0 <= self.quiet_s < math.inf:

@@ -1,5 +1,6 @@
 """Shared test helpers: finite-difference oracles, an unfolded infer-pass
-reference, small random models and checkpoint header surgery."""
+reference, small random models, float64 fcn-cnns and checkpoint header
+surgery."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import struct
 import numpy as np
 import pytest
 
+from aeroshm.models import build_cnn
 from aeroshm.net import (
     BatchNorm,
     Conv1d,
@@ -19,6 +21,13 @@ from aeroshm.net import (
     ReLU,
     Softmax,
 )
+
+
+def float64_cnn(*args, **kwargs):
+    """build_cnn's fcn-cnn cast to float64. build_cnn builds float32; the
+    oracle tests (1e-12 tolerances, finite differences) hold float64
+    rounding to account and run this stack instead."""
+    return build_cnn(*args, **kwargs).astype(np.float64)
 
 
 def scalar_output(stack, x, class_idx, target="logit"):

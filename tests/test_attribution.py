@@ -6,7 +6,12 @@ import json
 
 import numpy as np
 import pytest
-from conftest import relative_error, unfolded_integrated_gradients, warm_batchnorm
+from conftest import (
+    float64_cnn,
+    relative_error,
+    unfolded_integrated_gradients,
+    warm_batchnorm,
+)
 
 from aeroshm.attribution import (
     AttributionMap,
@@ -69,8 +74,9 @@ def chunked_reference(model, x, kind, steps, target_class, target, chunk=64):
 
 @pytest.fixture(scope="module")
 def toy_cnn():
-    """A small trained-ish CNN (random weights, warmed batchnorm)."""
-    stack = build_cnn(6, 24, seed=13)
+    """A small trained-ish CNN (random weights, warmed batchnorm), in
+    float64."""
+    stack = float64_cnn(6, 24, seed=13)
     rng = np.random.default_rng(0)
     stack.forward(rng.normal(size=(32, 6, 24)), train=True)
     return stack
@@ -79,9 +85,9 @@ def toy_cnn():
 @pytest.fixture(scope="module")
 def paper_cnn():
     """The fcn-cnn at the paper's 37x150 input, with nontrivial BatchNorm
-    maps, and one input."""
+    maps, and one input, in float64."""
     rng = np.random.default_rng(21)
-    stack = warm_batchnorm(build_cnn(37, 150, seed=0), rng, rows=32)
+    stack = warm_batchnorm(float64_cnn(37, 150, seed=0), rng, rows=32)
     return stack, rng.normal(size=(37, 150))
 
 

@@ -196,11 +196,19 @@ def test_stored_generator_config_regenerates_the_dataset(two_runs, tmp_path):
     (lambda d: d["damage_table"].append(dict(d["damage_table"][0])), "damage_table"),
     (lambda d: d.update(damage_table=[]), "damage_table"),
     (lambda d: d["test_series"].append(dict(d["test_series"][0])), "test_series"),
+    (lambda d: d["test_series"][1].update(wind_speed=0), "wind_speed"),
+    (lambda d: d["test_series"][1].update(wind_speed=-12.0), "wind_speed"),
+    (lambda d: d["test_series"][2].update(excitation_hz=0), "excitation_hz"),
+    (lambda d: d.update(dead_sensors=[99]), "dead_sensors"),
+    (lambda d: d.update(dead_sensors=[-1]), "dead_sensors"),
+    (lambda d: d.update(dead_sensors=[5, 21, 5]), "dead_sensors"),
 ], ids=["malformed-json", "missing-section", "wrong-type", "unknown-key",
         "series-without-aoa", "zero-sample-rate", "negative-sample-rate",
         "negative-quiet-lead-in", "no-runs-per-condition", "negative-buffet",
         "negative-noise", "negative-stiffness-jitter", "negative-damping-jitter",
-        "jitter-of-one-or-more", "repeated-class", "no-classes", "repeated-series"])
+        "jitter-of-one-or-more", "repeated-class", "no-classes", "repeated-series",
+        "zero-wind-speed", "negative-wind-speed", "zero-excitation",
+        "dead-sensor-above-39", "negative-dead-sensor", "repeated-dead-sensor"])
 def test_bad_generator_config_exits_config_error(tmp_path, capsys, edit, word):
     path = tmp_path / "generator.json"
     if edit is None:
@@ -250,8 +258,13 @@ def test_zero_batch_size_exits_config_error(two_runs, tmp_path, capsys):
 
 @pytest.mark.parametrize("name,record,word", [
     ("layout.json", {"dead_sensors": 5}, "dead_sensors"),
+    ("layout.json", {"dead_sensors": [99]}, "dead_sensors"),
+    ("layout.json", {"dead_sensors": [-1]}, "dead_sensors"),
+    ("layout.json", {"dead_sensors": [5, 21, 5]}, "dead_sensors"),
     ("manifest.json", {"runs": [{"dir": 5}]}, "dir"),
-], ids=["layout-dead-sensors-not-a-list", "manifest-dir-not-a-string"])
+], ids=["layout-dead-sensors-not-a-list", "layout-dead-sensor-above-39",
+        "layout-negative-dead-sensor", "layout-repeated-dead-sensor",
+        "manifest-dir-not-a-string"])
 def test_bad_dataset_record_exits_data_error(tmp_path, capsys, name, record, word):
     (tmp_path / "manifest.json").write_text(json.dumps({"runs": []}))
     (tmp_path / name).write_text(json.dumps(record))
@@ -292,9 +305,11 @@ def test_manifest_without_runs_exits_data_error(tmp_path, capsys):
     ("checkpoint_mvb.ckpt",
      lambda h: h["metadata"]["mean_stats"]["std"].__setitem__(0, float("nan")),
      "mean_stats.std"),
+    ("checkpoint.ckpt", lambda h: h.update(dtype="float16"), "dtype"),
+    ("checkpoint.ckpt", lambda h: h.update(dtype=5), "dtype"),
 ], ids=["layers", "arch", "metadata", "config", "dataset-fingerprint", "baseline-reduce",
         "unknown-baseline-reduce", "mean-stats-not-numbers", "mean-stats-one-channel",
-        "mean-stats-zero-std", "mean-stats-nan-std"])
+        "mean-stats-zero-std", "mean-stats-nan-std", "dtype-float16", "dtype-not-a-string"])
 def test_checkpoint_without_layers_exits_data_error(two_runs, tmp_path, capsys, name,
                                                     edit, word):
     (root, _), _ = two_runs

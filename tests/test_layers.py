@@ -10,6 +10,7 @@ from aeroshm.net import (
     Dense,
     Dropout,
     GlobalAvgPool,
+    LayerStack,
     ReLU,
     Softmax,
 )
@@ -327,3 +328,20 @@ def test_layers_never_modify_their_inputs(rng, kind, train, need_param_grads):
     layer.backward(time_major(dout), need_param_grads=need_param_grads)
     np.testing.assert_array_equal(x, x_before)
     np.testing.assert_array_equal(dout, dout_before)
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("kind", ["conv1d", "batchnorm-3d", "batchnorm-2d", "relu",
+                                  "global-avg-pool", "dense", "dropout", "softmax"])
+def test_float32_layers_stay_float32(rng, kind, train):
+    """A layer cast to float32 and handed float32 arrays computes in
+    float32: its output, its input gradient and its parameter gradients."""
+    layer, in_shape, out_shape = make_layer(kind, rng)
+    LayerStack([layer], in_shape[1:]).astype(np.float32)
+    x = rng.normal(size=in_shape).astype(np.float32)
+    dout = rng.normal(size=out_shape).astype(np.float32)
+    out = layer.forward(time_major(x), train=train)
+    dx = layer.backward(time_major(dout))
+    assert out.dtype == dx.dtype == np.float32
+    for store in (layer.params, layer.grads, layer.buffers):
+        assert all(arr.dtype == np.float32 for arr in store.values())

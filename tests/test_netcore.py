@@ -1,11 +1,15 @@
 """Stack-level engine tests: forward contracts, gradient oracles, training
-steps, determinism, and the checkpoint container."""
+steps, determinism, the checkpoint container and the float32 fcn-cnn."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from conftest import (
     fd_input_gradient,
+    float64_cnn,
     gradient_match_fraction,
     random_small_model,
     relative_error,
@@ -39,7 +43,7 @@ from aeroshm.net import (
 
 class TestForward:
     def test_zero_input_gives_valid_distribution(self):
-        stack = build_cnn(4, 16, seed=3)
+        stack = float64_cnn(4, 16, seed=3)
         probs = stack.forward(np.zeros((4, 16)))
         assert probs.shape == (6,)
         assert abs(probs.sum() - 1.0) <= 1e-9
@@ -134,7 +138,7 @@ class TestBackward:
             assert gradient_match_fraction(analytic, numeric) >= 0.95
 
     def test_batched_rows_are_independent(self, rng):
-        stack = build_cnn(3, 16, seed=1)
+        stack = float64_cnn(3, 16, seed=1)
         xs = rng.normal(size=(4, 3, 16))
         _, batch_grads = stack.class_gradients(xs, 1)
         for i in range(4):
@@ -146,9 +150,13 @@ B = stack_module.INFER_BLOCK_ROWS
 
 
 def warmed_model(arch):
-    """A model whose BatchNorm running statistics are not the identity."""
+    """A model whose BatchNorm running statistics are not the identity:
+    the fcn-cnn in float64, as the oracles here need, or as build_cnn
+    builds it ("fcn-cnn-float32"), or the mean-mlp."""
     rng = np.random.default_rng(31)
     if arch == "fcn-cnn":
+        stack, shape = float64_cnn(3, 16, seed=4), (3, 16)
+    elif arch == "fcn-cnn-float32":
         stack, shape = build_cnn(3, 16, seed=4), (3, 16)
     else:
         stack, shape = build_mlp(5, seed=4), (5,)
@@ -172,7 +180,7 @@ class TestInferBlocks:
     test_batched_rows_are_independent.)"""
 
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1, 2 * B + 2])
-    @pytest.mark.parametrize("arch", ["fcn-cnn", "mean-mlp"])
+    @pytest.mark.parametrize("arch", ["fcn-cnn", "fcn-cnn-float32", "mean-mlp"])
     def test_blocked_passes_equal_one_whole_batch_pass(self, arch, n, monkeypatch):
         stack, shape = warmed_model(arch)
         x = np.random.default_rng(n).normal(size=(n,) + shape)
@@ -479,6 +487,7 @@ class TestDeterminism:
         vx = rng.normal(size=(12, 2, 16))
         vy = rng.integers(0, 6, size=12)
         stack = build_cnn(2, 16, seed=5)
+        assert stack.dtype == np.float32
         fit(stack, x, y, vx, vy, FitSettings(max_epochs=3, batch_size=16, seed=5))
         path = tmp_path / f"{tag}.ckpt"
         digest = save_checkpoint(stack, path, {"tag": "determinism"})
@@ -504,16 +513,29 @@ class TestDeterminism:
 
 class TestCheckpoint:
     def test_round_trip_preserves_outputs(self, tmp_path, rng):
+        """The float32 fcn-cnn: its header names the dtype, and it loads as
+        float32, with bit-identical outputs, and saves back to the same
+        bytes."""
         stack = build_cnn(3, 20, seed=8)
         stack.forward(rng.normal(size=(6, 3, 20)), train=True)  # move BN stats
         x = rng.normal(size=(4, 3, 20))
-        expected = stack.forward(x)
-        path = tmp_path / "model.ckpt"
+        expected, expected_logits = stack.forward(x), stack.logits(x)
+        path, again = tmp_path / "model.ckpt", tmp_path / "again.ckpt"
         save_checkpoint(stack, path, {"note": "round trip"})
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[12:20])
+        assert json.loads(blob[20:20 + header_len])["dtype"] == "float32"
         loaded, metadata = load_checkpoint(path)
         assert metadata == {"note": "round trip"}
         assert loaded.arch == "fcn-cnn"
+        assert loaded.dtype == np.float32
         np.testing.assert_array_equal(loaded.forward(x), expected)
+        np.testing.assert_array_equal(loaded.logits(x), expected_logits)
+        save_checkpoint(loaded, again, metadata)
+        assert again.read_bytes() == blob
+        # a header without the key is read as float64
+        rewrite_checkpoint_header(path, path, lambda h: h.pop("dtype"))
+        assert load_checkpoint(path)[0].dtype == np.float64
 
     def test_resave_is_byte_identical(self, tmp_path):
         stack = build_mlp(7, seed=1)
@@ -556,3 +578,83 @@ class TestCheckpoint:
         rewrite_checkpoint_header(path, path, edit)
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+
+class TestFloat32:
+    """build_cnn's fcn-cnn computes in float32; the tests above that hold
+    float64 oracles run it cast to float64 (conftest.float64_cnn)."""
+
+    def test_builders_dtypes(self):
+        assert build_cnn(3, 16).dtype == np.float32
+        assert build_mlp(5).dtype == np.float64
+
+    def test_train_step_and_path_gradients_stay_float32(self, monkeypatch):
+        """Every layer call of a train step and of an IG path takes and gives
+        float32, and the gradients, parameters, buffers and AdamW state
+        stay float32, though the batch comes in as float64."""
+        seen = []
+
+        def watch(cls, name):
+            method = getattr(cls, name)
+
+            def wrapped(layer, arr, *args, **kwargs):
+                out = method(layer, arr, *args, **kwargs)
+                seen.append((layer.kind, name, arr.dtype, getattr(out, "dtype", None)))
+                return out
+            monkeypatch.setattr(cls, name, wrapped)
+        for cls in {type(layer) for layer in build_cnn(3, 16).layers}:
+            for name in ("forward", "backward", "param_grads"):
+                watch(cls, name)
+
+        rng = np.random.default_rng(6)
+        stack = build_cnn(3, 16, seed=2)
+        opt = AdamW(stack)
+        train_step(stack, rng.normal(size=(8, 3, 16)), np.arange(8) % 6, opt)
+        stack.path_gradients(*rng.normal(size=(2, 3, 16)), 3 * B, 1, target="prob")
+
+        called = {(kind, name) for kind, name, *_ in seen}
+        assert called >= {("conv1d", "param_grads")} | {
+            (kind, way) for kind in ("conv1d", "batchnorm", "relu", "global-avg-pool",
+                                     "dense") for way in ("forward", "backward")}
+        # None by identity: a dtype compares equal to None as to float64
+        leaks = [call for call in seen
+                 if any(dtype is not None and dtype != np.float32 for dtype in call[2:])]
+        assert leaks == []
+        stores = [store for layer in stack.layers
+                  for store in (layer.params, layer.grads, layer.buffers)]
+        stores += opt._m + opt._v
+        assert all(arr.dtype == np.float32 for store in stores for arr in store.values())
+
+    def test_gradients_agree_with_float64(self):
+        """Parameter and input gradients of the float32 stack against those
+        of the float64 one it was cast from, relative to each array's (or
+        each layer's) largest float64 value. Measured on these inputs: at
+        most 1.3e-6 for the parameter gradients and 4.7e-7 for the input
+        gradients, against a float32 epsilon of 1.2e-7; the bound is 1e-5.
+        A conv bias that a train-mode BatchNorm follows has a zero gradient
+        (float64 gives about 1e-17), so it is held to its layer's scale."""
+        tol = 1e-5
+        rng = np.random.default_rng(0)
+        f64 = warm_batchnorm(float64_cnn(3, 16, seed=4), rng)
+        f32 = build_cnn(3, 16, seed=4)
+        f32.load_state(f64.copy_state())
+        x, y = rng.normal(size=(8, 3, 16)), rng.integers(0, 6, size=8)
+        grads = []
+        for stack in (f64, f32):
+            _, dlogits = cross_entropy_from_logits(stack.logits(x, train=True), y, 0.05)
+            stack.zero_grads()
+            grads.append(stack.backprop_logits(dlogits))
+        assert relative_error(grads[1], grads[0]) <= tol
+        for l64, l32 in zip(f64.layers, f32.layers):
+            scale = max((np.abs(g).max() for g in l64.grads.values()), default=0.0)
+            for name, g in l64.grads.items():
+                assert np.abs(l32.grads[name] - g).max() <= tol * scale, name
+
+        x, baseline = rng.normal(size=(2, 3, 16))
+        for target in ("logit", "prob"):
+            _, g64 = f64.class_gradients(np.stack([x, baseline]), 2, target)
+            _, g32 = f32.class_gradients(np.stack([x, baseline]), 2, target)
+            assert relative_error(g32, g64) <= tol
+            *_, p64 = f64.path_gradients(x, baseline, 3 * B, 2, target)
+            *_, p32 = f32.path_gradients(x, baseline, 3 * B, 2, target)
+            assert relative_error(p32, p64) <= tol
