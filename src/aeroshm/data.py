@@ -204,7 +204,7 @@ class Campaign:
         h = hashlib.sha256()
         for r in sorted(self.runs, key=lambda r: r.key()):
             h.update(json.dumps(r.meta_dict(), sort_keys=True).encode())
-            h.update(np.ascontiguousarray(r.values, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(r.values, dtype="<f8"))  # the buffer, not a copy
         return h.hexdigest()
 
 
@@ -238,8 +238,7 @@ def _check_finite(values: np.ndarray, where) -> None:
 def save_run(run: RawRun, run_dir: Path) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "meta.json").write_text(json.dumps(run.meta_dict(), indent=2, sort_keys=True))
-    data = np.ascontiguousarray(run.values, dtype="<f8")
-    (run_dir / "signals.bin").write_bytes(data.tobytes())
+    np.ascontiguousarray(run.values, dtype="<f8").tofile(run_dir / "signals.bin")
 
 
 def load_run(run_dir: Path) -> RawRun:
@@ -251,11 +250,12 @@ def load_run(run_dir: Path) -> RawRun:
     what = f"metadata {meta_path}"
     meta = json_object(read_json(meta_path, DataError, "metadata"), DataError, what)
     n_channels, n_steps = _pop_counts(meta, what)
-    raw = np.frombuffer(bin_path.read_bytes(), dtype="<f8")
-    if raw.size != n_channels * n_steps:
+    # np.fromfile drops a trailing partial value, so the size is checked in bytes
+    size = bin_path.stat().st_size
+    if size != 8 * n_channels * n_steps:
         raise DataError(f"{what} gives n_channels x n_steps = {n_channels}x{n_steps}, "
-                        f"but {bin_path} holds {raw.size} values")
-    values = raw.reshape(n_channels, n_steps).copy()
+                        f"but {bin_path} holds {size} bytes, not {8 * n_channels * n_steps}")
+    values = np.fromfile(bin_path, dtype="<f8").reshape(n_channels, n_steps)
     _check_finite(values, lambda ch, step: f"channel {ch}, time step {step} of {bin_path}")
     return from_json(RawRun, {**meta, "values": values}, DataError, what)
 

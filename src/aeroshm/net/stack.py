@@ -75,11 +75,11 @@ from ..errors import ConfigError, NumericError, ShapeError
 from .layers import Layer, Softmax, layer_from_config
 
 # Rows per infer-mode block. On the benchmark's `attribute` workload (2-core
-# box, OpenBLAS 0.3.31, float64, 30 s runs, seeds 7201-7203, folded
-# BatchNorm and IG's affine run done once per path) the IG-sample p50 read
-# 636/566/632 ms with 8 rows (median 632), 623/654/654 with 16 (median 654)
-# and 698/725/750 with 32 (median 725); peak RSS 296/300/296, 296/296/296
-# and 367/367/367 MB.
+# box, OpenBLAS 0.3.31 on 2 threads, fcn-cnn in float32, 30 s runs, seeds
+# 13201-13210, the three sizes run in turn in a rotating order) the
+# IG-sample p50 read a median 320 ms [q25 313, q75 332] with 8 rows,
+# 329 [320, 339] with 16 and 334 [326, 336] with 32. 16 and 32 rows each
+# beat 8 in 3 of 10 rounds. Peak RSS read 190, 190 and 220 MB.
 INFER_BLOCK_ROWS = 8
 
 # Layer kinds that are affine maps in infer mode (dropout passes its input on).

@@ -391,6 +391,18 @@ def test_python_m_aeroshm_runs_the_cli():
     assert result.stdout.startswith("usage: aeroshm")
 
 
+@pytest.mark.parametrize("module", ["aeroshm", "aeroshm.cli"])
+def test_import_loads_no_scipy(module):
+    """scipy is a test-only dependency; importing it costs some 20 MB."""
+    env = {**os.environ, "PYTHONPATH": str(Path(aeroshm.__file__).parents[1])}
+    code = (f"import sys, {module}; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_train_classifier_fits_with_its_config(two_runs, monkeypatch):
     (root, _), _ = two_runs
     seen = []
