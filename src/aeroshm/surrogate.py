@@ -42,11 +42,16 @@ the block start states carried one block at a time: about
 2 * MOTION_BLOCK_STEPS + n / MOTION_BLOCK_STEPS Python steps for n
 samples, not n (`_propagate`). Broadband "buffeting" forcing and sensor
 noise are seeded, so identical seeds reproduce campaigns bit-exactly.
+`simulate_run` draws a run's sensor noise with `standard_normal(out=...)`
+on a worker thread while its motion integrates on the calling thread.
+The draw fills its buffer with the GIL released, so on two cores the two
+overlap.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -423,6 +428,11 @@ def _propagate(step: np.ndarray, start: np.ndarray,
             states[last_step + 1, last_block])
 
 
+def _sample_count(seconds: float, sample_rate: float) -> int:
+    """Samples in `seconds` at `sample_rate`, rounded to the nearest."""
+    return int(round(seconds * sample_rate))
+
+
 def simulate_motion(section: SectionParams, damage: DamageSpec,
                     duration_s: float, sample_rate: float = 100.0,
                     quiet_s: float = 15.0, excitation_hz: float = 1.0,
@@ -443,9 +453,9 @@ def simulate_motion(section: SectionParams, damage: DamageSpec,
     """
     section.validate()
     damage.validate()
-    if not (sample_rate > 0.0 and quiet_s >= 0.0 and duration_s >= 0.0):
+    if not (sample_rate > 0.0 and quiet_s >= 0.0 and 0.0 <= duration_s < math.inf):
         raise ConfigError("simulate_motion needs sample_rate > 0, quiet_s >= 0 "
-                          "and duration_s >= 0")
+                          "and a finite duration_s >= 0")
     mass = section.mass + damage.added_mass
     k_heave = section.heave_stiffness * damage.stiffness_scale_heave
     k_twist = section.twist_stiffness * damage.stiffness_scale_twist
@@ -457,8 +467,8 @@ def simulate_motion(section: SectionParams, damage: DamageSpec,
             f"unstable section model (max Re eigenvalue {np.max(eigs.real):.3e})")
 
     dt = 1.0 / sample_rate
-    n = int(round(duration_s * sample_rate))
-    k_on = int(round(quiet_s * sample_rate)) if excitation else n
+    n = _sample_count(duration_s, sample_rate)
+    k_on = _sample_count(quiet_s, sample_rate) if excitation else n
 
     omega = 2.0 * math.pi * excitation_hz
     a6 = np.zeros((6, 6))
@@ -501,7 +511,7 @@ def heave_amplitude(trace: MotionTrace, settle_s: float = 5.0,
                     sample_rate: float = 100.0, quiet_s: float = 15.0) -> float:
     """Steady-state heave oscillation amplitude (sqrt(2) x std of the
     excited portion, after a settling margin)."""
-    start = int(round((quiet_s + settle_s) * sample_rate))
+    start = _sample_count(quiet_s + settle_s, sample_rate)
     segment = trace.heave[start:]
     return float(np.sqrt(2.0) * segment.std())
 
@@ -516,11 +526,21 @@ def simulate_run(config: GeneratorConfig, test_series: int, damage_class: int,
     (seed, test_series, run_index) so all damage classes of one run slot
     share the same inflow realization; sensor noise additionally depends
     on the damage class.
+
+    The sensor noise is drawn on a worker thread while the motion
+    integrates on the calling one. `standard_normal(out=...)` fills a
+    buffer this call owns with the GIL released, so the worker hands
+    nothing back; scaled by noise_std afterwards, it equals
+    `normal(scale=noise_std)` bit for bit (numpy computes that as
+    0.0 + noise_std * z). The worker is joined before the call returns
+    or raises.
     """
     config.validate()
     series = config.series(test_series)
     damage = config.damage(damage_class)
     duration = config.duration_s if duration_s is None else duration_s
+    if not 0.0 <= duration < math.inf:
+        raise ConfigError(f"duration_s must be finite and >= 0, got {duration}")
     layout = config.layout()
 
     env_rng = np.random.default_rng(
@@ -542,24 +562,35 @@ def simulate_run(config: GeneratorConfig, test_series: int, damage_class: int,
         phase = 0.0
         buffet_rng = None
 
-    trace = simulate_motion(
-        section, damage, duration, sample_rate=config.sample_rate,
-        quiet_s=config.quiet_s, excitation_hz=series.excitation_hz,
-        excitation_phase=phase, excitation=with_excitation,
-        buffet_rng=buffet_rng)
-
-    base, sens = pressure_profiles(config.pressure, layout, series.aoa_deg)
-    alpha_dev_deg = (
-        damage.twist_offset_deg
-        + np.degrees(trace.twist)
-        + np.degrees(np.arctan2(trace.heave_rate, series.wind_speed))
-    )
-    signals = base[:, None] + sens[:, None] * alpha_dev_deg[None, :]
-    if with_noise and config.pressure.noise_std > 0.0:
+    noise_std = config.pressure.noise_std if with_noise else 0.0
+    noise_draw = None
+    if noise_std > 0.0:
         noise_rng = np.random.default_rng(
             np.random.SeedSequence((seed, 503, test_series, damage_class, run_index)))
-        signals = signals + noise_rng.normal(
-            scale=config.pressure.noise_std, size=signals.shape)
+        noise = np.empty((layout.n_channels, _sample_count(duration, config.sample_rate)))
+        noise_draw = threading.Thread(target=noise_rng.standard_normal,
+                                      kwargs={"out": noise})
+        noise_draw.start()
+    try:
+        trace = simulate_motion(
+            section, damage, duration, sample_rate=config.sample_rate,
+            quiet_s=config.quiet_s, excitation_hz=series.excitation_hz,
+            excitation_phase=phase, excitation=with_excitation,
+            buffet_rng=buffet_rng)
+        base, sens = pressure_profiles(config.pressure, layout, series.aoa_deg)
+        alpha_dev_deg = (
+            damage.twist_offset_deg
+            + np.degrees(trace.twist)
+            + np.degrees(np.arctan2(trace.heave_rate, series.wind_speed))
+        )
+        signals = sens[:, None] * alpha_dev_deg
+        signals += base[:, None]
+    finally:
+        if noise_draw is not None:
+            noise_draw.join()
+    if noise_draw is not None:
+        noise *= noise_std
+        signals += noise
 
     return RawRun(
         values=signals,

@@ -3,7 +3,9 @@ and export/ingest round trips."""
 
 import hashlib
 import json
+import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -108,6 +110,49 @@ class TestSimulateRun:
         bad = replace(config.section, heave_damping=-1.0)
         with pytest.raises((NumericError, ConfigError)):
             simulate_motion(bad, config.damage(0), 5.0)
+
+    @pytest.mark.parametrize("duration", [-5.0, float("nan"), float("inf")])
+    def test_bad_duration_override_rejected(self, config, duration):
+        with pytest.raises(ConfigError, match="duration_s"):
+            simulate_run(config, 1, 0, 1, seed=0, duration_s=duration)
+        with pytest.raises(ConfigError, match="duration_s"):
+            generate_campaign(config, seed=0, aoa_deg=0.0, duration_s=duration)
+        with pytest.raises(ConfigError, match="duration_s"):
+            simulate_motion(config.section, config.damage(0), duration)
+
+    @staticmethod
+    def record_workers(monkeypatch):
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr("aeroshm.surrogate.threading", SimpleNamespace(Thread=Recorded))
+        return started
+
+    def test_noise_worker_joined_on_return(self, config, monkeypatch):
+        started = self.record_workers(monkeypatch)
+        before = threading.active_count()
+        simulate_run(config, 1, 0, 1, seed=0, duration_s=20.0)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+        simulate_run(config, 1, 0, 1, seed=0, duration_s=20.0, with_noise=False)
+        assert len(started) == 1  # no noise, no worker
+
+    def test_noise_worker_joined_when_the_motion_raises(self, config, monkeypatch):
+        started = self.record_workers(monkeypatch)
+
+        def unstable(*args, **kwargs):
+            raise NumericError("unstable section model")
+
+        monkeypatch.setattr("aeroshm.surrogate.simulate_motion", unstable)
+        before = threading.active_count()
+        with pytest.raises(NumericError, match="unstable"):
+            simulate_run(config, 1, 0, 1, seed=0)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
 
     def test_metadata_carried(self, config):
         run = simulate_run(config, 6, 4, 2, seed=5, duration_s=20.0)
@@ -343,6 +388,27 @@ class TestCampaign:
         assert c1.fingerprint() == c2.fingerprint()
         c3 = generate_campaign(config, seed=5, aoa_deg=0.0, duration_s=20.0)
         assert c1.fingerprint() != c3.fingerprint()
+
+    # Campaign.fingerprint at commit 446ac72: any change to the noise or
+    # motion arithmetic, or to the seeds and draw order, shows here. The
+    # motion's products go through BLAS, so the pins hold for one numpy and
+    # OpenBLAS build (numpy 2.4.6, OpenBLAS 0.3.31, x86_64)
+    PINNED = {
+        "static-aoa0-seed3": (GeneratorConfig.static_dominant, 0.0, 3, True,
+                              "2fa6ea5dfecef58dcf709192a224edd8f8ec49cbc9997c411352733d80d0d00f"),
+        "dynamics-aoa8-seed11": (GeneratorConfig.dynamics_dominant, 8.0, 11, True,
+                                 "934812e6e59905dcb177d8b0f8b9ac4e29096234a024cb242cef5b13df516d2e"),
+        "static-aoa0-seed3-noiseless": (
+            GeneratorConfig.static_dominant, 0.0, 3, False,
+            "90a523d721d4031373b38f653c70ca825b27e73aa13e939be013e64c94ce2ea6"),
+    }
+
+    @pytest.mark.parametrize("case", PINNED.values(), ids=PINNED.keys())
+    def test_fingerprint_pinned(self, case):
+        profile, aoa, seed, with_noise, expected = case
+        campaign = generate_campaign(profile(), seed=seed, aoa_deg=aoa, duration_s=30.0,
+                                     with_noise=with_noise)
+        assert campaign.fingerprint() == expected
 
     def test_runs_of_same_condition_differ(self, config):
         campaign = generate_campaign(config, seed=0, aoa_deg=0.0, duration_s=20.0)
