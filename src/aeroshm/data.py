@@ -14,12 +14,23 @@ Disk layout (see docs/formats.md for the byte-exact definition):
       runs/ts<T>_d<D>_r<R>/
         meta.json
         signals.bin                # float64 little-endian, channel-major
+
+Saving and loading a campaign run on a thread pool, one run per task
+(`map_runs`): the runs are independent files, and numpy's `tofile`,
+`fromfile` and finiteness check release the GIL, so on two cores two runs
+move at once. Generation stays sequential: each `simulate_run` already
+draws its noise on a second thread. `Campaign.fingerprint` stays one
+sha256 stream in run-key order, since hashing in another order or shape
+would change every stored fingerprint.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from collections.abc import Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -164,14 +175,6 @@ class SampleSet:
     def provenance(self, i: int) -> tuple[int, int, int]:
         return (int(self.test_series[i]), int(self.run_index[i]), int(self.window_index[i]))
 
-    @classmethod
-    def concatenate(cls, sets: list["SampleSet"]) -> "SampleSet":
-        """One SampleSet holding the samples of each set in turn; the
-        values are gathered into one new array."""
-        if not sets:
-            raise DataError("no samples to concatenate")
-        return cls(*(np.concatenate([getattr(s, f.name) for s in sets]) for f in fields(cls)))
-
 
 @dataclass
 class Campaign:
@@ -206,6 +209,26 @@ class Campaign:
             h.update(json.dumps(r.meta_dict(), sort_keys=True).encode())
             h.update(np.ascontiguousarray(r.values, dtype="<f8"))  # the buffer, not a copy
         return h.hexdigest()
+
+
+def map_runs(fn: Callable, items: Iterable) -> list:
+    """[fn(item) for item in items], computed on a thread pool.
+
+    The pool has one thread per CPU this process may use, at most one per
+    item, and is shut down before the call returns or raises, so no thread
+    outlives it. Results come in input order; if calls raise, the first
+    one's exception in input order is raised, after every call has ended.
+    """
+    items = list(items)
+    if not items:
+        return []
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(len(items), cpus)) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+    return [f.result() for f in futures]
 
 
 def _run_dirname(run: RawRun) -> str:
@@ -263,13 +286,10 @@ def load_run(run_dir: Path) -> RawRun:
 def save_campaign(campaign: Campaign, dataset_dir: Path) -> None:
     dataset_dir = Path(dataset_dir)
     dataset_dir.mkdir(parents=True, exist_ok=True)
-    run_entries = []
-    for run in sorted(campaign.runs, key=lambda r: r.key()):
-        rel = Path("runs") / _run_dirname(run)
-        save_run(run, dataset_dir / rel)
-        entry = dict(run.meta_dict())
-        entry["dir"] = str(rel)
-        run_entries.append(entry)
+    runs = sorted(campaign.runs, key=lambda r: r.key())
+    rels = [Path("runs") / _run_dirname(run) for run in runs]
+    map_runs(lambda i: save_run(runs[i], dataset_dir / rels[i]), range(len(runs)))
+    run_entries = [{**run.meta_dict(), "dir": str(rel)} for run, rel in zip(runs, rels)]
     manifest = {
         "format_version": 1,
         "n_runs": len(run_entries),
@@ -301,7 +321,7 @@ def load_campaign(dataset_dir: Path) -> Campaign:
     gen_path = dataset_dir / "generator_config.json"
     generator_config = (read_json(gen_path, DataError, "generator config")
                         if gen_path.exists() else None)
-    runs = [load_run(dataset_dir / entry["dir"]) for entry in entries]
+    runs = map_runs(lambda entry: load_run(dataset_dir / entry["dir"]), entries)
     for run in runs:
         if run.n_channels != layout.n_channels:
             raise DataError(

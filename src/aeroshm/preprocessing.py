@@ -9,6 +9,14 @@ provenance arrays. Splits hold one of the three runs per boundary
 condition (test series x damage class) out for testing; a 25% validation
 slice is carved out of the training pool, stratified by class and
 boundary condition.
+
+`build_samples` cuts every run's window views in run-key order on the
+calling thread, so a run too short to window fails first in that order.
+It then fills one preallocated value array on a thread pool (`map_runs`),
+one run per task: a worker copies the run's windows into its slice and
+z-scores the slice while it is still in cache. Copies, reductions and
+ufuncs release the GIL, so on two cores two runs are filled at once, and
+each slice gets the same bits as it would sequentially.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import Campaign, RawRun, SampleSet
+from .data import Campaign, RawRun, SampleSet, map_runs
 from .errors import ConfigError, DataError
 
 TRIM_HEAD_S = 40.0
@@ -84,20 +92,25 @@ def zscore(values: np.ndarray, scope: str = "joint",
     relative magnitudes between channels; "per-channel" normalizes each
     channel independently. Zero-variance input maps to all zeros. The
     result goes to `out` (which may be `values` itself) or a new array.
+
+    The mean and std are bit-identical to np.mean and np.std of each
+    block (joint) or channel on its own: the same pairwise sums over the
+    same elements in C order. np.std centres its input in a temporary of
+    its own; here the centred values are written to `out` once and the
+    std is taken from their squares.
     """
-    if scope == "joint":
-        # the block's mean over its flattened elements: bit-identical to
-        # the mean of that block on its own, unlike mean(axis=(-2, -1))
-        flat = values.reshape(*values.shape[:-2], -1)
-        mean = flat.mean(axis=-1)[..., None, None]
-        std = flat.std(axis=-1)[..., None, None]
-    elif scope == "per-channel":
-        mean = values.mean(axis=-1, keepdims=True)
-        std = values.std(axis=-1, keepdims=True)
-    else:
+    if scope not in ("joint", "per-channel"):
         raise ConfigError(f"unknown z-score scope {scope!r}")
-    flat_std = std == 0.0
+    # the axes each mean and std reduce over, flattened into the last:
+    # mean(axis=(-2, -1)) sums a strided block in another order
+    reduced = 2 if scope == "joint" else 1
+    lead = values.shape[:values.ndim - reduced]
+    flat = values.reshape(*lead, -1)
+    mean = flat.mean(axis=-1).reshape(*lead, *(1,) * reduced)
     out = np.subtract(values, mean, out=out)
+    sum_sq = np.square(out).reshape(flat.shape).sum(axis=-1)
+    std = np.sqrt(sum_sq / flat.shape[-1]).reshape(mean.shape)
+    flat_std = std == 0.0
     out /= np.where(flat_std, 1.0, std)
     if flat_std.any():
         out[np.broadcast_to(flat_std, out.shape)] = 0.0
@@ -155,14 +168,25 @@ def build_samples(campaign: Campaign, window_steps: int = WINDOW_STEPS,
     """Trim, window, and normalize every run of a campaign, in run-key
     order."""
     runs = sorted(campaign.runs, key=lambda r: r.key())
-    samples = SampleSet.concatenate(
-        [window_run(trim_run(run), window_steps, window_count) for run in runs])
-    # in place and one run at a time: the temporary that std() makes is
-    # then one run's windows, not a second copy of the whole set
-    for start in range(0, len(samples), window_count):
-        block = samples.values[start:start + window_count]
+    if not runs:
+        raise DataError("campaign has no runs to window")
+    views = [window_run(trim_run(run), window_steps, window_count).values for run in runs]
+    values = np.empty((len(runs) * window_count, *views[0].shape[1:]))
+
+    def fill(i: int) -> None:
+        block = values[i * window_count:(i + 1) * window_count]
+        block[...] = views[i]
         zscore(block, scope=zscore_scope, out=block)
-    return samples
+
+    map_runs(fill, range(len(runs)))
+
+    def column(name: str) -> np.ndarray:
+        return np.repeat(np.array([getattr(run, name) for run in runs], dtype=np.int64),
+                         window_count)
+
+    return SampleSet(values=values, labels=column("damage_class"),
+                     test_series=column("test_series"), run_index=column("run_index"),
+                     window_index=np.tile(np.arange(window_count, dtype=np.int64), len(runs)))
 
 
 def assign_splits(samples: SampleSet, split_index: int, seed: int = 0,

@@ -433,6 +433,17 @@ def _sample_count(seconds: float, sample_rate: float) -> int:
     return int(round(seconds * sample_rate))
 
 
+def _run_buffer(alloc, shape: tuple[int, ...], duration_s: float) -> np.ndarray:
+    """alloc(shape), a buffer of a run's samples. numpy raises ValueError
+    or MemoryError for a shape it cannot hold; for a run that means its
+    duration is too long, a config error."""
+    try:
+        return alloc(shape)
+    except (ValueError, MemoryError):
+        raise ConfigError(f"duration_s {duration_s:g} s is too long: "
+                          f"the run's samples do not fit in memory") from None
+
+
 def simulate_motion(section: SectionParams, damage: DamageSpec,
                     duration_s: float, sample_rate: float = 100.0,
                     quiet_s: float = 15.0, excitation_hz: float = 1.0,
@@ -481,14 +492,15 @@ def simulate_motion(section: SectionParams, damage: DamageSpec,
     step_quiet = _expm(a4 * dt)
     step_forced = _expm(a6 * dt)
 
-    kicks = np.zeros((n, 2))  # per-step velocity kicks: heave rate, twist rate
+    # per-step velocity kicks: heave rate, twist rate
+    kicks = _run_buffer(np.zeros, (n, 2), duration_s)
     if buffet_rng is not None and section.buffet_force_std > 0.0:
         force_noise = buffet_rng.normal(size=n) * section.buffet_force_std * math.sqrt(dt)
         kicks[:, 0] = force_noise / mass
         kicks[:, 1] = force_noise * section.excitation_arm / section.twist_inertia
 
     z = np.zeros(4) if initial_deviation is None else np.asarray(initial_deviation, float)
-    traj = np.empty((n, 4))
+    traj = _run_buffer(np.empty, (n, 4), duration_s)
     k_quiet = min(k_on, n)
     traj[:k_quiet], z = _propagate(step_quiet, z, kicks[:k_quiet])
     if k_on < n:
@@ -567,7 +579,8 @@ def simulate_run(config: GeneratorConfig, test_series: int, damage_class: int,
     if noise_std > 0.0:
         noise_rng = np.random.default_rng(
             np.random.SeedSequence((seed, 503, test_series, damage_class, run_index)))
-        noise = np.empty((layout.n_channels, _sample_count(duration, config.sample_rate)))
+        noise = _run_buffer(np.empty, (layout.n_channels,
+                                       _sample_count(duration, config.sample_rate)), duration)
         noise_draw = threading.Thread(target=noise_rng.standard_normal,
                                       kwargs={"out": noise})
         noise_draw.start()

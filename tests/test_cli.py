@@ -226,6 +226,17 @@ def test_bad_generator_config_exits_config_error(tmp_path, capsys, edit, word):
     assert not (tmp_path / "data").exists()
 
 
+def test_duration_too_long_to_allocate_exits_config_error(tmp_path, capsys):
+    # numpy refuses a 1e302-sample shape before allocating anything
+    code = main(["generate", "--out", str(tmp_path / "data"), "--seed", "0",
+                 "--duration", "1e300", "--aoa", "0"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "1e+300" in err
+    assert not (tmp_path / "data").exists()
+
+
 def test_report_renders_its_saved_summary(two_runs):
     (root, _), _ = two_runs
     assert harness.render_report_text(root / "run" / "report.json") \

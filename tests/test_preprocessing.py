@@ -1,10 +1,12 @@
 """Trim/window/normalize/mean-vector/split behavior, including the exact
 full-grid sample counts."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from aeroshm.data import RawRun, SampleSet
+from aeroshm.data import Campaign, RawRun, SampleSet
 from aeroshm.errors import DataError
 from aeroshm.preprocessing import (
     MeanVectorStats,
@@ -145,6 +147,23 @@ class TestZScore:
         np.testing.assert_array_equal(stack, expected)
         np.testing.assert_array_equal(expected[2], 0.0)
 
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e4, 1e9])
+    @pytest.mark.parametrize("offset", [0.0, 3.0, -2e3, 1e6])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_matches_the_numpy_std_formula_bit_for_bit(self, rng, scale, offset, layout):
+        stack = (rng.normal(size=(6, 37, 150)) + offset) * scale
+        if layout == "strided":  # as window_run's views are
+            stack = stack.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+        joint = np.stack([(w - w.mean()) / w.std() for w in stack])
+        np.testing.assert_array_equal(zscore(stack), joint)
+        per_channel = np.stack([(w - w.mean(axis=-1, keepdims=True))
+                                / w.std(axis=-1, keepdims=True) for w in stack])
+        np.testing.assert_array_equal(zscore(stack, "per-channel"), per_channel)
+
+    def test_variance_that_underflows_maps_to_zeros(self):
+        # the squares of the centred values underflow, so the std is 0
+        np.testing.assert_array_equal(zscore(np.array([[1e-200, -1e-200]])), 0.0)
+
 
 class TestMeanVector:
     def test_time_constant_sample(self):
@@ -246,7 +265,6 @@ class TestSplits:
 
 class TestBuildSamples:
     def test_windows_all_normalized(self):
-        from aeroshm.data import Campaign
         # 53 s run -> 3 s after trimming -> three exact 100-step tiles
         runs = [make_run(53.0, run_index=r, seed=r) for r in (1, 2, 3)]
         campaign = Campaign(runs=runs)
@@ -261,3 +279,55 @@ class TestBuildSamples:
         # each window is its run's tile, z-scored on its own
         np.testing.assert_array_equal(
             samples.values[4], zscore(trim_run(runs[1]).values[:, 100:200]))
+
+    @pytest.mark.parametrize("scope", ["joint", "per-channel"])
+    def test_bits_match_a_sequential_reference(self, scope):
+        runs = [make_run(56.0, test_series=ts, damage_class=c, run_index=r, seed=ts * 9 + r)
+                for ts in (2, 1) for c in (0, 1) for r in (1, 2, 3)]
+        runs[4].values = np.full_like(runs[4].values, 0.25)  # zero variance
+        runs[7].values[2] = -1.5  # one flat channel
+        samples = build_samples(Campaign(runs=runs), window_steps=150, window_count=5,
+                                zscore_scope=scope)
+        expected, columns = [], []
+        for run in sorted(runs, key=lambda r: r.key()):
+            for w, window in enumerate(window_run(trim_run(run), 150, 5).values):
+                w_copy = window.copy()
+                if scope == "joint":
+                    mean, std = w_copy.mean(), w_copy.std()
+                else:
+                    mean = w_copy.mean(axis=-1, keepdims=True)
+                    std = w_copy.std(axis=-1, keepdims=True)
+                with np.errstate(invalid="ignore"):
+                    expected.append(np.where(std == 0.0, 0.0, (w_copy - mean) / std))
+                columns.append((run.damage_class, run.test_series, run.run_index, w))
+        np.testing.assert_array_equal(samples.values, np.stack(expected))
+        assert samples.values.flags.c_contiguous
+        labels, series, run_index, window_index = (np.array(c) for c in zip(*columns))
+        for got, want in ((samples.labels, labels), (samples.test_series, series),
+                          (samples.run_index, run_index), (samples.window_index, window_index)):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        flat = np.flatnonzero((run_index == 2) & (labels == 1) & (series == 2))
+        np.testing.assert_array_equal(samples.values[flat], 0.0)
+
+    def test_pool_threads_end_with_the_call(self, monkeypatch):
+        campaign = Campaign(runs=[make_run(53.0, run_index=r, seed=r) for r in (1, 2, 3)])
+        before = threading.active_count()
+        build_samples(campaign, window_steps=100, window_count=3)
+        assert threading.active_count() == before
+
+        def fails(values, scope, out):
+            raise FloatingPointError("z-score failed")
+
+        monkeypatch.setattr("aeroshm.preprocessing.zscore", fails)
+        with pytest.raises(FloatingPointError, match="z-score failed"):
+            build_samples(campaign, window_steps=100, window_count=3)
+        assert threading.active_count() == before
+
+    def test_first_short_run_in_key_order_reported(self):
+        runs = [make_run(60.0, run_index=3), make_run(50.0, run_index=2),
+                make_run(45.0, run_index=1)]
+        with pytest.raises(DataError, match=r"run \(1, 0, 1\) too short"):
+            build_samples(Campaign(runs=runs), window_steps=100, window_count=3)
+        with pytest.raises(DataError, match="no runs"):
+            build_samples(Campaign(runs=[]))

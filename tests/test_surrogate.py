@@ -1,9 +1,11 @@
 """Surrogate generator: planted structure, determinism, campaign grid,
-and export/ingest round trips."""
+export/ingest round trips, and the thread pool campaign I/O runs on."""
 
 import hashlib
 import json
+import os
 import threading
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -16,6 +18,7 @@ from aeroshm.data import (
     ingest_csv_run,
     load_campaign,
     load_run,
+    map_runs,
     save_campaign,
     save_run,
 )
@@ -119,6 +122,12 @@ class TestSimulateRun:
             generate_campaign(config, seed=0, aoa_deg=0.0, duration_s=duration)
         with pytest.raises(ConfigError, match="duration_s"):
             simulate_motion(config.section, config.damage(0), duration)
+
+    @pytest.mark.parametrize("with_noise", [True, False])
+    def test_duration_too_long_to_allocate_rejected(self, config, with_noise):
+        # numpy refuses the shape before allocating anything
+        with pytest.raises(ConfigError, match=r"duration_s 1e\+300 s is too long"):
+            simulate_run(config, 1, 0, 1, seed=0, duration_s=1e300, with_noise=with_noise)
 
     @staticmethod
     def record_workers(monkeypatch):
@@ -456,6 +465,38 @@ class TestDatasetRoundTrip:
             np.testing.assert_array_equal(back.values, run.values)
             assert back.values.flags.writeable
 
+    def test_first_corrupt_run_in_manifest_order_reported(self, config, tmp_path):
+        campaign = generate_campaign(config, seed=1, aoa_deg=0.0, duration_s=2.0)
+        save_campaign(campaign, tmp_path / "ds")
+        dirs = [tmp_path / "ds" / e["dir"] for e in
+                json.loads((tmp_path / "ds" / "manifest.json").read_text())["runs"]]
+        for run_dir in (dirs[7], dirs[3]):
+            with open(run_dir / "signals.bin", "ab") as fh:
+                fh.write(b"\0" * 4)
+        with pytest.raises(DataError) as first:
+            load_run(dirs[3])
+        with pytest.raises(DataError) as raised:
+            load_campaign(tmp_path / "ds")
+        assert str(raised.value) == str(first.value)
+
+    def test_pool_threads_end_with_each_call(self, config, tmp_path):
+        campaign = generate_campaign(config, seed=1, aoa_deg=0.0, duration_s=2.0)
+        before = threading.active_count()
+        save_campaign(campaign, tmp_path / "ds")
+        assert threading.active_count() == before
+        load_campaign(tmp_path / "ds")
+        assert threading.active_count() == before
+        (tmp_path / "ds" / "runs" / "ts1_d2_r2" / "signals.bin").unlink()
+        with pytest.raises(DataError, match="missing signal file"):
+            load_campaign(tmp_path / "ds")
+        assert threading.active_count() == before
+        # a file where a run's directory belongs
+        (tmp_path / "bad" / "runs").mkdir(parents=True)
+        (tmp_path / "bad" / "runs" / "ts1_d2_r2").write_text("")
+        with pytest.raises(FileExistsError):
+            save_campaign(campaign, tmp_path / "bad")
+        assert threading.active_count() == before
+
     def test_partial_trailing_value_rejected(self, config, tmp_path):
         save_run(simulate_run(config, 1, 0, 1, seed=0, duration_s=1.0), tmp_path)
         with open(tmp_path / "signals.bin", "ab") as fh:
@@ -528,3 +569,36 @@ class TestDatasetRoundTrip:
     ], ids=["wrong-type", "null-count", "count-off-the-signals", "negative-counts"])
     def test_bad_metadata_value_named(self, config, tmp_path, edit, key):
         self.check_both_loaders_reject(config, tmp_path, edit, key)
+
+
+class TestMapRuns:
+    def test_results_in_input_order(self):
+        # later items finish first
+        assert map_runs(lambda i: time.sleep(0.01 * (4 - i)) or i * i, range(5)) == \
+            [0, 1, 4, 9, 16]
+        assert map_runs(abs, []) == []
+
+    def test_first_exception_in_input_order_after_every_call(self):
+        done = []
+
+        def call(i):
+            if i in (1, 3):
+                time.sleep(0.05 if i == 1 else 0.0)  # item 3 fails first in time
+                raise ValueError(f"item {i}")
+            done.append(i)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="item 1"):
+            map_runs(call, range(6))
+        assert sorted(done) == [0, 2, 4, 5]
+        assert threading.active_count() == before
+
+    def test_one_thread_per_usable_cpu_at_most(self):
+        def thread_name(i):
+            time.sleep(0.01)  # busy, so that the pool would start another thread
+            return threading.current_thread().name
+
+        names = map_runs(thread_name, range(16))
+        assert threading.current_thread().name not in names
+        assert len(set(names)) <= len(os.sched_getaffinity(0))
+        assert len(set(map_runs(thread_name, [0]))) == 1
