@@ -6,8 +6,14 @@ TVB (temporal variations): per-channel mean removed — only the dynamics
 MVB (mean value): each channel frozen at its temporal mean — only the
     inter-channel magnitudes survive, dynamics are erased.
 
-For every sample x the decomposition x = TVB(x) + MVB(x) holds exactly.
-Baselines operate on z-scored samples, the model's actual input space.
+For every float64 sample x the decomposition x = TVB(x) + MVB(x) holds
+exactly. Baselines operate on z-scored samples, the model's actual input
+space.
+
+Dtypes: a baseline keeps its input's dtype when that is float32 or
+float64, so a float32 SampleSet reduces to a float32 one; other inputs
+become float64. The channel means are taken in float64 either way, and a
+float32 baseline is rounded from them once.
 """
 
 from __future__ import annotations
@@ -42,17 +48,21 @@ def make_baseline(values: np.ndarray, kind: "str | BaselineKind") -> np.ndarray:
     """Baseline with the same shape as the input: one (channels, steps)
     sample or a stack of them along leading axes."""
     kind = BaselineKind.parse(kind)
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
+    if values.dtype not in (np.float32, np.float64):
+        values = values.astype(np.float64)
     if kind is BaselineKind.APB:
         return np.zeros_like(values)
-    channel_means = values.mean(axis=-1, keepdims=True)
+    channel_means = values.mean(axis=-1, keepdims=True, dtype=np.float64)
     if kind is BaselineKind.MVB:
-        return np.broadcast_to(channel_means, values.shape).copy()
-    return values - channel_means  # TVB
+        return np.broadcast_to(channel_means.astype(values.dtype), values.shape).copy()
+    # TVB: the difference is taken in float64 and rounded once into out
+    return np.subtract(values, channel_means, out=np.empty_like(values),
+                       casting="same_kind")
 
 
 def reduce_dataset(samples: SampleSet, kind: "str | BaselineKind") -> SampleSet:
-    """Baseline-reduce every sample into a new SampleSet; labels,
-    provenance and ordering are preserved, so split assignments remain
-    valid."""
+    """Baseline-reduce every sample into a new SampleSet of the same
+    dtype; labels, provenance and ordering are preserved, so split
+    assignments remain valid."""
     return replace(samples, values=make_baseline(samples.values, kind))

@@ -18,10 +18,16 @@ Disk layout (see docs/formats.md for the byte-exact definition):
 Saving and loading a campaign run on a thread pool, one run per task
 (`map_runs`): the runs are independent files, and numpy's `tofile`,
 `fromfile` and finiteness check release the GIL, so on two cores two runs
-move at once. Generation stays sequential: each `simulate_run` already
-draws its noise on a second thread. `Campaign.fingerprint` stays one
-sha256 stream in run-key order, since hashing in another order or shape
-would change every stored fingerprint.
+move at once. A loaded run's array is allocated by the pool thread that
+reads it, in that thread's malloc arena. Allocating every array on the
+calling thread instead puts the loaded campaign on the main heap, where
+glibc trims each freed campaign: in the `prepare` benchmark (2-core
+x86_64) generation and loading then both faulted in every page, and
+`load_campaign` took 0.17-0.19 s against 0.11-0.12 s. Generation stays
+sequential: each `simulate_run` already draws its noise on a second
+thread. `Campaign.fingerprint` stays one sha256 stream in run-key order,
+since hashing in another order or shape would change every stored
+fingerprint.
 """
 
 from __future__ import annotations
@@ -157,7 +163,7 @@ class SampleSet:
     (channels, steps) and its other fields are scalars.
     """
 
-    values: np.ndarray  # (n, n_channels, window_steps) float64
+    values: np.ndarray  # (n, n_channels, window_steps) float32 from build_samples
     labels: np.ndarray  # (n,) int64 damage class
     test_series: np.ndarray  # (n,) int64
     run_index: np.ndarray  # (n,) int64

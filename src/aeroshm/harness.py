@@ -183,10 +183,22 @@ class PreparedData:
         return self.inputs[idx], self.labels[idx], idx
 
 
-def model_inputs(samples: SampleSet, arch: str,
-                 mean_stats: MeanVectorStats | None) -> np.ndarray:
-    """The architecture's inputs: for the fcn-cnn, samples.values itself."""
-    return architecture(arch).inputs(samples, mean_stats)
+def model_inputs(samples: SampleSet, arch: str, mean_stats: MeanVectorStats | None,
+                 fit_rows: list[int] | None = None
+                 ) -> tuple[np.ndarray, MeanVectorStats | None]:
+    """The architecture's inputs and the mean-vector statistics they were
+    standardised with. The fcn-cnn reads samples.values itself. The
+    mean-mlp reads the channel means, taken once; unless mean_stats is
+    given, the statistics are fitted on their rows `fit_rows`."""
+    spec = architecture(arch)
+    features = spec.features(samples.values)
+    if not spec.needs_mean_stats:
+        return features, mean_stats
+    if mean_stats is None:
+        if fit_rows is None:
+            raise ConfigError(f"{arch} inputs need fitted mean-vector statistics")
+        mean_stats = MeanVectorStats.fit(features[fit_rows])
+    return mean_stats.standardize(features), mean_stats
 
 
 def prepare_data(campaign: Campaign, config: ExperimentConfig,
@@ -198,7 +210,7 @@ def prepare_data(campaign: Campaign, config: ExperimentConfig,
     mean-vector statistics an architecture needs are fitted on the
     training slice unless given, as they are when a checkpoint is
     evaluated."""
-    spec = architecture(config.arch)
+    architecture(config.arch)  # an unknown name fails before the windowing
     subset = campaign.subset_aoa(config.aoa_deg)
     samples = build_samples(subset, config.window_steps, config.window_count,
                             zscore_scope=config.zscore_scope)
@@ -206,9 +218,7 @@ def prepare_data(campaign: Campaign, config: ExperimentConfig,
                           val_fraction=config.val_fraction)
     if baseline_reduce is not None:
         samples = reduce_dataset(samples, baseline_reduce)
-    if mean_stats is None and spec.needs_mean_stats:
-        mean_stats = MeanVectorStats.fit(samples.values.mean(axis=-1)[split.train])
-    inputs = model_inputs(samples, config.arch, mean_stats)
+    inputs, mean_stats = model_inputs(samples, config.arch, mean_stats, fit_rows=split.train)
     return PreparedData(samples=samples, split=split, inputs=inputs,
                         mean_stats=mean_stats, layout=campaign.layout)
 
@@ -343,7 +353,7 @@ def ablate_on_baselines(stack: LayerStack, data: PreparedData,
     for kind in kinds:
         kind = BaselineKind.parse(kind).value
         reduced = reduce_dataset(data.samples[idx], kind)
-        inputs = model_inputs(reduced, config.arch, data.mean_stats)
+        inputs, _ = model_inputs(reduced, config.arch, data.mean_stats)
         report = evaluate(stack, inputs, reduced.labels, config,
                           slice_name=slice_name, hashes=dict(hashes or {}))
         report.kind = f"ablate-{kind}"

@@ -10,12 +10,15 @@ mean vector, batchnorm + ReLU after each hidden layer, dropout 0.2 on the
 input and 0.4 after the first two hidden layers, softmax output.
 
 The fcn-cnn computes in float32: its convolutions are GEMM-bound, and
-float32 GEMMs run about twice as fast. The mean-mlp stays float64; it is
-small, and gains nothing.
+float32 GEMMs run about twice as fast. It reads the float32 windows of
+`build_samples` as they are. The mean-mlp stays float64; it is small, and
+gains nothing. Its inputs are the windows' channel means, taken in
+float64, then standardised against training-set statistics.
 
 ARCHITECTURES is the one registry of both: each entry says how to build
-the stack, the rank of one input, how to build the inputs from a
-SampleSet, and which baseline the architecture is retrained on.
+the stack, the rank of one input, which features of a window array it
+reads, whether those are standardised, and which baseline the
+architecture is retrained on.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SampleSet
 from .errors import ConfigError
 from .net import (
     BatchNorm,
@@ -37,7 +39,7 @@ from .net import (
     ReLU,
     Softmax,
 )
-from .preprocessing import MeanVectorStats, mean_vector
+from .preprocessing import channel_means
 
 CNN_BLOCKS = ((128, 8), (256, 5), (128, 3))
 MLP_WIDTHS = (128, 128, 64)
@@ -90,15 +92,16 @@ def build_mlp(input_dim: int = 37, n_classes: int = 6, seed: int = 0) -> LayerSt
 class Architecture:
     build: Callable[..., LayerStack]  # build(*input_shape, n_classes=, seed=)
     input_rank: int
-    # model inputs of a SampleSet, given the training mean-vector statistics
-    inputs: Callable[[SampleSet, MeanVectorStats | None], np.ndarray]
+    # what the model reads of a (n, channels, steps) window array
+    features: Callable[[np.ndarray], np.ndarray]
     retrain_baseline: str  # the baseline it is retrained on from scratch
+    # whether the features are standardised with training-set MeanVectorStats
     needs_mean_stats: bool = False
 
 
 ARCHITECTURES = {
-    "fcn-cnn": Architecture(build_cnn, 2, lambda samples, stats: samples.values, "tvb"),
-    "mean-mlp": Architecture(build_mlp, 1, mean_vector, "mvb", needs_mean_stats=True),
+    "fcn-cnn": Architecture(build_cnn, 2, lambda values: values, "tvb"),
+    "mean-mlp": Architecture(build_mlp, 1, channel_means, "mvb", needs_mean_stats=True),
 }
 
 

@@ -4,19 +4,28 @@ vectors, and the non-random train/validation/test splits.
 Pipeline: the first 40 s and last 10 s of every run are discarded, 89
 overlapping 1.5 s windows are cut from the remainder at a uniform stride,
 and each window is z-scored. The windows of a campaign are held in one
-columnar SampleSet: a (samples, channels, steps) array plus label and
-provenance arrays. Splits hold one of the three runs per boundary
+columnar SampleSet: a (samples, channels, steps) float32 array plus label
+and provenance arrays. Splits hold one of the three runs per boundary
 condition (test series x damage class) out for testing; a 25% validation
 slice is carved out of the training pool, stratified by class and
 boundary condition.
 
+Dtypes: runs and `window_run`'s views of them are float64. Each window is
+z-scored in float64 and stored rounded to float32, once. The fcn-cnn
+computes in float32, so its inputs are the values it would round a
+float64 window to; the mean-mlp's channel means are taken in float64
+(`channel_means`) from the float32 windows. At paper scale the windows
+(6,408 x 37 x 150 values) are the largest array of data preparation, so
+float32 halves what sets its peak memory.
+
 `build_samples` cuts every run's window views in run-key order on the
 calling thread, so a run too short to window fails first in that order.
-It then fills one preallocated value array on a thread pool (`map_runs`),
-one run per task: a worker copies the run's windows into its slice and
-z-scores the slice while it is still in cache. Copies, reductions and
-ufuncs release the GIL, so on two cores two runs are filled at once, and
-each slice gets the same bits as it would sequentially.
+It then fills one preallocated float32 array on a thread pool
+(`map_runs`), one run per task: a worker copies ZSCORE_BLOCK windows at a
+time into a float64 scratch it reuses, z-scores them there while they are
+in cache, and stores them rounded. Copies, reductions and ufuncs release
+the GIL, so on two cores two runs are filled at once, and each window
+gets the same bits as it would sequentially.
 """
 
 from __future__ import annotations
@@ -33,6 +42,9 @@ TRIM_HEAD_S = 40.0
 TRIM_TAIL_S = 10.0
 WINDOW_STEPS = 150
 WINDOW_COUNT = 89
+# windows a build_samples task z-scores at a time: 8 x 37 x 150 float64
+# values are 355 KB, a scratch that stays in cache and is reused
+ZSCORE_BLOCK = 8
 # which run index each split holds out for testing
 HELD_OUT_RUN = {1: 3, 2: 1, 3: 2}
 
@@ -56,7 +68,7 @@ def window_run(run: RawRun, window_steps: int = WINDOW_STEPS,
     Stride is floor((N - W) / (count - 1)); leftover steps at the tail are
     discarded. Windows are ordered by start time and all carry the run's
     damage class as label. Their values are a read-only strided view of
-    the run, not a copy.
+    the run, not a copy, so they keep the run's float64.
     """
     n = run.n_steps
     if window_steps < 1 or window_count < 1:
@@ -117,6 +129,12 @@ def zscore(values: np.ndarray, scope: str = "joint",
     return out
 
 
+def channel_means(values: np.ndarray) -> np.ndarray:
+    """Temporal mean of every channel of (..., channels, steps) values,
+    accumulated in float64 whatever their dtype."""
+    return values.mean(axis=-1, dtype=np.float64)
+
+
 @dataclass
 class MeanVectorStats:
     """Training-set mean/std of the per-channel mean vectors."""
@@ -134,17 +152,13 @@ class MeanVectorStats:
         std[std == 0.0] = 1.0
         return cls(mean=vectors.mean(axis=0), std=std)
 
-
-def mean_vector(samples: SampleSet, stats: MeanVectorStats) -> np.ndarray:
-    """Per-channel temporal means, z-scored against training-set
-    statistics: (n, channels) for a SampleSet, (channels,) for one sample."""
-    if stats is None:
-        raise ConfigError("mean_vector requires fitted training statistics")
-    n_channels = samples.values.shape[-2]
-    if stats.mean.shape != (n_channels,) or stats.std.shape != (n_channels,):
-        raise DataError(f"mean-vector statistics hold {stats.mean.size} means and "
-                        f"{stats.std.size} stds for {n_channels} channels")
-    return (samples.values.mean(axis=-1) - stats.mean) / stats.std
+    def standardize(self, vectors: np.ndarray) -> np.ndarray:
+        """(..., channels) mean vectors z-scored against these statistics."""
+        n_channels = vectors.shape[-1]
+        if self.mean.shape != (n_channels,) or self.std.shape != (n_channels,):
+            raise DataError(f"mean-vector statistics hold {self.mean.size} means and "
+                            f"{self.std.size} stds for {n_channels} channels")
+        return (vectors - self.mean) / self.std
 
 
 @dataclass
@@ -166,17 +180,22 @@ def build_samples(campaign: Campaign, window_steps: int = WINDOW_STEPS,
                   window_count: int = WINDOW_COUNT,
                   zscore_scope: str = "joint") -> SampleSet:
     """Trim, window, and normalize every run of a campaign, in run-key
-    order."""
+    order. The windows are z-scored in float64 and returned in float32."""
     runs = sorted(campaign.runs, key=lambda r: r.key())
     if not runs:
         raise DataError("campaign has no runs to window")
     views = [window_run(trim_run(run), window_steps, window_count).values for run in runs]
-    values = np.empty((len(runs) * window_count, *views[0].shape[1:]))
+    values = np.empty((len(runs) * window_count, *views[0].shape[1:]), dtype=np.float32)
 
     def fill(i: int) -> None:
-        block = values[i * window_count:(i + 1) * window_count]
-        block[...] = views[i]
-        zscore(block, scope=zscore_scope, out=block)
+        scratch = np.empty((min(ZSCORE_BLOCK, window_count), *views[i].shape[1:]))
+        for start in range(0, window_count, ZSCORE_BLOCK):
+            view = views[i][start:start + ZSCORE_BLOCK]
+            block = scratch[:len(view)]
+            block[...] = view
+            zscore(block, scope=zscore_scope, out=block)
+            first = i * window_count + start
+            values[first:first + len(view)] = block
 
     map_runs(fill, range(len(runs)))
 

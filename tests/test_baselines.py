@@ -89,3 +89,17 @@ class TestReduceDataset:
             for i in range(len(samples)):  # the same as reducing one sample at a time
                 np.testing.assert_array_equal(reduced.values[i],
                                               make_baseline(samples.values[i], kind))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reduction_keeps_the_dtype_and_takes_means_in_float64(self, rng, dtype):
+        samples = self._samples(rng)
+        samples.values = (samples.values * 1e3 + 7.0).astype(dtype)
+        wide = samples.values.astype(np.float64)
+        means = wide.mean(axis=-1, keepdims=True)
+        expected = {"apb": np.zeros_like(wide), "mvb": np.broadcast_to(means, wide.shape),
+                    "tvb": wide - means}
+        for kind, values in expected.items():
+            reduced = reduce_dataset(samples, kind)
+            assert reduced.values.dtype == dtype
+            # rounded once from the float64 result
+            np.testing.assert_array_equal(reduced.values, values.astype(dtype))

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from aeroshm.data import Campaign, RawRun, SampleSet
-from aeroshm.errors import DataError
+from aeroshm.errors import ConfigError, DataError
+from aeroshm.harness import model_inputs
 from aeroshm.preprocessing import (
+    ZSCORE_BLOCK,
     MeanVectorStats,
     assign_splits,
     build_samples,
-    mean_vector,
+    channel_means,
     trim_run,
     window_run,
     zscore,
@@ -165,34 +167,48 @@ class TestZScore:
         np.testing.assert_array_equal(zscore(np.array([[1e-200, -1e-200]])), 0.0)
 
 
+def mean_vectors(samples, stats):
+    return stats.standardize(channel_means(samples.values))
+
+
 class TestMeanVector:
     def test_time_constant_sample(self):
         samples = numbered_samples([np.full((3, 10), v) for v in (1.0, 2.0, 3.0)])
-        stats = MeanVectorStats.fit(samples.values.mean(axis=-1))
-        vec = mean_vector(samples[0], stats)
+        stats = MeanVectorStats.fit(channel_means(samples.values))
+        vec = mean_vectors(samples[0], stats)
         expected = (1.0 - stats.mean) / stats.std
         np.testing.assert_allclose(vec, expected, atol=1e-12)
-        np.testing.assert_array_equal(mean_vector(samples, stats)[0], vec)
+        np.testing.assert_array_equal(mean_vectors(samples, stats)[0], vec)
 
     def test_mvb_collapse_preserves_mean_vector(self, rng):
         from aeroshm.baselines import reduce_dataset
         samples = numbered_samples(rng.normal(size=(1, 5, 20)))
-        stats = MeanVectorStats.fit(samples.values.mean(axis=-1))
+        stats = MeanVectorStats.fit(channel_means(samples.values))
         collapsed = reduce_dataset(samples, "mvb")
-        np.testing.assert_allclose(mean_vector(samples, stats),
-                                   mean_vector(collapsed, stats), atol=1e-12)
+        np.testing.assert_allclose(mean_vectors(samples, stats),
+                                   mean_vectors(collapsed, stats), atol=1e-12)
 
     def test_training_set_normalizes_to_zero_mean(self, rng):
         samples = numbered_samples(rng.normal(size=(20, 4, 30)))
-        stats = MeanVectorStats.fit(samples.values.mean(axis=-1))
-        vectors = mean_vector(samples, stats)
+        stats = MeanVectorStats.fit(channel_means(samples.values))
+        vectors = mean_vectors(samples, stats)
         assert vectors.shape == (20, 4)
         np.testing.assert_allclose(vectors.mean(axis=0), 0.0, atol=1e-9)
 
     def test_missing_stats_rejected(self):
-        from aeroshm.errors import ConfigError
         with pytest.raises(ConfigError):
-            mean_vector(fake_samples([(1, 0, 1, 0)]), None)
+            model_inputs(fake_samples([(1, 0, 1, 0)]), "mean-mlp", None)
+
+    def test_means_of_float32_windows_accumulate_in_float64(self, rng):
+        values = rng.normal(size=(5, 3, 150)).astype(np.float32)
+        means = channel_means(values)
+        assert means.dtype == np.float64
+        np.testing.assert_array_equal(means, values.astype(np.float64).mean(axis=-1))
+
+    def test_statistics_for_other_channels_rejected(self):
+        stats = MeanVectorStats(mean=np.zeros(3), std=np.ones(3))
+        with pytest.raises(DataError, match="3 means and 3 stds for 4 channels"):
+            stats.standardize(np.zeros((2, 4)))
 
 
 class TestSplits:
@@ -273,12 +289,15 @@ class TestBuildSamples:
         assert samples.values.shape == (9, 4, 100)
         assert samples.run_index.tolist() == [1, 1, 1, 2, 2, 2, 3, 3, 3]
         assert samples.window_index.tolist() == [0, 1, 2] * 3
-        for s in samples:
-            assert abs(s.values.mean()) < 1e-12
-            assert abs(s.values.std() - 1.0) < 1e-9
-        # each window is its run's tile, z-scored on its own
-        np.testing.assert_array_equal(
-            samples.values[4], zscore(trim_run(runs[1]).values[:, 100:200]))
+        assert samples.values.dtype == np.float32
+        for i, s in enumerate(samples):
+            # each window is its run's tile, z-scored on its own in float64
+            # and stored rounded to float32
+            run, w = divmod(i, 3)
+            window = zscore(trim_run(runs[run]).values[:, 100 * w:100 * (w + 1)])
+            assert abs(window.mean()) < 1e-12
+            assert abs(window.std() - 1.0) < 1e-9
+            np.testing.assert_array_equal(s.values, window.astype(np.float32))
 
     @pytest.mark.parametrize("scope", ["joint", "per-channel"])
     def test_bits_match_a_sequential_reference(self, scope):
@@ -300,7 +319,8 @@ class TestBuildSamples:
                 with np.errstate(invalid="ignore"):
                     expected.append(np.where(std == 0.0, 0.0, (w_copy - mean) / std))
                 columns.append((run.damage_class, run.test_series, run.run_index, w))
-        np.testing.assert_array_equal(samples.values, np.stack(expected))
+        assert samples.values.dtype == np.float32
+        np.testing.assert_array_equal(samples.values, np.stack(expected).astype(np.float32))
         assert samples.values.flags.c_contiguous
         labels, series, run_index, window_index = (np.array(c) for c in zip(*columns))
         for got, want in ((samples.labels, labels), (samples.test_series, series),
@@ -309,6 +329,19 @@ class TestBuildSamples:
             np.testing.assert_array_equal(got, want)
         flat = np.flatnonzero((run_index == 2) & (labels == 1) & (series == 2))
         np.testing.assert_array_equal(samples.values[flat], 0.0)
+
+    @pytest.mark.parametrize("scope", ["joint", "per-channel"])
+    def test_windows_span_several_zscore_blocks(self, scope):
+        # two full scratch blocks and a partial one per run
+        count = 2 * ZSCORE_BLOCK + 3
+        runs = [make_run(56.0, run_index=r, seed=r) for r in (1, 2, 3)]
+        runs[1].values[:] = -0.5  # zero variance
+        samples = build_samples(Campaign(runs=runs), window_steps=150, window_count=count,
+                                zscore_scope=scope)
+        views = np.concatenate([window_run(trim_run(run), 150, count).values for run in runs])
+        expected = zscore(views, scope)
+        np.testing.assert_array_equal(samples.values, expected.astype(np.float32))
+        np.testing.assert_array_equal(samples.values[count:2 * count], 0.0)
 
     def test_pool_threads_end_with_the_call(self, monkeypatch):
         campaign = Campaign(runs=[make_run(53.0, run_index=r, seed=r) for r in (1, 2, 3)])
