@@ -262,6 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--damage-class", type=int, required=True)
     p.add_argument("--run-index", type=int, default=1)
     p.add_argument("--sensor", type=int, required=True, help="physical sensor id")
+    # the Strouhal shedding frequencies f = St * V / c, St = 0.2 on the
+    # 0.16 m chord, at the grid's two wind speeds of 12 and 24 m/s
     p.add_argument("--candidates", default="15,30", help="comma-separated Hz")
     p.add_argument("--preset", default="wide", choices=["wide", "fine"])
     p.add_argument("--out")

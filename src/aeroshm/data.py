@@ -37,7 +37,7 @@ import json
 import os
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +206,7 @@ class Campaign:
         runs = [r for r in self.runs if r.aoa_deg == aoa_deg]
         if not runs:
             raise DataError(f"campaign has no runs at AoA {aoa_deg} deg")
-        return Campaign(runs=runs, layout=self.layout, generator_config=self.generator_config)
+        return replace(self, runs=runs)
 
     def fingerprint(self) -> str:
         """Deterministic sha256 over run metadata and signal bytes."""

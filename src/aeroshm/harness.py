@@ -30,7 +30,9 @@ from .data import Campaign, SampleSet, SensorLayout
 from .errors import ConfigError, DataError
 from .models import ARCHITECTURES, architecture, build_architecture
 from .net import FitSettings, LayerStack, fit, load_checkpoint, save_checkpoint
+from .net.stack import GRADIENT_TARGETS
 from .preprocessing import (
+    ZSCORE_SCOPES,
     MeanVectorStats,
     SplitAssignment,
     assign_splits,
@@ -47,7 +49,10 @@ RETIRED_CONFIG_KEYS = frozenset({"ig_chunk"})
 @dataclass
 class ExperimentConfig(FitSettings):
     """Every knob of one experiment; serialized into reports and
-    checkpoints. The training-loop settings are FitSettings' fields."""
+    checkpoints. The training-loop settings are FitSettings' fields.
+    Building one checks every field, the enumerated ones (arch, baseline,
+    ig_target, zscore_scope) against the values their owning modules
+    accept."""
 
     arch: str = "fcn-cnn"
     aoa_deg: float = 0.0
@@ -77,6 +82,19 @@ class ExperimentConfig(FitSettings):
             raise ConfigError(f"split_index must be 1, 2 or 3, got {self.split_index!r}")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
+        spec = architecture(self.arch)
+        BaselineKind.parse(self.baseline)
+        for name, allowed in (("ig_target", GRADIENT_TARGETS),
+                              ("zscore_scope", ZSCORE_SCOPES)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(
+                    f"{name} must be one of {', '.join(allowed)}, got {value!r}")
+        if spec.needs_mean_stats and self.zscore_scope == "per-channel":
+            # per-channel z-scoring makes every window's channel means 0,
+            # so the mean vectors hold rounding noise only
+            raise ConfigError(f"arch {self.arch} reads per-channel window means, "
+                              "which zscore_scope per-channel sets to 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -210,7 +228,6 @@ def prepare_data(campaign: Campaign, config: ExperimentConfig,
     mean-vector statistics an architecture needs are fitted on the
     training slice unless given, as they are when a checkpoint is
     evaluated."""
-    architecture(config.arch)  # an unknown name fails before the windowing
     subset = campaign.subset_aoa(config.aoa_deg)
     samples = build_samples(subset, config.window_steps, config.window_count,
                             zscore_scope=config.zscore_scope)

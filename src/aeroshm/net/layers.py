@@ -23,17 +23,21 @@ The time-major layout is the engine's compute layout only: the data and
 the stored conv weights stay channels-first, and `LayerStack` maps one
 to the other (see net/stack.py).
 
-The backward passes optionally skip parameter-gradient work
-(`need_param_grads=False`), which roughly halves the cost of input-only
-gradients as used by attribution. The other way round, `param_grads`
-accumulates a layer's parameter gradients alone: a training step needs no
-gradient with respect to the network's input.
+A stack uses the backward contract in two ways. A training step
+(`LayerStack.backprop_logits`, after a train-mode pass) runs `backward`
+on the layers above the first layer with parameters and `param_grads`,
+which accumulates a layer's parameter gradients alone, on that layer:
+it needs no gradient with respect to the network's input. Attribution
+runs `backward` with `need_param_grads=False` over infer-mode layers,
+which roughly halves the cost of input-only gradients.
 
 BatchNorm is folded on infer passes: in infer mode it is a fixed
 per-channel affine map, so `LayerStack` runs a conv1d or dense layer that
 a batchnorm directly follows as one layer of the same class with scaled
 weights and a shifted bias (`BatchNorm.fold_into`). Train mode runs the
-batchnorm as a layer of its own.
+batchnorm as a layer of its own, and so does infer mode where no conv1d
+or dense layer directly precedes it; that is the one use of its
+infer-mode backward.
 
 Layers never modify their inputs: neither `x` in forward nor `dout` in
 backward. In-place arithmetic only touches arrays a layer has just
@@ -97,10 +101,6 @@ class Layer:
     def config(self) -> dict:
         """Hyperparameters needed to rebuild this layer (no weights)."""
         return {"kind": self.kind}
-
-    @property
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     def zero_grads(self) -> None:
         for name, p in self.params.items():

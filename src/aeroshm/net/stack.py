@@ -2,18 +2,19 @@
 
 A classifier stack ends in a softmax layer. `forward` returns class
 probabilities; `logits` stops just before the softmax. Gradients are
-available with respect to parameters (for training) and with respect to
-the input (for attribution), against either the pre-softmax logit of a
-target class or its post-softmax probability.
+available with respect to parameters, for training, after a train-mode
+pass (`backprop_logits`), and with respect to the input, for
+attribution, in infer mode (`class_gradients`, `path_gradients`), against
+either the pre-softmax logit of a target class or its post-softmax
+probability.
 
 The stack is the one place that maps the data's layout to the layers'
 layout and back. Inputs and input gradients are (batch, channels, time)
 like the data; conv, batchnorm and pool layers compute on (batch, time,
 channels), where each im2col row is one contiguous run (see
 net/layers.py). A rank-3 batch goes to the first layer as the view
-`x.transpose(0, 2, 1)`, and `backprop_logits` hands the input gradient
-back through the same transpose. Rank-2 (batch, features) batches pass
-as they are.
+`x.transpose(0, 2, 1)`, and an input gradient goes back through the
+same transpose. Rank-2 (batch, features) batches pass as they are.
 
 Infer-mode passes (`forward` and `logits` with train=False, `predict`,
 `class_gradients`, `path_gradients`) run folded layers: in infer mode a
@@ -59,12 +60,12 @@ buffers and gradients; every layer then allocates in its input's dtype
 (net/losses.py), and `path_gradients` sums the path gradients in float64
 before they go back through the affine run.
 
-`backprop_logits` walks the layers the last pass ran. After a blocked
-pass their caches hold only its last block, so it checks that its
-gradient has as many rows as the pass the caches hold. After an infer
-pass it gives the input gradient only: folded layers are not the stack's
-parameters. Train mode runs the whole batch at once, since BatchNorm's
-batch statistics couple the rows.
+`backprop_logits` serves training only. It gives the parameter
+gradients of the last train-mode pass, which runs the whole batch at once
+since BatchNorm's batch statistics couple the rows; the stack records
+that pass's row count and nothing else, and forgets it on any other
+pass. `class_gradients` and `path_gradients` take each block's gradient
+back through the layers it has just run, before the next block runs.
 """
 
 from __future__ import annotations
@@ -81,6 +82,10 @@ from .layers import Layer, Softmax, layer_from_config
 # 329 [320, 339] with 16 and 334 [326, 336] with 32. 16 and 32 rows each
 # beat 8 in 3 of 10 rounds. Peak RSS read 190, 190 and 220 MB.
 INFER_BLOCK_ROWS = 8
+
+# The class outputs gradients are taken of: the pre-softmax logit or the
+# softmax probability.
+GRADIENT_TARGETS = ("logit", "prob")
 
 # Layer kinds that are affine maps in infer mode (dropout passes its input on).
 _INFER_AFFINE = frozenset({"conv1d", "dense", "batchnorm", "dropout"})
@@ -115,6 +120,15 @@ def _infer_layers(layers: list[Layer]) -> list[Layer]:
     return out
 
 
+def _input_gradient(layers: list[Layer], grad: np.ndarray) -> np.ndarray:
+    """The gradient at the input of `layers` for `grad` at their output,
+    from the caches of the pass they have just run; no parameter
+    gradient."""
+    for layer in reversed(layers):
+        grad = layer.backward(grad, need_param_grads=False)
+    return grad
+
+
 def _time_major(xb: np.ndarray) -> np.ndarray:
     """A batch in the layers' layout: a rank-3 (batch, channels, time)
     batch as a (batch, time, channels) view, a rank-2 one as it is. The
@@ -131,8 +145,9 @@ class LayerStack:
         self.input_shape = tuple(int(d) for d in input_shape)
         self.seed = seed
         self.arch = arch
-        # (layers, rows, train) of the pass whose caches the layers hold
-        self._cached = None
+        # rows of the last train-mode pass that completed, whose caches the
+        # layers hold; None after any other pass
+        self._train_rows = None
 
     # -- construction ----------------------------------------------------
 
@@ -170,14 +185,11 @@ class LayerStack:
             for store in (layer.params, layer.grads, layer.buffers):
                 for name, arr in store.items():
                     store[name] = arr.astype(dtype, copy=False)
-        self._cached = None
+        self._train_rows = None
         return self
 
     def layer_configs(self) -> list[dict]:
         return [layer.config() for layer in self.layers]
-
-    def parameter_count(self) -> int:
-        return sum(layer.n_params for layer in self.layers)
 
     # -- forward ---------------------------------------------------------
 
@@ -202,13 +214,14 @@ class LayerStack:
 
     def _run(self, out: np.ndarray, layers, train: bool) -> np.ndarray:
         """Run `layers` over a batch in the layers' layout."""
-        self._cached = None  # until every layer has cached this pass
+        self._train_rows = None  # until every layer has cached this pass
         for i, layer in enumerate(layers):
             out = layer.forward(out, train=train)
             if layer.kind in self._CHECKED_KINDS and not np.isfinite(out).all():
                 raise NumericError(
                     f"non-finite activation after {layer.kind} layer {i}")
-        self._cached = (layers, len(out), train)
+        if train:
+            self._train_rows = len(out)
         return out
 
     def _pass(self, xb: np.ndarray, layers, train: bool) -> np.ndarray:
@@ -245,52 +258,31 @@ class LayerStack:
         for layer in self.layers:
             layer.zero_grads()
 
-    def _backward(self, dlogits: np.ndarray, need_param_grads: bool,
-                  need_input_grad: bool = True) -> np.ndarray | None:
-        """backprop_logits, with the gradient left in the layers' layout."""
-        layers, rows, train = self._cached or (None, None, None)
-        if rows is None or len(dlogits) != rows:
-            raise ShapeError(
-                f"dlogits has {len(dlogits)} rows, but the layer caches hold "
-                f"a pass over {rows} rows")
-        if need_param_grads and not train:
+    def backprop_logits(self, dlogits: np.ndarray) -> None:
+        """Accumulate the parameter gradients of the last train-mode pass
+        for a gradient seeded at its logits, consuming the layers' caches.
+        dlogits must have as many rows as that pass. The layers above the
+        first layer with parameters run backward; that layer computes its
+        parameter gradients only, and the layers below it do nothing, as a
+        training step needs no gradient with respect to the input. The
+        finite check reads that layer's parameter gradients, which every
+        gradient of the pass feeds."""
+        if self._train_rows is None:
             raise ConfigError(
                 "parameter gradients need a train-mode pass: an infer-mode pass "
                 "runs BatchNorm folded into the layer before it")
-        if layers and isinstance(layers[-1], Softmax):
-            layers = layers[:-1]
-        grad = dlogits
-        if need_input_grad:
-            for layer in reversed(layers):
-                grad = layer.backward(grad, need_param_grads=need_param_grads)
-            return grad
+        if len(dlogits) != self._train_rows:
+            raise ShapeError(
+                f"dlogits has {len(dlogits)} rows, but the layer caches hold "
+                f"a pass over {self._train_rows} rows")
+        layers = self.layers[:-1] if self.has_softmax_head else self.layers
         first = _first_with_params(layers)
+        grad = dlogits
         for layer in reversed(layers[first + 1:]):
             grad = layer.backward(grad, need_param_grads=True)
         layers[first].param_grads(grad)
-        return None
-
-    def backprop_logits(self, dlogits: np.ndarray, need_param_grads: bool = True,
-                        need_input_grad: bool = True) -> np.ndarray | None:
-        """Backpropagate a gradient seeded at the logits through the layers
-        the most recent pass ran, consuming their caches. dlogits must have
-        as many rows as that pass (its last block in infer mode). After an
-        infer-mode pass, whose folded layers are not the stack's
-        parameters, need_param_grads must be False. Returns the gradient
-        with respect to that pass's input, in the input's own layout.
-
-        With need_input_grad=False (a training step) it returns None: the
-        first layer with parameters computes its parameter gradients only,
-        and the layers before it do nothing. The finite check then reads
-        those parameter gradients, which every gradient of the pass feeds."""
-        if not (need_param_grads or need_input_grad):
-            raise ConfigError("a backward pass must compute some gradient")
-        grad = self._backward(dlogits, need_param_grads, need_input_grad)
-        produced = [grad] if need_input_grad \
-            else self.layers[_first_with_params(self.layers)].grads.values()
-        if not all(np.isfinite(g).all() for g in produced):
+        if not all(np.isfinite(g).all() for g in layers[first].grads.values()):
             raise NumericError("non-finite gradient in backward pass")
-        return _time_major(grad) if need_input_grad else None
 
     def _targets(self, class_index, n: int, target: str) -> np.ndarray:
         """class_index as n per-row indices, checked with target."""
@@ -303,7 +295,7 @@ class LayerStack:
         m = self.n_classes
         if (idx < 0).any() or (idx >= m).any():
             raise ConfigError(f"class index out of range [0, {m})")
-        if target not in ("logit", "prob"):
+        if target not in GRADIENT_TARGETS:
             raise ConfigError(f"target must be 'logit' or 'prob', got {target!r}")
         return idx
 
@@ -325,7 +317,9 @@ class LayerStack:
         for rows in _row_blocks(n):
             logits = self._run(_time_major(xb[rows]), layers, False)
             values[rows], dlogits = self._seed(logits, idx[rows], target)
-            grads[rows] = self.backprop_logits(dlogits, need_param_grads=False)
+            grads[rows] = _time_major(_input_gradient(layers, dlogits))
+        if not np.isfinite(grads).all():
+            raise NumericError("non-finite gradient in backward pass")
         if single:
             return float(values[0]), grads[0]
         return values, grads
@@ -390,16 +384,13 @@ class LayerStack:
             acts[:k] = ends[rows.start:rows.start + k]  # as they are, not a' + 1 (a - a')
             block_values, dlogits = self._seed(self._run(acts, rest, False),
                                                idx[rows], target)
-            grads = self._backward(dlogits, need_param_grads=False)
+            grads = _input_gradient(rest, dlogits)
             values[rows.start:rows.start + k] = block_values[:k]
             grad_sum += grads[k:].sum(axis=0, dtype=np.float64)
 
         grad = np.zeros_like(ends)
         grad[0] = grad_sum
-        for layer in reversed(prefix):
-            grad = layer.backward(grad, need_param_grads=False)
-        self._cached = None  # the caches hold parts of several passes
-        grad = _time_major(grad)[0]
+        grad = _time_major(_input_gradient(prefix, grad))[0]
         if not np.isfinite(grad).all():
             raise NumericError("non-finite gradient in backward pass")
         return float(values[0]), float(values[1]), grad

@@ -50,7 +50,7 @@ def train_step(stack: LayerStack, x_batch: np.ndarray, labels: np.ndarray,
     logits = stack.logits(x_batch, train=True)
     loss, dlogits = cross_entropy_from_logits(logits, labels, label_smoothing)
     stack.zero_grads()
-    stack.backprop_logits(dlogits, need_input_grad=False)
+    stack.backprop_logits(dlogits)
     optimizer.step()
     return loss
 

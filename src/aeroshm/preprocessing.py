@@ -45,6 +45,8 @@ WINDOW_COUNT = 89
 # windows a build_samples task z-scores at a time: 8 x 37 x 150 float64
 # values are 355 KB, a scratch that stays in cache and is reused
 ZSCORE_BLOCK = 8
+# what each window is z-scored over: the whole window, or each channel
+ZSCORE_SCOPES = ("joint", "per-channel")
 # which run index each split holds out for testing
 HELD_OUT_RUN = {1: 3, 2: 1, 3: 2}
 
@@ -111,7 +113,7 @@ def zscore(values: np.ndarray, scope: str = "joint",
     its own; here the centred values are written to `out` once and the
     std is taken from their squares.
     """
-    if scope not in ("joint", "per-channel"):
+    if scope not in ZSCORE_SCOPES:
         raise ConfigError(f"unknown z-score scope {scope!r}")
     # the axes each mean and std reduce over, flattened into the last:
     # mean(axis=(-2, -1)) sums a strided block in another order

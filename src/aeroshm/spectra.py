@@ -1,34 +1,21 @@
-"""Short-time Fourier analysis and Strouhal-based shedding prediction.
+"""Short-time Fourier analysis and a scan for vortex shedding.
 
-The scan logic looks for persistent narrow-band energy at candidate
-shedding frequencies: a band is "detected" when its mean magnitude stays
-at least `threshold_db` above the local noise floor for a minimum number
-of consecutive frames. The known structural excitation band is reported
-separately so it can never be mistaken for shedding.
+The scan looks for persistent narrow-band energy at candidate shedding
+frequencies, such as the Strouhal predictions f = St * V / c: a band is
+"detected" when its mean magnitude stays at least `threshold_db` above
+the local noise floor for a minimum number of consecutive frames. The
+known structural excitation band is reported separately so it can never
+be mistaken for shedding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import RawRun
 from .errors import ConfigError, DataError
-
-DEFAULT_STROUHAL = 0.2
-DEFAULT_CHORD_M = 0.16
-
-
-def strouhal_frequency(strouhal: float = DEFAULT_STROUHAL,
-                       wind_speed: float = 12.0,
-                       chord: float = DEFAULT_CHORD_M) -> float:
-    """Predicted vortex-shedding frequency f = St * V / D in Hz."""
-    if strouhal < 0.0:
-        raise ConfigError(f"Strouhal number must be >= 0, got {strouhal}")
-    if wind_speed <= 0.0 or chord <= 0.0:
-        raise ConfigError("wind speed and chord must be > 0")
-    return strouhal * wind_speed / chord
 
 
 @dataclass(frozen=True)
@@ -123,21 +110,14 @@ class SheddingReport:
         return any(c.detected for c in self.candidates)
 
     def to_dict(self) -> dict:
-        def det(d: BandDetection) -> dict:
-            return {
-                "frequency_hz": d.frequency_hz, "detected": d.detected,
-                "peak_band_db": d.peak_band_db,
-                "mean_band_magnitude": d.mean_band_magnitude,
-                "frames_over_threshold": d.frames_over_threshold,
-            }
         return {
             "sensor_id": self.sensor_id,
             "threshold_db": self.threshold_db,
             "min_consecutive_frames": self.min_consecutive,
             "window_seconds": self.spec.window_seconds,
             "hop_seconds": self.spec.hop_seconds,
-            "candidates": [det(c) for c in self.candidates],
-            "excitation": det(self.excitation) if self.excitation else None,
+            "candidates": [asdict(c) for c in self.candidates],
+            "excitation": asdict(self.excitation) if self.excitation else None,
         }
 
 

@@ -519,15 +519,6 @@ def simulate_motion(section: SectionParams, damage: DamageSpec,
     )
 
 
-def heave_amplitude(trace: MotionTrace, settle_s: float = 5.0,
-                    sample_rate: float = 100.0, quiet_s: float = 15.0) -> float:
-    """Steady-state heave oscillation amplitude (sqrt(2) x std of the
-    excited portion, after a settling margin)."""
-    start = _sample_count(quiet_s + settle_s, sample_rate)
-    segment = trace.heave[start:]
-    return float(np.sqrt(2.0) * segment.std())
-
-
 def simulate_run(config: GeneratorConfig, test_series: int, damage_class: int,
                  run_index: int, seed: int, duration_s: float | None = None,
                  with_noise: bool = True, with_excitation: bool = True) -> RawRun:

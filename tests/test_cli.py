@@ -351,17 +351,50 @@ def test_config_values_rejected(key, value):
         ExperimentConfig.from_dict({key: value})
 
 
-@pytest.mark.parametrize("config", [{"lr": "fast"}, {"arch": ["x"]}, [1]])
+@pytest.mark.parametrize("config", [
+    {"arch": "mean-mlp"}, {"zscore_scope": "per-channel"}, {"baseline": "TVB"},
+    {"ig_target": "prob"},
+])
+def test_enumerated_config_values_accepted(config):
+    assert ExperimentConfig.from_dict(config).to_dict().items() >= config.items()
+
+
+# Enumerated config values the types let through. The mean-mlp reads
+# per-channel window means, which per-channel z-scoring sets to 0.
+BAD_ENUMERATED = [
+    {"arch": "resnet"}, {"baseline": "xyz"}, {"ig_target": "loss"},
+    {"zscore_scope": "global"}, {"arch": "mean-mlp", "zscore_scope": "per-channel"},
+]
+
+
+@pytest.mark.parametrize("config", [{"lr": "fast"}, {"arch": ["x"]}, [1], *BAD_ENUMERATED])
 def test_bad_config_file_exits_config_error(two_runs, tmp_path, capsys, config):
     (root, _), _ = two_runs
-    path = tmp_path / "config.json"
+    path, out = tmp_path / "config.json", tmp_path / "out"
     path.write_text(json.dumps(config))
-    code = main(["train", "--data", str(root / "data"), "--out", str(tmp_path / "out"),
-                 "--config", str(path)])
+    code = main(["train", "--data", str(root / "data"), "--out", str(out),
+                 "--config", str(path), *TRAIN])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert (next(iter(config)) if isinstance(config, dict) else "JSON object") in err
+    assert not out.exists()  # nothing trained, no checkpoint saved
+
+
+@pytest.mark.parametrize("config", BAD_ENUMERATED)
+def test_checkpoint_with_bad_enumerated_value_exits_data_error(two_runs, tmp_path, capsys,
+                                                               config):
+    (root, _), _ = two_runs
+    path = tmp_path / "broken.ckpt"
+    rewrite_checkpoint_header(root / "run" / "checkpoint.ckpt", path,
+                              lambda h: h["metadata"]["config"].update(config))
+    capsys.readouterr()
+    code = main(["attribute", "--checkpoint", str(path), "--data", str(root / "data"),
+                 "--steps", "4", "--max-samples", "1"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert next(iter(config)) in err
 
 
 @pytest.mark.parametrize("step,flags,word", [

@@ -1,5 +1,6 @@
 """docs/formats.md lists the keys of each record as the code declares them."""
 
+import re
 from dataclasses import fields
 from itertools import takewhile
 from pathlib import Path
@@ -7,20 +8,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aeroshm.baselines import BaselineKind
 from aeroshm.data import RawRun
 from aeroshm.harness import TrainingRecord
+from aeroshm.models import ARCHITECTURES
 from aeroshm.net.checkpoint import Header
+from aeroshm.net.stack import GRADIENT_TARGETS
+from aeroshm.preprocessing import ZSCORE_SCOPES
 
 DOC = Path(__file__).parents[1] / "docs" / "formats.md"
 
 
-def table_keys(heading: str) -> list[str]:
-    """The first-column keys of the first table under a heading."""
+def table_rows(heading: str) -> list[list[str]]:
+    """The cells of each row of the first table under a heading."""
     section = DOC.read_text().split(f"\n{heading}\n", 1)[1].split("\n#", 1)[0]
     lines = section.splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("|"))
     rows = list(takewhile(lambda line: line.startswith("|"), lines[start:]))[2:]
-    return [row.split("|")[1].strip().strip("`") for row in rows]
+    return [[cell.strip() for cell in row.split("|")[1:-1]] for row in rows]
+
+
+def table_keys(heading: str) -> list[str]:
+    """The first-column keys of the first table under a heading."""
+    return [row[0].strip("`") for row in table_rows(heading)]
 
 
 RUN = RawRun(values=np.zeros((2, 3)), test_series=1, damage_class=0, run_index=1,
@@ -34,3 +44,14 @@ RUN = RawRun(values=np.zeros((2, 3)), test_series=1, damage_class=0, run_index=1
 ], ids=["checkpoint-header", "checkpoint-metadata", "meta-json"])
 def test_doc_table_lists_the_record_keys(heading, keys):
     assert sorted(table_keys(heading)) == sorted(keys)
+
+
+def test_doc_lists_the_enumerated_config_values():
+    documented = {row[0].strip("`"): re.findall(r'`"([^"]+)"`', row[1])
+                  for row in table_rows("## Experiment config (`--config`)")}
+    assert documented == {
+        "arch": list(ARCHITECTURES),
+        "baseline": [kind.value for kind in BaselineKind],
+        "ig_target": list(GRADIENT_TARGETS),
+        "zscore_scope": list(ZSCORE_SCOPES),
+    }

@@ -164,6 +164,16 @@ def warmed_model(arch):
     return stack, shape
 
 
+def record_pool_rows(monkeypatch):
+    """The row count of every GlobalAvgPool forward call from now on: one
+    per block of a pass, since a stack has one pool."""
+    rows = []
+    forward = GlobalAvgPool.forward
+    monkeypatch.setattr(GlobalAvgPool, "forward",
+                        lambda self, x, *a, **k: rows.append(len(x)) or forward(self, x, *a, **k))
+    return rows
+
+
 def infer_outputs(stack, x):
     out = [stack.logits(x), stack.forward(x), stack.predict(x)]
     for target in ("logit", "prob"):
@@ -196,51 +206,72 @@ class TestInferBlocks:
             else:
                 np.testing.assert_array_equal(a, b, err_msg=f"output {i}")
 
-    def test_lone_last_row_joins_the_previous_block(self):
+    def test_lone_last_row_joins_the_previous_block(self, monkeypatch):
         stack, shape = warmed_model("fcn-cnn")
         x = np.random.default_rng(0).normal(size=(2 * B + 2,) + shape)
+        blocks = record_pool_rows(monkeypatch)
         stack.logits(x[:2 * B + 1])
-        stack.backprop_logits(np.ones((B + 1, stack.n_classes)),  # the cached block
-                              need_param_grads=False)
+        assert blocks == [B, B + 1]
+        blocks.clear()
         stack.logits(x)
-        with pytest.raises(ShapeError):
-            stack.backprop_logits(np.ones((B + 1, stack.n_classes)), need_param_grads=False)
-        stack.backprop_logits(np.ones((2, stack.n_classes)), need_param_grads=False)
+        assert blocks == [B, B, 2]
+
+    def test_train_pass_is_not_blocked(self, rng, monkeypatch):
+        stack, shape = warmed_model("fcn-cnn")
+        x = rng.normal(size=(2 * B + 1,) + shape)
+        blocks = record_pool_rows(monkeypatch)
+        stack.logits(x, train=True)
+        assert blocks == [2 * B + 1]
+        stack.backprop_logits(np.ones((2 * B + 1, stack.n_classes)))
+
+
+class TestBackpropLogits:
+    """backprop_logits gives the parameter gradients of the last train-mode
+    pass that completed, and refuses a gradient it cannot take back."""
 
     @pytest.mark.parametrize("arch", ["fcn-cnn", "mean-mlp"])
-    def test_backprop_refuses_gradient_of_other_rows(self, arch):
+    def test_refuses_gradient_of_other_rows(self, arch):
         stack, shape = warmed_model(arch)
-        rng = np.random.default_rng(2)
-        stack.logits(rng.normal(size=(2 * B + 1,) + shape))
-        with pytest.raises(ShapeError):  # the caches hold the last block only
-            stack.backprop_logits(np.ones((2 * B + 1, stack.n_classes)),
-                                  need_param_grads=False)
-        stack.logits(rng.normal(size=(1,) + shape))
+        stack.logits(np.random.default_rng(2).normal(size=(2 * B + 1,) + shape), train=True)
         with pytest.raises(ShapeError):
-            stack.backprop_logits(np.ones((5, stack.n_classes)), need_param_grads=False)
+            stack.backprop_logits(np.ones((2 * B, stack.n_classes)))
+        stack.backprop_logits(np.ones((2 * B + 1, stack.n_classes)))
 
-    def test_backprop_before_any_pass_raises(self):
+    def test_before_any_pass_raises(self):
         stack, _ = warmed_model("mean-mlp")
         fresh = type(stack)(stack.layers, stack.input_shape)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="train-mode"):
             fresh.backprop_logits(np.ones((1, stack.n_classes)))
 
     def test_failed_pass_leaves_no_cache_to_backprop(self):
         stack, shape = warmed_model("fcn-cnn")
         x = np.ones((2,) + shape)
-        stack.logits(x)
+        stack.logits(x, train=True)
         stack.layers[0].params["weight"][...] = 1e308  # conv output overflows
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            stack.logits(x)
-        with pytest.raises(ShapeError):
+            stack.logits(x, train=True)
+        with pytest.raises(ConfigError, match="train-mode"):
             stack.backprop_logits(np.ones((2, stack.n_classes)))
 
-    def test_train_pass_is_not_blocked(self, rng):
-        stack, shape = warmed_model("fcn-cnn")
-        x = rng.normal(size=(2 * B + 1,) + shape)
+    @pytest.mark.parametrize("arch", ["fcn-cnn", "mean-mlp"])
+    def test_after_an_infer_pass_raises(self, arch, rng):
+        stack, shape = warmed_model(arch)
+        x = rng.normal(size=(3,) + shape)
+        stack.logits(x)
+        with pytest.raises(ConfigError, match="train-mode"):
+            stack.backprop_logits(np.ones((3, stack.n_classes)))
         stack.logits(x, train=True)
-        grad = stack.backprop_logits(np.ones((2 * B + 1, stack.n_classes)))
-        assert grad.shape == x.shape
+        stack.backprop_logits(np.ones((3, stack.n_classes)))
+        stack.class_gradients(x, 0)
+        with pytest.raises(ConfigError, match="train-mode"):
+            stack.backprop_logits(np.ones((3, stack.n_classes)))
+
+    def test_astype_forgets_the_train_pass(self, rng):
+        stack, shape = warmed_model("mean-mlp")
+        stack.logits(rng.normal(size=(3,) + shape), train=True)
+        stack.astype(np.float32)
+        with pytest.raises(ConfigError, match="train-mode"):
+            stack.backprop_logits(np.ones((3, stack.n_classes)))
 
 
 class TestFoldedInferPasses:
@@ -281,17 +312,6 @@ class TestFoldedInferPasses:
         assert calls == []
         stack.logits(rng.normal(size=(4,) + shape), train=True)
         assert len(calls) == 3
-
-    @pytest.mark.parametrize("arch", ["fcn-cnn", "mean-mlp"])
-    def test_param_gradients_after_an_infer_pass_raise(self, arch, rng):
-        stack, shape = warmed_model(arch)
-        x = rng.normal(size=(3,) + shape)
-        stack.logits(x)
-        with pytest.raises(ConfigError, match="train-mode"):
-            stack.backprop_logits(np.ones((3, stack.n_classes)), need_param_grads=True)
-        stack.backprop_logits(np.ones((3, stack.n_classes)), need_param_grads=False)
-        stack.logits(x, train=True)
-        stack.backprop_logits(np.ones((3, stack.n_classes)), need_param_grads=True)
 
 
 class TestPathGradients:
@@ -429,16 +449,19 @@ class TestTrainStep:
     @pytest.mark.parametrize("arch", ["fcn-cnn", "mean-mlp"])
     def test_equals_a_full_backward_pass(self, arch):
         """train_step skips the first layer's input gradient; its parameter
-        gradients and AdamW state stay those of a pass that computes it."""
+        gradients and AdamW state stay those of a pass that computes it,
+        here every layer's backward in turn."""
         rng = np.random.default_rng(8)
         (stack, shape), (full, _) = warmed_model(arch), warmed_model(arch)
         opt, full_opt = AdamW(stack, lr=1e-2), AdamW(full, lr=1e-2)
         for _ in range(2):
             x, y = rng.normal(size=(6,) + shape), rng.integers(0, 6, size=6)
             train_step(stack, x, y, opt)
-            _, dlogits = cross_entropy_from_logits(full.logits(x, train=True), y, 0.05)
+            _, grad = cross_entropy_from_logits(full.logits(x, train=True), y, 0.05)
             full.zero_grads()
-            assert full.backprop_logits(dlogits).shape == x.shape
+            for layer in reversed(full.layers[:-1]):
+                grad = layer.backward(grad)
+            assert grad.size == x.size  # the input gradient, in the layers' layout
             full_opt.step()
         for layer, full_layer in zip(stack.layers, full.layers):
             for name in layer.params:
@@ -457,7 +480,7 @@ class TestTrainStep:
         dlogits[0, 0] = np.nan
         stack.zero_grads()
         with pytest.raises(NumericError):
-            stack.backprop_logits(dlogits, need_input_grad=False)
+            stack.backprop_logits(dlogits)
 
     def test_empty_batch_rejected(self):
         stack = build_mlp(4)
@@ -628,23 +651,23 @@ class TestFloat32:
     def test_gradients_agree_with_float64(self):
         """Parameter and input gradients of the float32 stack against those
         of the float64 one it was cast from, relative to each array's (or
-        each layer's) largest float64 value. Measured on these inputs: at
-        most 1.3e-6 for the parameter gradients and 4.7e-7 for the input
-        gradients, against a float32 epsilon of 1.2e-7; the bound is 1e-5.
-        A conv bias that a train-mode BatchNorm follows has a zero gradient
-        (float64 gives about 1e-17), so it is held to its layer's scale."""
+        each layer's) largest float64 value: the parameter gradients of a
+        train step, the input gradients of class_gradients and
+        path_gradients. Measured on these inputs: at most 1.3e-6 for the
+        parameter gradients and 2.1e-7 for the input gradients, against a
+        float32 epsilon of 1.2e-7; the bound is 1e-5. A conv bias that a
+        train-mode BatchNorm follows has a zero gradient (float64 gives
+        about 1e-17), so it is held to its layer's scale."""
         tol = 1e-5
         rng = np.random.default_rng(0)
         f64 = warm_batchnorm(float64_cnn(3, 16, seed=4), rng)
         f32 = build_cnn(3, 16, seed=4)
         f32.load_state(f64.copy_state())
         x, y = rng.normal(size=(8, 3, 16)), rng.integers(0, 6, size=8)
-        grads = []
         for stack in (f64, f32):
             _, dlogits = cross_entropy_from_logits(stack.logits(x, train=True), y, 0.05)
             stack.zero_grads()
-            grads.append(stack.backprop_logits(dlogits))
-        assert relative_error(grads[1], grads[0]) <= tol
+            stack.backprop_logits(dlogits)
         for l64, l32 in zip(f64.layers, f32.layers):
             scale = max((np.abs(g).max() for g in l64.grads.values()), default=0.0)
             for name, g in l64.grads.items():

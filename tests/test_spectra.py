@@ -1,16 +1,13 @@
-"""Strouhal arithmetic, STFT behavior, and shedding-band detection."""
+"""The Strouhal candidates, STFT behavior, and shedding-band detection."""
 
 import numpy as np
 import pytest
 
+from aeroshm.cli import build_parser
 from aeroshm.data import RawRun
 from aeroshm.errors import ConfigError, DataError
-from aeroshm.spectra import (
-    StftSpec,
-    shedding_scan,
-    stft,
-    strouhal_frequency,
-)
+from aeroshm.spectra import StftSpec, shedding_scan, stft
+from aeroshm.surrogate import GRID_TEST_SERIES
 
 FS = 100.0
 
@@ -26,18 +23,14 @@ def make_run(values, excitation_hz=1.9):
 
 
 class TestStrouhal:
-    def test_reference_values(self):
-        assert strouhal_frequency(0.2, 12.0, 0.16) == pytest.approx(15.0, abs=1e-12)
-        assert strouhal_frequency(0.2, 24.0, 0.16) == pytest.approx(30.0, abs=1e-12)
-
-    def test_zero_strouhal(self):
-        assert strouhal_frequency(0.0, 12.0, 0.16) == 0.0
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ConfigError):
-            strouhal_frequency(0.2, 0.0, 0.16)
-        with pytest.raises(ConfigError):
-            strouhal_frequency(0.2, 12.0, -1.0)
+    def test_cli_candidates_are_the_grid_shedding_frequencies(self):
+        """`aeroshm spectra` scans f = St * V / c by default, St = 0.2 on
+        the 0.16 m chord, at each wind speed of the generator's grid."""
+        args = build_parser().parse_args(["spectra", "--data", "d", "--test-series", "1",
+                                          "--damage-class", "0", "--sensor", "1"])
+        speeds = sorted({series.wind_speed for series in GRID_TEST_SERIES})
+        candidates = [float(c) for c in args.candidates.split(",")]
+        assert candidates == pytest.approx([0.2 * v / 0.16 for v in speeds], abs=1e-12)
 
 
 class TestStft:

@@ -29,7 +29,6 @@ from aeroshm.surrogate import (
     GeneratorConfig,
     SectionParams,
     generate_campaign,
-    heave_amplitude,
     planted_channels,
     pressure_profiles,
     simulate_motion,
@@ -40,6 +39,13 @@ from aeroshm.surrogate import (
 )
 
 SHORT = 55.0  # seconds; enough to trim and window in downstream tests
+
+
+def heave_amplitude(trace):
+    """Steady-state heave oscillation amplitude of a 100 Hz motion trace:
+    sqrt(2) x the std of its excited portion, after the 15 s quiet start
+    and a 5 s settling margin."""
+    return float(np.sqrt(2.0) * trace.heave[(15 + 5) * 100:].std())
 
 
 @pytest.fixture(scope="module")
