@@ -10,6 +10,12 @@ For every float64 sample x the decomposition x = TVB(x) + MVB(x) holds
 exactly. Baselines operate on z-scored samples, the model's actual input
 space.
 
+APB alone does not depend on the sample: it maps every sample to the same
+zero window, so a model gives every APB-reduced sample the same class.
+`harness.ablate_on_baselines` uses that: it predicts the APB class on at
+most two zero rows and repeats it for the whole slice, where TVB and MVB
+reduce and predict every sample.
+
 Dtypes: a baseline keeps its input's dtype when that is float32 or
 float64, so a float32 SampleSet reduces to a float32 one; other inputs
 become float64. The channel means are taken in float64 either way, and a

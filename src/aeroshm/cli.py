@@ -6,7 +6,10 @@ config file (--config) with individual command-line overrides.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numeric failure, 5 internal error (any other exception, reported in
-one line).
+one line). A path that cannot be read or written (an OSError, such as an
+--out that exists as a file) is a data error, reported in one line that
+names the path; train and retrain make --out after reading the config
+and the dataset, before the fit.
 """
 
 from __future__ import annotations
@@ -289,6 +292,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        what = f"{exc.strerror}: {exc.filename}" if exc.filename else str(exc)
+        print(f"data error: {' '.join(what.splitlines())}", file=sys.stderr)
+        return EXIT_DATA
     except Exception as exc:
         message = " ".join(str(exc).splitlines())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -401,7 +401,8 @@ def test_checkpoint_with_bad_enumerated_value_exits_data_error(two_runs, tmp_pat
     ("spectra", ["--candidates", "abc"], "candidates"),
     ("spectra", ["--candidates", ","], "candidate"),
     ("ablate", ["--baselines", ","], "baselines"),
-], ids=["spectra-not-a-number", "spectra-empty", "ablate-empty"])
+    ("ablate", ["--baselines", "apb,frequency"], "frequency"),
+], ids=["spectra-not-a-number", "spectra-empty", "ablate-empty", "ablate-unknown"])
 def test_malformed_cli_list_exits_config_error(two_runs, tmp_path, capsys, step, flags,
                                                word):
     (root, _), _ = two_runs
@@ -416,6 +417,27 @@ def test_malformed_cli_list_exits_config_error(two_runs, tmp_path, capsys, step,
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert word in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("step", ["generate", "train", "retrain"])
+def test_out_path_that_is_a_file_exits_data_error(two_runs, tmp_path, capsys, monkeypatch,
+                                                  step):
+    (root, _), _ = two_runs
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    fits = []
+    monkeypatch.setattr(harness, "fit", lambda *args: fits.append(args))
+    argv = {
+        "generate": ["generate", "--seed", "0", "--duration", "55", "--aoa", "0"],
+        "train": ["train", "--data", str(root / "data"), *TRAIN],
+        "retrain": ["retrain", "--data", str(root / "data"), "--baseline", "mvb", *TRAIN],
+    }[step]
+    assert main([*argv, "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert str(out) in err
+    assert fits == []  # the path failed before the fit
+    assert out.read_text() == "not a directory"
 
 
 def test_unexpected_exception_exits_internal_error(tmp_path, monkeypatch, capsys):
