@@ -10,11 +10,21 @@ For every float64 sample x the decomposition x = TVB(x) + MVB(x) holds
 exactly. Baselines operate on z-scored samples, the model's actual input
 space.
 
-APB alone does not depend on the sample: it maps every sample to the same
-zero window, so a model gives every APB-reduced sample the same class.
-`harness.ablate_on_baselines` uses that: it predicts the APB class on at
-most two zero rows and repeats it for the whole slice, where TVB and MVB
-reduce and predict every sample.
+APB and MVB are both constant in time: each holds every channel at one
+level over all steps (zero, or the channel's mean), which
+`constant_levels` gives without building the windows. TVB varies in
+time. `harness.ablate_on_baselines` takes a pass per kind:
+
+- APB alone does not depend on the sample, so a model gives every
+  APB-reduced sample the same class. The ablation scores at most two
+  zero rows and repeats their class for the whole slice.
+- MVB is scored on every sample.
+- On the fcn-cnn, APB and MVB both go through
+  `LayerStack.constant_logits` on their levels, a pass over a window as
+  wide as the convolutions' receptive field. The mean-mlp predicts on
+  the reduced samples' inputs.
+- TVB reduces and predicts every sample, with a full pass on either
+  architecture.
 
 Dtypes: a baseline keeps its input's dtype when that is float32 or
 float64, so a float32 SampleSet reduces to a float32 one; other inputs
@@ -50,19 +60,35 @@ class BaselineKind(str, Enum):
                 f"{', '.join(k.value for k in cls)}") from None
 
 
+def _floating(values) -> np.ndarray:
+    """values as an array of its own dtype if float32 or float64, else
+    of float64."""
+    values = np.asarray(values)
+    return values if values.dtype in (np.float32, np.float64) else values.astype(np.float64)
+
+
+def constant_levels(values: np.ndarray, kind: "str | BaselineKind") -> np.ndarray:
+    """The per-channel level a time-constant baseline (APB or MVB) holds
+    over every step of each (channels, steps) sample: shape
+    values.shape[:-1], in the baseline's dtype."""
+    kind = BaselineKind.parse(kind)
+    values = _floating(values)
+    if kind is BaselineKind.APB:
+        return np.zeros(values.shape[:-1], dtype=values.dtype)
+    if kind is BaselineKind.MVB:
+        return values.mean(axis=-1, dtype=np.float64).astype(values.dtype)
+    raise ConfigError(f"the {kind.value} baseline is not constant in time")
+
+
 def make_baseline(values: np.ndarray, kind: "str | BaselineKind") -> np.ndarray:
     """Baseline with the same shape as the input: one (channels, steps)
     sample or a stack of them along leading axes."""
     kind = BaselineKind.parse(kind)
-    values = np.asarray(values)
-    if values.dtype not in (np.float32, np.float64):
-        values = values.astype(np.float64)
-    if kind is BaselineKind.APB:
-        return np.zeros_like(values)
-    channel_means = values.mean(axis=-1, keepdims=True, dtype=np.float64)
-    if kind is BaselineKind.MVB:
-        return np.broadcast_to(channel_means.astype(values.dtype), values.shape).copy()
+    values = _floating(values)
+    if kind is not BaselineKind.TVB:
+        return np.broadcast_to(constant_levels(values, kind)[..., None], values.shape).copy()
     # TVB: the difference is taken in float64 and rounded once into out
+    channel_means = values.mean(axis=-1, keepdims=True, dtype=np.float64)
     return np.subtract(values, channel_means, out=np.empty_like(values),
                        casting="same_kind")
 

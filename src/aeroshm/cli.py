@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 one line). A path that cannot be read or written (an OSError, such as an
 --out that exists as a file) is a data error, reported in one line that
 names the path; train and retrain make --out after reading the config
-and the dataset, before the fit.
+and the dataset, before the fit, and attribute makes it before its first
+attribution map.
 """
 
 from __future__ import annotations
@@ -70,14 +71,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    run = ingest_csv_run(Path(args.csv), Path(args.meta))
     out = Path(args.out)
-    if (out / "manifest.json").exists():
-        campaign = load_campaign(out)
-        campaign.runs = [r for r in campaign.runs if r.key() != run.key()]
-        campaign.runs.append(run)
-    else:
-        campaign = Campaign(runs=[run])
+    # a run added to a dataset takes the columns of the dataset's layout
+    campaign = load_campaign(out) if (out / "manifest.json").exists() else Campaign(runs=[])
+    run = ingest_csv_run(Path(args.csv), Path(args.meta), campaign.layout)
+    campaign.runs = [r for r in campaign.runs if r.key() != run.key()] + [run]
     save_campaign(campaign, out)
     print(f"ingested run ts={run.test_series} class={run.damage_class} "
           f"run={run.run_index} ({run.duration_s:.1f} s) -> {out}")

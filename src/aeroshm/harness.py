@@ -25,7 +25,7 @@ from .attribution import (
     relative_completeness_gap,
     top_channels,
 )
-from .baselines import BaselineKind, reduce_dataset
+from .baselines import BaselineKind, constant_levels, reduce_dataset
 from .data import Campaign, SampleSet, SensorLayout
 from .errors import ConfigError, DataError
 from .models import ARCHITECTURES, architecture, build_architecture
@@ -384,18 +384,29 @@ def ablate_on_baselines(stack: LayerStack, data: PreparedData,
     the slice has them, so that the dense layers do not run as the
     matrix-vector products of a one-row pass. LayerStack's infer passes
     give each row the logits a whole-slice pass gives it, so the report
-    is the one the whole slice would give. TVB and MVB run over the whole
-    reduced slice."""
+    is the one the whole slice would give.
+
+    APB and MVB windows are constant in time. A (channels, time) model
+    scores them with `LayerStack.constant_logits` on their per-channel
+    levels (`baselines.constant_levels`), which runs the layers before
+    the pool on a receptive-field-wide window and gives the logits of the
+    whole windows bit for bit. The mean-mlp scores the reduced samples'
+    inputs, and TVB, which varies in time, runs the whole reduced slice
+    on either architecture."""
     kinds = list(dict.fromkeys(BaselineKind.parse(kind).value for kind in kinds))
     _, labels, idx = data.slice(slice_name)
     samples = data.samples[idx]
+    windows = architecture(config.arch).input_rank == 2
     reports = {}
     for kind in kinds:
         t0 = time.perf_counter()
         apb = kind == BaselineKind.APB
-        reduced = reduce_dataset(samples[:2] if apb else samples, kind)
-        inputs, _ = model_inputs(reduced, config.arch, data.mean_stats)
-        preds = stack.predict(inputs)
+        part = samples[:2] if apb else samples
+        if windows and kind != BaselineKind.TVB:
+            preds = stack.constant_logits(constant_levels(part.values, kind)).argmax(axis=-1)
+        else:
+            inputs, _ = model_inputs(reduce_dataset(part, kind), config.arch, data.mean_stats)
+            preds = stack.predict(inputs)
         if apb:
             preds = np.full(len(labels), preds[0])
         report = _scored(labels, preds, config, slice_name, hashes, t0,
@@ -428,7 +439,8 @@ def attribute_campaign(stack: LayerStack, data: PreparedData,
     slice, channel sums, and population statistics.
 
     ig_max_samples caps the attributed population with a seeded draw (the
-    cap is recorded in the report).
+    cap is recorded in the report). export_dir, when given, is made
+    before the first map.
     """
     if architecture(config.arch).input_rank != 2:
         raise ConfigError("attribution runs on the (channels, time) CNN input")
@@ -444,6 +456,10 @@ def attribute_campaign(stack: LayerStack, data: PreparedData,
         chosen = np.sort(rng.choice(correct, size=config.ig_max_samples, replace=False))
 
     kind = BaselineKind.parse(config.baseline)
+    if export_dir is not None:
+        # a path that cannot take the exports fails now, not after the maps
+        export_dir = Path(export_dir)
+        export_dir.mkdir(parents=True, exist_ok=True)
     maps: list[AttributionMap] = []
     vectors = np.empty((chosen.size, inputs.shape[1]))
     sample_ids = []
@@ -481,8 +497,6 @@ def attribute_campaign(stack: LayerStack, data: PreparedData,
         },
     )
     if export_dir is not None:
-        export_dir = Path(export_dir)
-        export_dir.mkdir(parents=True, exist_ok=True)
         export_stats_csv(stats, export_dir / f"channel_stats_{kind.value}.csv",
                          layout=data.layout)
         for amap in maps[:min(len(maps), 8)]:  # a few example maps

@@ -52,6 +52,27 @@ a and a' are its outputs at x and x'. So the run goes forward on those two
 rows only, and, being linear, backward once on the gradient summed over
 the path (Sundararajan et al. 2017, arXiv:1703.01365).
 
+`constant_logits` serves windows that hold each channel constant in
+time (the APB and MVB baselines). Up to the global average pool, the
+fcn-cnn's infer layers are time-local: a folded "same" conv1d of kernel
+k reads pad_left = (k - 1) // 2 steps before an output step and
+k - 1 - pad_left after it, and ReLU reads its own step. Summed over the
+convs, that gives the halos, 3 + 2 + 1 = 6 steps on the left and
+4 + 2 + 1 = 7 on the right. On a constant window, an activation before
+the pool depends on its time step only through the zero padding in
+view. It is the same value at every step whose halos lie inside the
+window, and the same value as the step at that distance from its edge
+otherwise. So the layers before the pool run, in the usual row blocks,
+on a window of 6 + 1 + 7 = 14 steps. Its output is expanded to the full
+length: 6 left-edge columns, the interior column repeated (137 times for
+150 steps), 7 right-edge columns. Then the pool and the head run on the
+expanded array. Every expanded value is computed from the same in-range
+values as in a full pass, by a GEMM row with the same operands, and the
+pool reduces an array of the same shape and layout. So the logits are
+those of a full pass bit for bit, on the same BLAS caveat as the row
+blocks (tests/test_netcore.py::TestConstantLogits). A window no wider
+than 14 steps runs whole.
+
 A stack computes in its parameters' dtype (`dtype`): the fcn-cnn in
 float32, the mean-mlp and the layer-level test oracles in float64.
 `_batched` casts every input to it, and `astype` casts the parameters,
@@ -89,6 +110,10 @@ GRADIENT_TARGETS = ("logit", "prob")
 
 # Layer kinds that are affine maps in infer mode (dropout passes its input on).
 _INFER_AFFINE = frozenset({"conv1d", "dense", "batchnorm", "dropout"})
+
+# Layer kinds whose infer-mode output at a time step reads only the input
+# steps a conv kernel spans around it (the others act step by step).
+_TIME_LOCAL = frozenset({"conv1d", "batchnorm", "relu", "dropout"})
 
 
 def _first_with_params(layers) -> int:
@@ -199,15 +224,18 @@ class LayerStack:
     # as well would only repeat these checks.
     _CHECKED_KINDS = frozenset({"conv1d", "dense", "batchnorm"})
 
-    def _batched(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    def _batched(self, x: np.ndarray, shape=None) -> tuple[np.ndarray, bool]:
+        """x in the stack's dtype as a batch of `shape` rows (the model
+        input's by default), and whether it was one row; checks the shape
+        and that every value is finite."""
+        shape = self.input_shape if shape is None else shape
         x = np.asarray(x, dtype=self.dtype)
-        if x.shape == self.input_shape:
+        if x.shape == shape:
             xb, single = x[None], True
-        elif x.shape[1:] == self.input_shape:
+        elif x.shape[1:] == shape:
             xb, single = x, False
         else:
-            raise ShapeError(
-                f"input shape {x.shape} does not match model input {self.input_shape}")
+            raise ShapeError(f"input shape {x.shape} does not match {shape}")
         if not np.isfinite(xb).all():
             raise NumericError("non-finite value in network input")
         return xb, single
@@ -246,6 +274,42 @@ class LayerStack:
             raise ConfigError("logits() requires a softmax-terminated stack")
         xb, single = self._batched(x)
         out = self._pass(xb, self.layers[:-1], train)
+        return out[0] if single else out
+
+    def constant_logits(self, levels) -> np.ndarray:
+        """`logits` of the windows that hold each row of `levels`, shape
+        (batch, channels) or (channels,), constant over input_shape[1]
+        steps, bit for bit, from a pass over a window only as wide as the
+        receptive field of the layers before the pool (module docstring).
+        A window no wider than that runs whole."""
+        if len(self.input_shape) != 2:
+            raise ConfigError("constant windows need a (channels, time) model input")
+        if not self.has_softmax_head:
+            raise ConfigError("logits() requires a softmax-terminated stack")
+        lb, single = self._batched(levels, self.input_shape[:1])
+        layers = _infer_layers(self.layers[:-1])
+        kinds = [layer.kind for layer in layers]
+        if "global-avg-pool" not in kinds:
+            raise ConfigError("constant windows need a global-avg-pool layer")
+        pool = kinds.index("global-avg-pool")
+        if not _TIME_LOCAL.issuperset(kinds[:pool]):
+            raise ConfigError(
+                f"constant windows need time-local layers before the pool, got {kinds[:pool]}")
+        convs = [layer for layer in layers[:pool] if layer.kind == "conv1d"]
+        left = sum(conv.pad_left for conv in convs)
+        right = sum(conv.kernel_size - 1 - conv.pad_left for conv in convs)
+        steps = self.input_shape[1]
+        width = min(steps, left + 1 + right)
+        repeats = np.ones(width, dtype=np.intp)
+        if width < steps:  # column `left` stands for every step with no padding in view
+            repeats[left] = steps - width + 1
+        out = []
+        for rows in _row_blocks(len(lb)):
+            window = np.broadcast_to(lb[rows, None, :],
+                                     (rows.stop - rows.start, width, lb.shape[1]))
+            acts = self._run(window, layers[:pool], False)
+            out.append(self._run(np.repeat(acts, repeats, axis=1), layers[pool:], False))
+        out = np.concatenate(out)
         return out[0] if single else out
 
     def predict(self, x) -> np.ndarray:

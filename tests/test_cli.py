@@ -7,17 +7,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import rewrite_checkpoint_header
 
 import aeroshm
 from aeroshm import harness
 from aeroshm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, main
-from aeroshm.data import load_campaign
+from aeroshm.data import (
+    N_PHYSICAL_SENSORS,
+    Campaign,
+    SensorLayout,
+    export_csv_run,
+    load_campaign,
+    save_campaign,
+)
 from aeroshm.errors import ConfigError
 from aeroshm.harness import ExperimentConfig
 from aeroshm.net import FitResult
-from aeroshm.surrogate import GeneratorConfig
+from aeroshm.surrogate import GeneratorConfig, simulate_run
 
 TRAIN = ["--window-count", "2", "--epochs", "1"]
 
@@ -438,6 +446,42 @@ def test_out_path_that_is_a_file_exits_data_error(two_runs, tmp_path, capsys, mo
     assert str(out) in err
     assert fits == []  # the path failed before the fit
     assert out.read_text() == "not a directory"
+
+
+def test_attribute_out_path_that_is_a_file_exits_data_error(two_runs, tmp_path, capsys,
+                                                           monkeypatch):
+    (root, _), _ = two_runs
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    maps = []
+    monkeypatch.setattr(harness, "integrated_gradients", lambda *a, **k: maps.append(a))
+    argv = ["attribute", "--checkpoint", str(root / "run" / "checkpoint.ckpt"),
+            "--data", str(root / "data"), "--steps", "16", "--out", str(out)]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(out) in err
+    assert maps == []  # the path failed before the first map
+    assert out.read_text() == "not a directory"
+
+
+def test_ingest_into_a_dataset_reads_its_layout(tmp_path):
+    data = tmp_path / "data"
+    config = GeneratorConfig.named_profile("static-dominant")
+    layout = SensorLayout(dead_sensors=(5, 21, 34))
+    save_campaign(Campaign(runs=[simulate_run(config, 1, 0, 1, seed=0, duration_s=2.0)],
+                           layout=layout), data)
+    run = simulate_run(config, 1, 2, 1, seed=1, duration_s=2.0)
+    export_csv_run(run, tmp_path / "run.csv", tmp_path / "meta.json")
+    # every physical sensor's column, its id in the integer part
+    table = np.arange(N_PHYSICAL_SENSORS) + np.linspace(0, 0.5, run.n_steps)[:, None]
+    np.savetxt(tmp_path / "run.csv", table, delimiter=",", comments="", fmt="%.17g",
+               header=",".join(map(str, range(N_PHYSICAL_SENSORS))))
+    assert main(["ingest", "--csv", str(tmp_path / "run.csv"),
+                 "--meta", str(tmp_path / "meta.json"), "--out", str(data)]) == EXIT_OK
+    campaign = load_campaign(data)
+    assert campaign.layout == layout
+    np.testing.assert_array_equal(campaign.run(1, 2, 1).values,
+                                  table[:, list(layout.working_ids)].T)
 
 
 def test_unexpected_exception_exits_internal_error(tmp_path, monkeypatch, capsys):

@@ -40,13 +40,17 @@ def prepared(arch: str, n_test: int) -> tuple[LayerStack, PreparedData, Experime
     return stack, data, ExperimentConfig(arch=arch, window_steps=STEPS)
 
 
-def record_predict(monkeypatch) -> list[np.ndarray]:
-    """Every batch LayerStack.predict is called with from now on."""
-    batches = []
-    predict = LayerStack.predict
-    monkeypatch.setattr(LayerStack, "predict",
-                        lambda self, x: batches.append(np.asarray(x)) or predict(self, x))
-    return batches
+def record_passes(monkeypatch) -> list[tuple[str, np.ndarray]]:
+    """(method, batch) of every LayerStack.predict and constant_logits
+    call from now on."""
+    calls = []
+    for name in ("predict", "constant_logits"):
+        method = getattr(LayerStack, name)
+        monkeypatch.setattr(
+            LayerStack, name,
+            lambda self, x, _name=name, _method=method:
+            calls.append((_name, np.asarray(x))) or _method(self, x))
+    return calls
 
 
 def test_balanced_scores_counts_every_pair():
@@ -88,25 +92,31 @@ class TestAblateOnBaselines:
     @pytest.mark.parametrize("arch", ["fcn-cnn", "mean-mlp"])
     def test_apb_predicts_at_most_two_rows(self, arch, n_test, monkeypatch):
         stack, data, config = prepared(arch, n_test)
-        batches = record_predict(monkeypatch)
+        calls = record_passes(monkeypatch)
         harness.ablate_on_baselines(stack, data, config, kinds=["apb"])
-        (batch,) = batches
+        ((method, batch),) = calls
         assert len(batch) == min(n_test, 2)
-        zero = harness.model_inputs(reduce_dataset(data.samples[:1], "apb"), arch,
-                                    data.mean_stats)[0]
+        if arch == "fcn-cnn":  # the zero window, given by its levels
+            assert method == "constant_logits"
+            zero = np.zeros((1, CHANNELS), dtype=np.float32)
+        else:
+            assert method == "predict"
+            zero = harness.model_inputs(reduce_dataset(data.samples[:1], "apb"), arch,
+                                        data.mean_stats)[0]
         np.testing.assert_array_equal(batch, np.repeat(zero, len(batch), axis=0))
 
     def test_bad_name_fails_before_any_pass(self, monkeypatch):
         stack, data, config = prepared("fcn-cnn", 9)
-        batches = record_predict(monkeypatch)
+        calls = record_passes(monkeypatch)
         with pytest.raises(ConfigError, match="frequency"):
             harness.ablate_on_baselines(stack, data, config, kinds=["apb", "frequency"])
-        assert batches == []
+        assert calls == []
 
     def test_repeated_kind_runs_once(self, monkeypatch):
         stack, data, config = prepared("fcn-cnn", 9)
-        batches = record_predict(monkeypatch)
+        calls = record_passes(monkeypatch)
         reports = harness.ablate_on_baselines(stack, data, config,
-                                              kinds=["mvb", "apb", "APB", "mvb"])
-        assert list(reports) == ["mvb", "apb"]
-        assert [len(b) for b in batches] == [9, 2]
+                                              kinds=["mvb", "apb", "tvb", "APB", "mvb", "tvb"])
+        assert list(reports) == ["mvb", "apb", "tvb"]
+        assert [(method, len(batch)) for method, batch in calls] == [
+            ("constant_logits", 9), ("constant_logits", 2), ("predict", 9)]

@@ -19,6 +19,7 @@ from conftest import (
     warm_batchnorm,
 )
 
+from aeroshm.baselines import make_baseline
 from aeroshm.errors import ConfigError, NumericError, ShapeError
 from aeroshm.models import build_cnn, build_mlp
 from aeroshm.net import stack as stack_module
@@ -223,6 +224,78 @@ class TestInferBlocks:
         stack.logits(x, train=True)
         assert blocks == [2 * B + 1]
         stack.backprop_logits(np.ones((2 * B + 1, stack.n_classes)))
+
+
+class TestConstantLogits:
+    """constant_logits runs the layers before the pool on a window as wide
+    as their receptive field and must give what `logits` gives on the
+    whole constant windows, bit for bit."""
+
+    @staticmethod
+    def stack(dtype, steps=150):
+        stack = build_cnn(5, steps, seed=6).astype(dtype)
+        return warm_batchnorm(stack, np.random.default_rng(steps))
+
+    @staticmethod
+    def record_conv_steps(monkeypatch):
+        steps = []
+        forward = Conv1d.forward
+        monkeypatch.setattr(Conv1d, "forward",
+                            lambda self, x, *a, **k: steps.append(x.shape[1])
+                            or forward(self, x, *a, **k))
+        return steps
+
+    @pytest.mark.parametrize("kind", ["mvb", "apb"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 17])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_full_window_logits(self, dtype, n, kind):
+        stack = self.stack(dtype)
+        rng = np.random.default_rng(n)
+        x = (rng.normal(size=(n, 5, 150)) + rng.normal(size=(n, 5, 1))).astype(np.float32)
+        windows = make_baseline(x, kind)
+        levels = windows[..., 0]
+        expected = stack.logits(windows)
+        logits = stack.constant_logits(levels)
+        assert logits.dtype == expected.dtype
+        np.testing.assert_array_equal(logits, expected)
+        np.testing.assert_array_equal(stack.constant_logits(levels[0]),
+                                      stack.logits(windows[0]))
+
+    @pytest.mark.parametrize("steps, width", [(150, 14), (15, 14), (14, 14), (10, 10)])
+    def test_window_is_the_receptive_field_or_the_whole_input(self, steps, width,
+                                                              monkeypatch):
+        stack = self.stack(np.float32, steps)
+        levels = np.random.default_rng(1).normal(size=(3, 5)).astype(np.float32)
+        windows = np.repeat(levels[:, :, None], steps, axis=2)
+        expected = stack.logits(windows)
+        conv_steps = self.record_conv_steps(monkeypatch)
+        np.testing.assert_array_equal(stack.constant_logits(levels), expected)
+        assert conv_steps == [width] * 3
+
+    def test_non_finite_level_raises(self):
+        stack = self.stack(np.float32)
+        levels = np.zeros((3, 5))
+        levels[1, 2] = np.nan
+        with pytest.raises(NumericError):
+            stack.constant_logits(levels)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ShapeError):
+            self.stack(np.float32).constant_logits(np.zeros((3, 4)))
+
+    def test_rank_1_stack_raises(self):
+        with pytest.raises(ConfigError, match="channels, time"):
+            build_mlp(5, seed=0).constant_logits(np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("middle, word", [((Softmax, GlobalAvgPool), "time-local"),
+                                              ((), "global-avg-pool")],
+                             ids=["softmax-before-the-pool", "no-pool"])
+    def test_stack_without_a_time_local_run_to_a_pool_raises(self, middle, word):
+        rng = np.random.default_rng(0)
+        stack = LayerStack([Conv1d(3, 4, 3, rng), *(cls() for cls in middle),
+                            Dense(4, 6, rng), Softmax()], (3, 16))
+        with pytest.raises(ConfigError, match=word):
+            stack.constant_logits(np.zeros((2, 3)))
 
 
 class TestBackpropLogits:
