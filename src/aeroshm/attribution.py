@@ -10,7 +10,7 @@ approximated by a midpoint Riemann sum with L steps (g_k = (k - 1/2) / L).
 The completeness gap |sum(IG) - (F(x) - F(x'))| is recorded on every map;
 it vanishes as L grows and is exactly zero for linear models at any L.
 
-Channel aggregation sums a map over time to a per-channel vector; the
+Channel aggregation sums a map over time to one value per channel; the
 population statistics over many such vectors are what violin plots of
 channel importance are drawn from.
 """

@@ -1,7 +1,7 @@
 """Attribution baselines: three ways to remove a signal property.
 
 APB (ambient pressure): all zeros — no loading, no vibration.
-TVB (temporal variations): per-channel mean removed — only the dynamics
+TVB (temporal variations): each channel's mean removed — only the dynamics
     survive, inter-channel magnitude relationships are erased.
 MVB (mean value): each channel frozen at its temporal mean — only the
     inter-channel magnitudes survive, dynamics are erased.
@@ -68,7 +68,7 @@ def _floating(values) -> np.ndarray:
 
 
 def constant_levels(values: np.ndarray, kind: "str | BaselineKind") -> np.ndarray:
-    """The per-channel level a time-constant baseline (APB or MVB) holds
+    """The channel-wise level a time-constant baseline (APB or MVB) holds
     over every step of each (channels, steps) sample: shape
     values.shape[:-1], in the baseline's dtype."""
     kind = BaselineKind.parse(kind)

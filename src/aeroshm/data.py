@@ -384,12 +384,3 @@ def ingest_csv_run(csv_path: Path, meta_path: Path,
     return from_json(RawRun, {"sample_rate": SAMPLE_RATE_HZ, "seed": None, **meta,
                               "values": values}, DataError, what)
 
-
-def export_csv_run(run: RawRun, csv_path: Path, meta_path: Path,
-                   layout: SensorLayout | None = None) -> None:
-    """Write a run as CSV + metadata sidecar (inverse of ingest_csv_run)."""
-    layout = layout or SensorLayout()
-    header = ",".join(str(i) for i in layout.working_ids)
-    np.savetxt(csv_path, run.values.T, delimiter=",", header=header, comments="",
-               fmt="%.17g")
-    Path(meta_path).write_text(json.dumps(run.meta_dict(), indent=2, sort_keys=True))

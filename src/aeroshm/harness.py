@@ -2,7 +2,10 @@
 
 Every command produces a Report that embeds the full experiment
 configuration and the input fingerprints, so re-running with identical
-config and seeds reproduces the numbers bit-exactly.
+config and seeds reproduces the numbers bit-exactly. Config keys that
+earlier versions wrote and that are gone (RETIRED_CONFIG_KEYS) still load
+from a config file or a checkpoint where they hold a value that means
+what the code now does, and are refused where they hold any other.
 """
 
 from __future__ import annotations
@@ -26,24 +29,21 @@ from .attribution import (
     top_channels,
 )
 from .baselines import BaselineKind, constant_levels, reduce_dataset
-from .data import Campaign, SampleSet, SensorLayout
+from .data import N_DAMAGE_CLASSES, Campaign, SampleSet, SensorLayout
 from .errors import ConfigError, DataError
 from .models import ARCHITECTURES, architecture, build_architecture
 from .net import FitSettings, LayerStack, fit, load_checkpoint, save_checkpoint
 from .net.stack import GRADIENT_TARGETS
-from .preprocessing import (
-    ZSCORE_SCOPES,
-    MeanVectorStats,
-    SplitAssignment,
-    assign_splits,
-    build_samples,
-)
+from .preprocessing import MeanVectorStats, SplitAssignment, assign_splits, build_samples
 from .records import from_json, json_object, read_json
 
-N_CLASSES = 6
-# Config keys that earlier versions wrote into checkpoints and that no
-# longer mean anything; ExperimentConfig.from_dict drops them.
-RETIRED_CONFIG_KEYS = frozenset({"ig_chunk"})
+N_CLASSES = N_DAMAGE_CLASSES
+# Config keys that earlier versions wrote into configs and checkpoints,
+# each mapped to the one value it may still hold (None: any value).
+# ExperimentConfig.from_dict drops them and refuses any other value:
+# the IG chunk size no longer means anything, and every window is now
+# z-scored jointly over its channels and steps.
+RETIRED_CONFIG_KEYS = {"ig_chunk": None, "zscore_scope": "joint"}
 
 
 @dataclass
@@ -51,15 +51,13 @@ class ExperimentConfig(FitSettings):
     """Every knob of one experiment; serialized into reports and
     checkpoints. The training-loop settings are FitSettings' fields.
     Building one checks every field, the enumerated ones (arch, baseline,
-    ig_target, zscore_scope) against the values their owning modules
-    accept."""
+    ig_target) against the values their owning modules accept."""
 
     arch: str = "fcn-cnn"
     aoa_deg: float = 0.0
     split_index: int = 1
     window_steps: int = 150
     window_count: int = 89
-    zscore_scope: str = "joint"
     val_fraction: float = 0.25
     baseline: str = "apb"
     ig_steps: int = 200
@@ -82,19 +80,11 @@ class ExperimentConfig(FitSettings):
             raise ConfigError(f"split_index must be 1, 2 or 3, got {self.split_index!r}")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
-        spec = architecture(self.arch)
+        architecture(self.arch)
         BaselineKind.parse(self.baseline)
-        for name, allowed in (("ig_target", GRADIENT_TARGETS),
-                              ("zscore_scope", ZSCORE_SCOPES)):
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ConfigError(
-                    f"{name} must be one of {', '.join(allowed)}, got {value!r}")
-        if spec.needs_mean_stats and self.zscore_scope == "per-channel":
-            # per-channel z-scoring makes every window's channel means 0,
-            # so the mean vectors hold rounding noise only
-            raise ConfigError(f"arch {self.arch} reads per-channel window means, "
-                              "which zscore_scope per-channel sets to 0")
+        if self.ig_target not in GRADIENT_TARGETS:
+            raise ConfigError(f"ig_target must be one of {', '.join(GRADIENT_TARGETS)}, "
+                              f"got {self.ig_target!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -102,10 +92,15 @@ class ExperimentConfig(FitSettings):
     @classmethod
     def from_dict(cls, d, overrides: dict | None = None) -> "ExperimentConfig":
         """The config of a JSON object plus overrides: fields left out keep
-        their defaults and retired keys are dropped."""
+        their defaults and retired keys are dropped, where they hold the
+        value RETIRED_CONFIG_KEYS allows."""
         d = {**asdict(cls()), **json_object(d, ConfigError, "config"), **(overrides or {})}
-        return from_json(cls, {key: value for key, value in d.items()
-                               if key not in RETIRED_CONFIG_KEYS}, ConfigError, "config")
+        for key, allowed in RETIRED_CONFIG_KEYS.items():
+            value = d.pop(key, allowed)
+            if allowed is not None and value != allowed:
+                raise ConfigError(f"{key} is retired and may only hold {allowed!r}, "
+                                  f"got {value!r}")
+        return from_json(cls, d, ConfigError, "config")
 
     @classmethod
     def from_file(cls, path: Path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -228,8 +223,7 @@ def prepare_data(campaign: Campaign, config: ExperimentConfig,
     training slice unless given, as they are when a checkpoint is
     evaluated."""
     subset = campaign.subset_aoa(config.aoa_deg)
-    samples = build_samples(subset, config.window_steps, config.window_count,
-                            zscore_scope=config.zscore_scope)
+    samples = build_samples(subset, config.window_steps, config.window_count)
     split = assign_splits(samples, config.split_index, seed=config.seed,
                           val_fraction=config.val_fraction)
     if baseline_reduce is not None:
@@ -387,8 +381,8 @@ def ablate_on_baselines(stack: LayerStack, data: PreparedData,
     is the one the whole slice would give.
 
     APB and MVB windows are constant in time. A (channels, time) model
-    scores them with `LayerStack.constant_logits` on their per-channel
-    levels (`baselines.constant_levels`), which runs the layers before
+    scores them with `LayerStack.constant_logits` on their levels per
+    channel (`baselines.constant_levels`), which runs the layers before
     the pool on a receptive-field-wide window and gives the logits of the
     whole windows bit for bit. The mean-mlp scores the reduced samples'
     inputs, and TVB, which varies in time, runs the whole reduced slice

@@ -5,8 +5,8 @@ followed by batchnorm + ReLU, then global average pooling and a dense
 softmax head. Same-padding keeps the temporal length through all blocks,
 so the pool averages exactly the input's time steps.
 
-"mean-mlp": four dense layers (128, 128, 64, n_classes) on a per-channel
-mean vector, batchnorm + ReLU after each hidden layer, dropout 0.2 on the
+"mean-mlp": four dense layers (128, 128, 64, n_classes) on a channel-mean
+vector, batchnorm + ReLU after each hidden layer, dropout 0.2 on the
 input and 0.4 after the first two hidden layers, softmax output.
 
 The fcn-cnn computes in float32: its convolutions are GEMM-bound, and

@@ -32,7 +32,7 @@ runs `backward` with `need_param_grads=False` over infer-mode layers,
 which roughly halves the cost of input-only gradients.
 
 BatchNorm is folded on infer passes: in infer mode it is a fixed
-per-channel affine map, so `LayerStack` runs a conv1d or dense layer that
+channel-wise affine map, so `LayerStack` runs a conv1d or dense layer that
 a batchnorm directly follows as one layer of the same class with scaled
 weights and a shifted bias (`BatchNorm.fold_into`). Train mode runs the
 batchnorm as a layer of its own, and so does infer mode where no conv1d
@@ -191,7 +191,7 @@ class BatchNorm(Layer):
 
     Train mode normalizes by batch statistics (biased variance) and updates
     the running estimates; infer mode applies the running statistics, which
-    makes the layer a fixed per-channel affine map. `LayerStack` folds that
+    makes the layer a fixed channel-wise affine map. `LayerStack` folds that
     map into a conv1d or dense layer directly before it (`fold_into`).
     """
 

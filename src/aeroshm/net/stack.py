@@ -18,7 +18,7 @@ same transpose. Rank-2 (batch, features) batches pass as they are.
 
 Infer-mode passes (`forward` and `logits` with train=False, `predict`,
 `class_gradients`, `path_gradients`) run folded layers: in infer mode a
-batchnorm is a fixed per-channel affine map, so each conv1d or dense
+batchnorm is a fixed channel-wise affine map, so each conv1d or dense
 layer that a batchnorm directly follows runs as one layer of its own
 class with weight W * s and bias (b - running_mean) * s + beta, where
 s = gamma / sqrt(running_var + eps) (Jacob et al. 2018, arXiv:1712.05877,

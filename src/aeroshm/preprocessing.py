@@ -3,12 +3,14 @@ vectors, and the non-random train/validation/test splits.
 
 Pipeline: the first 40 s and last 10 s of every run are discarded, 89
 overlapping 1.5 s windows are cut from the remainder at a uniform stride,
-and each window is z-scored. The windows of a campaign are held in one
-columnar SampleSet: a (samples, channels, steps) float32 array plus label
-and provenance arrays. Splits hold one of the three runs per boundary
-condition (test series x damage class) out for testing; a 25% validation
-slice is carved out of the training pool, stratified by class and
-boundary condition.
+and each window is z-scored jointly: one mean and one std over all its
+channels and steps, so the relative levels of the channels survive. The
+windows of a campaign are held in one columnar SampleSet: a (samples,
+channels, steps) float32 array plus label and provenance arrays, which
+`build_samples` alone builds; it refuses a damage class outside 0..5.
+Splits hold one of the three runs per boundary condition (test series x
+damage class) out for testing; a 25% validation slice is carved out of
+the training pool, stratified by class and boundary condition.
 
 Dtypes: runs and `window_run`'s views of them are float64. Each window is
 z-scored in float64 and stored rounded to float32, once. The fcn-cnn
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import Campaign, RawRun, SampleSet, map_runs
+from .data import N_DAMAGE_CLASSES, Campaign, RawRun, SampleSet, map_runs
 from .errors import ConfigError, DataError
 
 TRIM_HEAD_S = 40.0
@@ -45,8 +47,6 @@ WINDOW_COUNT = 89
 # windows a build_samples task z-scores at a time: 8 x 37 x 150 float64
 # values are 355 KB, a scratch that stays in cache and is reused
 ZSCORE_BLOCK = 8
-# what each window is z-scored over: the whole window, or each channel
-ZSCORE_SCOPES = ("joint", "per-channel")
 # which run index each split holds out for testing
 HELD_OUT_RUN = {1: 3, 2: 1, 3: 2}
 
@@ -64,13 +64,13 @@ def trim_run(run: RawRun) -> RawRun:
 
 
 def window_run(run: RawRun, window_steps: int = WINDOW_STEPS,
-               window_count: int = WINDOW_COUNT) -> SampleSet:
+               window_count: int = WINDOW_COUNT) -> np.ndarray:
     """Cut uniformly strided windows from a trimmed run.
 
     Stride is floor((N - W) / (count - 1)); leftover steps at the tail are
-    discarded. Windows are ordered by start time and all carry the run's
-    damage class as label. Their values are a read-only strided view of
-    the run, not a copy, so they keep the run's float64.
+    discarded. The (count, channels, steps) windows are ordered by start
+    time and are a read-only strided view of the run, not a copy, so they
+    keep the run's float64.
     """
     n = run.n_steps
     if window_steps < 1 or window_count < 1:
@@ -87,40 +87,26 @@ def window_run(run: RawRun, window_steps: int = WINDOW_STEPS,
         stride = (n - window_steps) // (window_count - 1)
     # (channels, starts, steps) -> (windows, channels, steps)
     windows = sliding_window_view(run.values, window_steps, axis=1)[:, ::stride]
-    values = windows[:, :window_count].transpose(1, 0, 2)
-
-    def column(value):
-        return np.full(window_count, value, dtype=np.int64)
-
-    return SampleSet(values=values, labels=column(run.damage_class),
-                     test_series=column(run.test_series),
-                     run_index=column(run.run_index),
-                     window_index=np.arange(window_count, dtype=np.int64))
+    return windows[:, :window_count].transpose(1, 0, 2)
 
 
-def zscore(values: np.ndarray, scope: str = "joint",
-           out: np.ndarray | None = None) -> np.ndarray:
-    """Z-score each (channels, steps) block of a (..., channels, steps) array.
-
-    scope "joint" uses a single mean/std per block, preserving the
-    relative magnitudes between channels; "per-channel" normalizes each
-    channel independently. Zero-variance input maps to all zeros. The
-    result goes to `out` (which may be `values` itself) or a new array.
+def zscore(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Z-score each (channels, steps) block of a (..., channels, steps) array
+    with a single mean and std per block, preserving the relative
+    magnitudes between channels. Zero-variance input maps to all zeros.
+    The result goes to `out` (which may be `values` itself) or a new array.
 
     The mean and std are bit-identical to np.mean and np.std of each
-    block (joint) or channel on its own: the same pairwise sums over the
-    same elements in C order. np.std centres its input in a temporary of
-    its own; here the centred values are written to `out` once and the
-    std is taken from their squares.
+    block on its own: the same pairwise sums over the same elements in C
+    order. np.std centres its input in a temporary of its own; here the
+    centred values are written to `out` once and the std is taken from
+    their squares.
     """
-    if scope not in ZSCORE_SCOPES:
-        raise ConfigError(f"unknown z-score scope {scope!r}")
-    # the axes each mean and std reduce over, flattened into the last:
-    # mean(axis=(-2, -1)) sums a strided block in another order
-    reduced = 2 if scope == "joint" else 1
-    lead = values.shape[:values.ndim - reduced]
+    # each block flattened into the last axis: mean(axis=(-2, -1)) sums a
+    # strided block in another order
+    lead = values.shape[:-2]
     flat = values.reshape(*lead, -1)
-    mean = flat.mean(axis=-1).reshape(*lead, *(1,) * reduced)
+    mean = flat.mean(axis=-1).reshape(*lead, 1, 1)
     out = np.subtract(values, mean, out=out)
     sum_sq = np.square(out).reshape(flat.shape).sum(axis=-1)
     std = np.sqrt(sum_sq / flat.shape[-1]).reshape(mean.shape)
@@ -139,14 +125,14 @@ def channel_means(values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MeanVectorStats:
-    """Training-set mean/std of the per-channel mean vectors."""
+    """Training-set mean/std of the channel-mean vectors."""
 
     mean: np.ndarray
     std: np.ndarray
 
     @classmethod
     def fit(cls, vectors: np.ndarray) -> "MeanVectorStats":
-        """Fit on the (n, channels) per-channel temporal means of the
+        """Fit on the (n, channels) channel-wise temporal means of the
         training samples."""
         if len(vectors) == 0:
             raise DataError("cannot fit mean-vector statistics on an empty set")
@@ -179,14 +165,19 @@ class SplitAssignment:
 
 
 def build_samples(campaign: Campaign, window_steps: int = WINDOW_STEPS,
-                  window_count: int = WINDOW_COUNT,
-                  zscore_scope: str = "joint") -> SampleSet:
+                  window_count: int = WINDOW_COUNT) -> SampleSet:
     """Trim, window, and normalize every run of a campaign, in run-key
-    order. The windows are z-scored in float64 and returned in float32."""
+    order. The windows are z-scored in float64 and returned in float32.
+    A run whose damage class lies outside 0..5 is refused, the first in
+    run-key order named."""
     runs = sorted(campaign.runs, key=lambda r: r.key())
     if not runs:
         raise DataError("campaign has no runs to window")
-    views = [window_run(trim_run(run), window_steps, window_count).values for run in runs]
+    for run in runs:
+        if not 0 <= run.damage_class < N_DAMAGE_CLASSES:
+            raise DataError(f"run {run.key()} has damage class {run.damage_class}, "
+                            f"outside 0..{N_DAMAGE_CLASSES - 1}")
+    views = [window_run(trim_run(run), window_steps, window_count) for run in runs]
     values = np.empty((len(runs) * window_count, *views[0].shape[1:]), dtype=np.float32)
 
     def fill(i: int) -> None:
@@ -195,7 +186,7 @@ def build_samples(campaign: Campaign, window_steps: int = WINDOW_STEPS,
             view = views[i][start:start + ZSCORE_BLOCK]
             block = scratch[:len(view)]
             block[...] = view
-            zscore(block, scope=zscore_scope, out=block)
+            zscore(block, out=block)
             first = i * window_count + start
             values[first:first + len(view)] = block
 

@@ -56,7 +56,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Campaign, RawRun, SensorLayout
+from .data import N_DAMAGE_CLASSES, Campaign, RawRun, SensorLayout
 from .errors import ConfigError, NumericError
 from .records import from_json
 
@@ -245,6 +245,9 @@ class GeneratorConfig:
         indices = [spec.index for spec in self.damage_table]
         if not indices or len(set(indices)) != len(indices):
             raise ConfigError(f"damage_table needs distinct class indices, got {indices}")
+        if not all(0 <= index < N_DAMAGE_CLASSES for index in indices):
+            raise ConfigError(f"damage_table indices must lie in 0..{N_DAMAGE_CLASSES - 1}, "
+                              f"got {indices}")
         numbers = [row.test_series for row in self.test_series]
         if not numbers or len(set(numbers)) != len(numbers):
             raise ConfigError(f"test_series needs distinct series numbers, got {numbers}")

@@ -1,15 +1,17 @@
 """Shared test helpers: finite-difference oracles, an unfolded infer-pass
-reference, small random models, float64 fcn-cnns and checkpoint header
-surgery."""
+reference, small random models, float64 fcn-cnns, checkpoint header
+surgery and a CSV run writer."""
 
 from __future__ import annotations
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from aeroshm.data import SensorLayout
 from aeroshm.models import build_cnn
 from aeroshm.net import (
     BatchNorm,
@@ -166,6 +168,16 @@ def rewrite_checkpoint_header(src, dst, edit):
     edit(header)
     new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     dst.write_bytes(blob[:12] + struct.pack("<Q", len(new)) + new + blob[20 + header_len:])
+
+
+def export_csv_run(run, csv_path, meta_path, layout=None):
+    """Write a run as the CSV table and metadata sidecar that
+    data.ingest_csv_run reads back bit for bit."""
+    layout = layout or SensorLayout()
+    header = ",".join(str(i) for i in layout.working_ids)
+    np.savetxt(csv_path, run.values.T, delimiter=",", header=header, comments="",
+               fmt="%.17g")
+    Path(meta_path).write_text(json.dumps(run.meta_dict(), indent=2, sort_keys=True))
 
 
 @pytest.fixture

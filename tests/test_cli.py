@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import rewrite_checkpoint_header
+from conftest import export_csv_run, rewrite_checkpoint_header
 
 import aeroshm
 from aeroshm import harness
@@ -18,7 +19,6 @@ from aeroshm.data import (
     N_PHYSICAL_SENSORS,
     Campaign,
     SensorLayout,
-    export_csv_run,
     load_campaign,
     save_campaign,
 )
@@ -177,6 +177,78 @@ def test_checkpoint_with_retired_config_key_still_loads(two_runs, tmp_path):
                  "--max-samples", "1"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("key,value", [
+    ("ig_chunk", None), ("ig_chunk", "any"), ("zscore_scope", "joint"),
+])
+def test_checkpoint_with_retired_config_value_evaluates_unchanged(two_runs, tmp_path, key,
+                                                                   value):
+    (root, _), _ = two_runs
+    path = tmp_path / "old.ckpt"
+    rewrite_checkpoint_header(root / "run" / "checkpoint.ckpt", path,
+                              lambda h: h["metadata"]["config"].update({key: value}))
+    assert main(["eval", "--checkpoint", str(path), "--data", str(root / "data"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert without_wall_clock(tmp_path / "eval_test.json") \
+        == without_wall_clock(root / "run" / "eval_test.json")
+
+
+def test_checkpoint_with_per_channel_zscore_exits_data_error(two_runs, tmp_path, capsys):
+    (root, _), _ = two_runs
+    path = tmp_path / "old.ckpt"
+    rewrite_checkpoint_header(root / "run" / "checkpoint.ckpt", path,
+                              lambda h: h["metadata"]["config"].update(
+                                  zscore_scope="per-channel"))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path), "--data", str(root / "data")]) \
+        == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert "zscore_scope" in err and "per-channel" in err
+
+
+def test_config_with_joint_zscore_trains_the_same_checkpoint(two_runs, tmp_path):
+    (root, _), _ = two_runs
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({"zscore_scope": "joint"}))
+    assert main(["train", "--data", str(root / "data"), "--out", str(out),
+                 "--config", str(path), *TRAIN]) == EXIT_OK
+    assert (out / "checkpoint.ckpt").read_bytes() \
+        == (root / "run" / "checkpoint.ckpt").read_bytes()
+    assert without_wall_clock(out / "report.json") \
+        == without_wall_clock(root / "run" / "report.json")
+
+
+@pytest.fixture(scope="module")
+def class7_dataset(two_runs, tmp_path_factory):
+    """The first pipeline's dataset with damage class 5 relabelled 7."""
+    (root, _), _ = two_runs
+    campaign = load_campaign(root / "data")
+    campaign.runs = [replace(run, damage_class=7) if run.damage_class == 5 else run
+                     for run in campaign.runs]
+    data = tmp_path_factory.mktemp("class7") / "data"
+    save_campaign(campaign, data)
+    return data
+
+
+@pytest.mark.parametrize("step", ["train", "retrain", "eval", "ablate", "attribute"])
+def test_damage_class_outside_0_to_5_exits_data_error(two_runs, class7_dataset, tmp_path,
+                                                      capsys, step):
+    (root, _), _ = two_runs
+    ckpt = ["--checkpoint", str(root / "run" / "checkpoint.ckpt")]
+    argv = {
+        "train": ["train", "--out", str(tmp_path), *TRAIN],
+        "retrain": ["retrain", "--out", str(tmp_path), "--baseline", "mvb", *TRAIN],
+        "eval": ["eval", *ckpt],
+        "ablate": ["ablate", *ckpt],
+        "attribute": ["attribute", *ckpt, "--steps", "4", "--max-samples", "1"],
+    }[step]
+    capsys.readouterr()
+    assert main([*argv, "--data", str(class7_dataset)]) == EXIT_DATA
+    # a checkpoint also warns that it was trained on another dataset
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "data error: run (1, 7, 1) has damage class 7, outside 0..5"
+
+
 def test_stored_generator_config_regenerates_the_dataset(two_runs, tmp_path):
     (root, _), _ = two_runs
     code = main(["generate", "--out", str(tmp_path / "data"), "--seed", "0", "--aoa", "0",
@@ -203,6 +275,8 @@ def test_stored_generator_config_regenerates_the_dataset(two_runs, tmp_path):
     (lambda d: d.update(force_jitter=1.5), "force_jitter"),
     (lambda d: d["damage_table"].append(dict(d["damage_table"][0])), "damage_table"),
     (lambda d: d.update(damage_table=[]), "damage_table"),
+    (lambda d: d["damage_table"][5].update(index=6), "damage_table"),
+    (lambda d: d["damage_table"][0].update(index=-1), "damage_table"),
     (lambda d: d["test_series"].append(dict(d["test_series"][0])), "test_series"),
     (lambda d: d["test_series"][1].update(wind_speed=0), "wind_speed"),
     (lambda d: d["test_series"][1].update(wind_speed=-12.0), "wind_speed"),
@@ -214,7 +288,8 @@ def test_stored_generator_config_regenerates_the_dataset(two_runs, tmp_path):
         "series-without-aoa", "zero-sample-rate", "negative-sample-rate",
         "negative-quiet-lead-in", "no-runs-per-condition", "negative-buffet",
         "negative-noise", "negative-stiffness-jitter", "negative-damping-jitter",
-        "jitter-of-one-or-more", "repeated-class", "no-classes", "repeated-series",
+        "jitter-of-one-or-more", "repeated-class", "no-classes", "class-index-6",
+        "negative-class-index", "repeated-series",
         "zero-wind-speed", "negative-wind-speed", "zero-excitation",
         "dead-sensor-above-39", "negative-dead-sensor", "repeated-dead-sensor"])
 def test_bad_generator_config_exits_config_error(tmp_path, capsys, edit, word):
@@ -360,18 +435,25 @@ def test_config_values_rejected(key, value):
 
 
 @pytest.mark.parametrize("config", [
-    {"arch": "mean-mlp"}, {"zscore_scope": "per-channel"}, {"baseline": "TVB"},
-    {"ig_target": "prob"},
+    {"arch": "mean-mlp"}, {"baseline": "TVB"}, {"ig_target": "prob"},
 ])
 def test_enumerated_config_values_accepted(config):
     assert ExperimentConfig.from_dict(config).to_dict().items() >= config.items()
 
 
-# Enumerated config values the types let through. The mean-mlp reads
-# per-channel window means, which per-channel z-scoring sets to 0.
+@pytest.mark.parametrize("config", [
+    {"zscore_scope": "joint"}, {"ig_chunk": 64}, {"ig_chunk": None}, {"ig_chunk": "x"},
+    {"ig_chunk": [1], "zscore_scope": "joint"},
+])
+def test_retired_config_keys_are_dropped(config):
+    assert ExperimentConfig.from_dict(config) == ExperimentConfig()
+
+
+# Enumerated config values the types let through, and retired keys that
+# hold a value other than the one they may keep.
 BAD_ENUMERATED = [
     {"arch": "resnet"}, {"baseline": "xyz"}, {"ig_target": "loss"},
-    {"zscore_scope": "global"}, {"arch": "mean-mlp", "zscore_scope": "per-channel"},
+    {"zscore_scope": "global"}, {"zscore_scope": "per-channel"},
 ]
 
 

@@ -10,11 +10,10 @@ import pytest
 
 from aeroshm.baselines import BaselineKind
 from aeroshm.data import RawRun
-from aeroshm.harness import TrainingRecord
+from aeroshm.harness import RETIRED_CONFIG_KEYS, TrainingRecord
 from aeroshm.models import ARCHITECTURES
 from aeroshm.net.checkpoint import Header
 from aeroshm.net.stack import GRADIENT_TARGETS
-from aeroshm.preprocessing import ZSCORE_SCOPES
 
 DOC = Path(__file__).parents[1] / "docs" / "formats.md"
 
@@ -53,5 +52,10 @@ def test_doc_lists_the_enumerated_config_values():
         "arch": list(ARCHITECTURES),
         "baseline": [kind.value for kind in BaselineKind],
         "ig_target": list(GRADIENT_TARGETS),
-        "zscore_scope": list(ZSCORE_SCOPES),
     }
+
+
+def test_doc_lists_the_retired_config_keys_with_their_values():
+    documented = {row[0].strip("`"): row[1] for row in table_rows("### Retired config keys")}
+    assert documented == {key: "any value" if value is None else f'`"{value}"`'
+                          for key, value in RETIRED_CONFIG_KEYS.items()}

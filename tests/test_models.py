@@ -168,7 +168,7 @@ def static_campaign():
 def float64_windows(campaign, window_count):
     """The campaign's windows z-scored in float64 and kept in float64."""
     runs = sorted(campaign.runs, key=lambda r: r.key())
-    return zscore(np.concatenate([window_run(trim_run(run), 150, window_count).values
+    return zscore(np.concatenate([window_run(trim_run(run), 150, window_count)
                                   for run in runs]))
 
 

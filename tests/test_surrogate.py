@@ -11,10 +11,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import export_csv_run
 from scipy.linalg import expm
 
 from aeroshm.data import (
-    export_csv_run,
     ingest_csv_run,
     load_campaign,
     load_run,
