@@ -221,22 +221,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="artifact directory")
     p.set_defaults(func=cmd_train)
 
+    def add_checkpoint_args(p, slice_default: str, *extras: tuple[str, dict]):
+        """--checkpoint and --data, the command's own (flag, keywords)
+        arguments, then --slice and --out."""
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--data", required=True)
+        for flag, kwargs in extras:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--slice", default=slice_default,
+                       choices=["train", "validation", "test", "all"])
+        p.add_argument("--out")
+
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--slice", default="test",
-                   choices=["train", "validation", "test", "all"])
-    p.add_argument("--out")
+    add_checkpoint_args(p, "test")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="evaluate a checkpoint on "
                                       "baseline-reduced inputs")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--baselines", default="apb,tvb,mvb")
-    p.add_argument("--slice", default="test",
-                   choices=["train", "validation", "test", "all"])
-    p.add_argument("--out")
+    add_checkpoint_args(p, "test", ("--baselines", {"default": "apb,tvb,mvb"}))
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("retrain", help="retrain on a baseline-reduced dataset")
@@ -247,14 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attribute", help="integrated-gradients attribution "
                                          "over correctly classified samples")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--baseline", choices=["apb", "tvb", "mvb"])
-    p.add_argument("--steps", dest="ig_steps", type=int)
-    p.add_argument("--max-samples", dest="ig_max_samples", type=int)
-    p.add_argument("--slice", default="validation",
-                   choices=["train", "validation", "test", "all"])
-    p.add_argument("--out")
+    add_checkpoint_args(p, "validation",
+                        ("--baseline", {"choices": ["apb", "tvb", "mvb"]}),
+                        ("--steps", {"dest": "ig_steps", "type": int}),
+                        ("--max-samples", {"dest": "ig_max_samples", "type": int}))
     p.set_defaults(func=cmd_attribute)
 
     p = sub.add_parser("spectra", help="STFT scan of one sensor of one run")

@@ -255,6 +255,20 @@ def _pop_counts(meta: dict, what: str, defaults=(None, None)) -> tuple[int, int]
     return counts
 
 
+def _checked_run(record: dict, what: str) -> RawRun:
+    """The run of a metadata record plus its values, refused where its
+    damage class lies outside 0..5 or its sample rate is not positive and
+    finite. `what` names the record in messages."""
+    run = from_json(RawRun, record, DataError, what)
+    if not 0 <= run.damage_class < N_DAMAGE_CLASSES:
+        raise DataError(f"{what} field damage_class must be in "
+                        f"0..{N_DAMAGE_CLASSES - 1}, got {run.damage_class}")
+    if not 0.0 < run.sample_rate < np.inf:
+        raise DataError(f"{what} field sample_rate must be positive and finite, "
+                        f"got {run.sample_rate}")
+    return run
+
+
 def _check_finite(values: np.ndarray, where) -> None:
     """Raise a DataError naming the first non-finite value; where(channel,
     step) describes its position."""
@@ -286,7 +300,7 @@ def load_run(run_dir: Path) -> RawRun:
                         f"but {bin_path} holds {size} bytes, not {8 * n_channels * n_steps}")
     values = np.fromfile(bin_path, dtype="<f8").reshape(n_channels, n_steps)
     _check_finite(values, lambda ch, step: f"channel {ch}, time step {step} of {bin_path}")
-    return from_json(RawRun, {**meta, "values": values}, DataError, what)
+    return _checked_run({**meta, "values": values}, what)
 
 
 def save_campaign(campaign: Campaign, dataset_dir: Path) -> None:
@@ -381,6 +395,6 @@ def ingest_csv_run(csv_path: Path, meta_path: Path,
     if counts != values.shape:
         raise DataError(f"{what} gives n_channels x n_steps = {counts[0]}x{counts[1]}, "
                         f"but {csv_path} holds {values.shape[0]}x{values.shape[1]} values")
-    return from_json(RawRun, {"sample_rate": SAMPLE_RATE_HZ, "seed": None, **meta,
-                              "values": values}, DataError, what)
+    return _checked_run({"sample_rate": SAMPLE_RATE_HZ, "seed": None, **meta,
+                         "values": values}, what)
 

@@ -6,6 +6,10 @@ config and seeds reproduces the numbers bit-exactly. Config keys that
 earlier versions wrote and that are gone (RETIRED_CONFIG_KEYS) still load
 from a config file or a checkpoint where they hold a value that means
 what the code now does, and are refused where they hold any other.
+
+The mean-mlp's training-set input statistics live in its leading
+standardize layer; `load_model` reads an older checkpoint's metadata key
+`mean_stats` once as that layer.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from .baselines import BaselineKind, constant_levels, reduce_dataset
 from .data import N_DAMAGE_CLASSES, Campaign, SampleSet, SensorLayout
 from .errors import ConfigError, DataError
 from .models import ARCHITECTURES, architecture, build_architecture
-from .net import FitSettings, LayerStack, fit, load_checkpoint, save_checkpoint
+from .net import FitSettings, LayerStack, Standardize, fit, load_checkpoint, save_checkpoint
 from .net.stack import GRADIENT_TARGETS
-from .preprocessing import MeanVectorStats, SplitAssignment, assign_splits, build_samples
+from .preprocessing import SplitAssignment, assign_splits, build_samples
 from .records import from_json, json_object, read_json
 
 N_CLASSES = N_DAMAGE_CLASSES
@@ -176,8 +180,7 @@ class PreparedData:
 
     samples: SampleSet
     split: SplitAssignment
-    inputs: np.ndarray  # model-ready inputs, aligned with samples
-    mean_stats: MeanVectorStats | None
+    inputs: np.ndarray  # model inputs, aligned with samples
     layout: SensorLayout
 
     @property
@@ -195,42 +198,25 @@ class PreparedData:
         return self.inputs[idx], self.labels[idx], idx
 
 
-def model_inputs(samples: SampleSet, arch: str, mean_stats: MeanVectorStats | None,
-                 fit_rows: list[int] | None = None
-                 ) -> tuple[np.ndarray, MeanVectorStats | None]:
-    """The architecture's inputs and the mean-vector statistics they were
-    standardised with. The fcn-cnn reads samples.values itself. The
-    mean-mlp reads the channel means, taken once; unless mean_stats is
-    given, the statistics are fitted on their rows `fit_rows`."""
-    spec = architecture(arch)
-    features = spec.features(samples.values)
-    if not spec.needs_mean_stats:
-        return features, mean_stats
-    if mean_stats is None:
-        if fit_rows is None:
-            raise ConfigError(f"{arch} inputs need fitted mean-vector statistics")
-        mean_stats = MeanVectorStats.fit(features[fit_rows])
-    return mean_stats.standardize(features), mean_stats
+def model_inputs(samples: SampleSet, arch: str) -> np.ndarray:
+    """The architecture's inputs: samples.values itself for the fcn-cnn,
+    the channel means, taken once, for the mean-mlp."""
+    return architecture(arch).features(samples.values)
 
 
 def prepare_data(campaign: Campaign, config: ExperimentConfig,
-                 baseline_reduce: str | None = None,
-                 mean_stats: MeanVectorStats | None = None) -> PreparedData:
+                 baseline_reduce: str | None = None) -> PreparedData:
     """Window + normalize a campaign, assign splits, and build model
     inputs. baseline_reduce optionally replaces every sample by its
-    baseline before input construction (retraining protocols). The
-    mean-vector statistics an architecture needs are fitted on the
-    training slice unless given, as they are when a checkpoint is
-    evaluated."""
+    baseline before input construction (retraining protocols)."""
     subset = campaign.subset_aoa(config.aoa_deg)
     samples = build_samples(subset, config.window_steps, config.window_count)
     split = assign_splits(samples, config.split_index, seed=config.seed,
                           val_fraction=config.val_fraction)
     if baseline_reduce is not None:
         samples = reduce_dataset(samples, baseline_reduce)
-    inputs, mean_stats = model_inputs(samples, config.arch, mean_stats, fit_rows=split.train)
-    return PreparedData(samples=samples, split=split, inputs=inputs,
-                        mean_stats=mean_stats, layout=campaign.layout)
+    return PreparedData(samples=samples, split=split,
+                        inputs=model_inputs(samples, config.arch), layout=campaign.layout)
 
 
 @dataclass
@@ -244,23 +230,14 @@ class TrainingRecord:
     best_epoch: int
     best_val_loss: float
     epochs_run: int
-    mean_stats: MeanVectorStats | None
 
     def check(self, what: str) -> None:
-        """Reject values the field types let through: a baseline_reduce
-        that names no baseline kind, and a mean-vector std that is not
-        positive and finite (MeanVectorStats.fit never writes one)."""
+        """Reject a baseline_reduce that names no baseline kind, which
+        the field type lets through."""
         kinds = [kind.value for kind in BaselineKind]
         if self.baseline_reduce not in (None, *kinds):
             raise DataError(f"{what} field baseline_reduce must be one of "
                             f"{', '.join(kinds)} or null, got {self.baseline_reduce!r}")
-        if self.mean_stats is None:
-            return
-        std = self.mean_stats.std
-        bad = std[~(np.isfinite(std) & (std > 0))]
-        if bad.size:
-            raise DataError(f"{what} field mean_stats.std must hold positive finite "
-                            f"values, got {bad[0]!r}")
 
 
 def train_classifier(config: ExperimentConfig, campaign: Campaign,
@@ -281,35 +258,53 @@ def train_classifier(config: ExperimentConfig, campaign: Campaign,
     result = fit(stack, train_x, train_y, val_x, val_y, config)
 
     test_x, test_y, _ = data.slice("test")
-    balanced, recalls, confusion = balanced_scores(test_y, stack.predict(test_x))
+    preds = stack.predict(test_x)
     record = TrainingRecord(
         config=config.to_dict(), dataset_fingerprint=campaign.fingerprint(),
         baseline_reduce=baseline_reduce, best_epoch=result.best_epoch,
-        best_val_loss=result.best_val_loss, epochs_run=result.epochs_run,
-        mean_stats=data.mean_stats)
+        best_val_loss=result.best_val_loss, epochs_run=result.epochs_run)
     hashes = {"dataset": record.dataset_fingerprint}
     if checkpoint_path is not None:
         hashes["checkpoint"] = save_checkpoint(stack, checkpoint_path, asdict(record))
-    return Report(
-        kind="train" if baseline_reduce is None else f"retrain-{baseline_reduce}",
-        balanced_accuracy=balanced,
-        per_class_recall=recalls.tolist(),
-        confusion=confusion.tolist(),
-        n_samples=len(test_y),
-        config=config.to_dict(),
-        wall_clock_s=time.perf_counter() - t0,
-        hashes=hashes,
-        extras={
-            "slice": "test",
-            "best_epoch": result.best_epoch,
-            "best_val_loss": result.best_val_loss,
-            "epochs_run": result.epochs_run,
-            "stopped_early": result.stopped_early,
-            "val_accuracy": result.history[result.best_epoch]["val_accuracy"]
-            if result.history else None,
-            "history": result.history,
-        },
-    )
+    report = _scored(test_y, preds, config, "test", hashes, t0,
+                     kind="train" if baseline_reduce is None else f"retrain-{baseline_reduce}")
+    report.extras.update(
+        best_epoch=result.best_epoch, best_val_loss=result.best_val_loss,
+        epochs_run=result.epochs_run, stopped_early=result.stopped_early,
+        val_accuracy=result.history[result.best_epoch]["val_accuracy"]
+        if result.history else None,
+        history=result.history)
+    return report
+
+
+@dataclass
+class _MeanStats:
+    """The metadata key `mean_stats` of checkpoints older than Standardize."""
+
+    mean: np.ndarray
+    std: np.ndarray
+
+
+def _load_mean_stats(stack: LayerStack, raw, what: str) -> None:
+    """Put an older checkpoint's non-null `mean_stats`, one finite mean and
+    positive finite std per input channel, at the head of its stack."""
+    if raw is None:
+        return
+    stats = from_json(_MeanStats, raw, DataError, what, "mean_stats")
+    if any(layer.kind == "standardize" for layer in stack.layers):
+        raise DataError(f"{what} field mean_stats must be null in a checkpoint "
+                        "with a standardize layer")
+    channels = stack.input_shape[0]
+    if stats.mean.shape != (channels,) or stats.std.shape != (channels,):
+        raise DataError(f"{what} field mean_stats holds {stats.mean.size} means and "
+                        f"{stats.std.size} stds for {channels} channels")
+    layer = Standardize(channels)
+    layer.buffers.update(mean=stats.mean.astype(stack.dtype),
+                         std=stats.std.astype(stack.dtype))
+    fault = layer.fault()
+    if fault:
+        raise DataError(f"{what} field mean_stats.{fault}")
+    stack.layers.insert(0, layer)
 
 
 def load_model(checkpoint_path: Path, campaign: Campaign, overrides: dict | None = None):
@@ -320,6 +315,7 @@ def load_model(checkpoint_path: Path, campaign: Campaign, overrides: dict | None
     training one is allowed (say, another AoA) but warned about."""
     stack, metadata = load_checkpoint(checkpoint_path)
     what = f"checkpoint metadata of {checkpoint_path}"
+    _load_mean_stats(stack, metadata.pop("mean_stats", None), what)
     record = from_json(TrainingRecord, {"dataset_fingerprint": None, **metadata},
                        DataError, what)
     record.check(what)
@@ -334,8 +330,7 @@ def load_model(checkpoint_path: Path, campaign: Campaign, overrides: dict | None
         if record.dataset_fingerprint != hashes["dataset"]:
             print(f"warning: checkpoint was trained on dataset {hashes['trained_on']}, "
                   f"this dataset is {hashes['dataset']}", file=sys.stderr)
-    data = prepare_data(campaign, config, baseline_reduce=record.baseline_reduce,
-                        mean_stats=record.mean_stats)
+    data = prepare_data(campaign, config, baseline_reduce=record.baseline_reduce)
     return stack, data, config, hashes
 
 
@@ -399,8 +394,7 @@ def ablate_on_baselines(stack: LayerStack, data: PreparedData,
         if windows and kind != BaselineKind.TVB:
             preds = stack.constant_logits(constant_levels(part.values, kind)).argmax(axis=-1)
         else:
-            inputs, _ = model_inputs(reduce_dataset(part, kind), config.arch, data.mean_stats)
-            preds = stack.predict(inputs)
+            preds = stack.predict(model_inputs(reduce_dataset(part, kind), config.arch))
         if apb:
             preds = np.full(len(labels), preds[0])
         report = _scored(labels, preds, config, slice_name, hashes, t0,

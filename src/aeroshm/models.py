@@ -5,20 +5,20 @@ followed by batchnorm + ReLU, then global average pooling and a dense
 softmax head. Same-padding keeps the temporal length through all blocks,
 so the pool averages exactly the input's time steps.
 
-"mean-mlp": four dense layers (128, 128, 64, n_classes) on a channel-mean
-vector, batchnorm + ReLU after each hidden layer, dropout 0.2 on the
-input and 0.4 after the first two hidden layers, softmax output.
+"mean-mlp": a standardize layer, which `fit` sets to the training set's
+statistics, then four dense layers (128, 128, 64, n_classes), batchnorm +
+ReLU after each hidden layer, dropout 0.2 on the standardised input and
+0.4 after the first two hidden layers, softmax output.
 
 The fcn-cnn computes in float32: its convolutions are GEMM-bound, and
 float32 GEMMs run about twice as fast. It reads the float32 windows of
 `build_samples` as they are. The mean-mlp stays float64; it is small, and
 gains nothing. Its inputs are the windows' channel means, taken in
-float64, then standardised against training-set statistics.
+float64; the model standardises them itself.
 
 ARCHITECTURES is the one registry of both: each entry says how to build
 the stack, the rank of one input, which features of a window array it
-reads, whether those are standardised, and which baseline the
-architecture is retrained on.
+reads, and which baseline the architecture is retrained on.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .net import (
     LayerStack,
     ReLU,
     Softmax,
+    Standardize,
 )
 from .preprocessing import channel_means
 
@@ -74,7 +75,7 @@ def build_mlp(input_dim: int = 37, n_classes: int = 6, seed: int = 0) -> LayerSt
     if input_dim < 1:
         raise ConfigError(f"input_dim must be >= 1, got {input_dim}")
     rng = np.random.default_rng(seed)
-    layers = [Dropout(MLP_INPUT_DROPOUT, rng)]
+    layers = [Standardize(input_dim), Dropout(MLP_INPUT_DROPOUT, rng)]
     width_in = input_dim
     for i, width in enumerate(MLP_WIDTHS):
         layers.append(Dense(width_in, width, rng))
@@ -95,13 +96,11 @@ class Architecture:
     # what the model reads of a (n, channels, steps) window array
     features: Callable[[np.ndarray], np.ndarray]
     retrain_baseline: str  # the baseline it is retrained on from scratch
-    # whether the features are standardised with training-set MeanVectorStats
-    needs_mean_stats: bool = False
 
 
 ARCHITECTURES = {
     "fcn-cnn": Architecture(build_cnn, 2, lambda values: values, "tvb"),
-    "mean-mlp": Architecture(build_mlp, 1, channel_means, "mvb", needs_mean_stats=True),
+    "mean-mlp": Architecture(build_mlp, 1, channel_means, "mvb"),
 }
 
 

@@ -11,6 +11,7 @@ from .layers import (
     Layer,
     ReLU,
     Softmax,
+    Standardize,
     layer_from_config,
 )
 from .losses import cross_entropy_from_logits, smoothed_targets
@@ -31,6 +32,7 @@ __all__ = [
     "LayerStack",
     "ReLU",
     "Softmax",
+    "Standardize",
     "cross_entropy_from_logits",
     "evaluate_loss",
     "fit",

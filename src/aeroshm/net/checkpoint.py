@@ -132,4 +132,8 @@ def load_checkpoint(path: Path) -> tuple[LayerStack, dict]:
         stack.load_state(state)
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    for i, layer in enumerate(stack.layers):
+        fault = layer.fault()
+        if fault:
+            raise DataError(f"{path}: array {i}.buffer.{fault}")
     return stack, header.metadata

@@ -1,10 +1,10 @@
 """Layer set for the differentiable network engine.
 
-Seven layer kinds: conv1d, batchnorm, relu, global-avg-pool, dense,
-dropout, softmax. Every layer implements a forward pass that caches what
-its backward pass needs, and a backward pass returning the gradient with
-respect to its input while accumulating parameter gradients. All math runs
-on plain numpy arrays.
+Eight layer kinds: conv1d, batchnorm, standardize, relu, global-avg-pool,
+dense, dropout, softmax. Every layer implements a forward pass that caches
+what its backward pass needs, and a backward pass returning the gradient
+with respect to its input while accumulating parameter gradients. All math
+runs on plain numpy arrays.
 
 Dtype rule: a layer computes in the dtype of the array it is handed.
 Every array it allocates (conv1d's padded buffer and input gradient,
@@ -101,6 +101,10 @@ class Layer:
     def config(self) -> dict:
         """Hyperparameters needed to rebuild this layer (no weights)."""
         return {"kind": self.kind}
+
+    def fault(self) -> str | None:
+        """What is wrong with this layer's buffers as loaded, or None."""
+        return None
 
     def zero_grads(self) -> None:
         for name, p in self.params.items():
@@ -288,6 +292,46 @@ class BatchNorm(Layer):
                 "eps": self.eps, "momentum": self.momentum}
 
 
+class Standardize(Layer):
+    """Per-channel (x - mean) / std over the last axis, as in BatchNorm,
+    with fixed buffers and no parameters, alike in train and infer mode.
+    net/training.py's `fit` sets a leading one from the training inputs."""
+
+    kind = "standardize"
+
+    def __init__(self, channels: int):
+        super().__init__()
+        self.channels = channels
+        self.buffers.update(mean=np.zeros(channels), std=np.ones(channels))
+
+    def fit(self, x: np.ndarray) -> None:
+        """The mean and std of x over all axes but the last; a zero std is 1."""
+        axes = tuple(range(x.ndim - 1))
+        std = x.std(axis=axes)
+        std[std == 0.0] = 1.0
+        self.buffers["mean"][...] = x.mean(axis=axes)
+        self.buffers["std"][...] = std
+
+    def fault(self) -> str | None:
+        mean, std = self.buffers["mean"], self.buffers["std"]
+        for name, bad, what in (("mean", mean[~np.isfinite(mean)], "finite"),
+                                ("std", std[~(np.isfinite(std) & (std > 0))], "positive finite")):
+            if bad.size:
+                return f"{name} must hold {what} values, got {float(bad[0])!r}"
+        return None
+
+    def forward(self, x, train=False):
+        if x.shape[-1] != self.channels:
+            raise ShapeError(f"standardize expects {self.channels} channels, got {x.shape[-1]}")
+        return (x - self.buffers["mean"]) / self.buffers["std"]
+
+    def backward(self, dout, need_param_grads=True):
+        return dout / self.buffers["std"]
+
+    def config(self):
+        return {"kind": self.kind, "channels": self.channels}
+
+
 class ReLU(Layer):
     kind = "relu"
 
@@ -399,7 +443,7 @@ class Softmax(Layer):
 
 LAYER_KINDS = {
     cls.kind: cls
-    for cls in (Conv1d, BatchNorm, ReLU, GlobalAvgPool, Dense, Dropout, Softmax)
+    for cls in (Conv1d, BatchNorm, Standardize, ReLU, GlobalAvgPool, Dense, Dropout, Softmax)
 }
 SEEDED_LAYERS = (Conv1d, Dense, Dropout)  # the layers that take an rng
 

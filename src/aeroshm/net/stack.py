@@ -46,11 +46,12 @@ last bits. The fcn-cnn's passes and the mean-mlp's forward passes are
 bit-identical (tests/test_netcore.py::TestInferBlocks).
 
 `path_gradients` serves integrated gradients. An infer pass begins with
-a run of affine layers (the folded first conv, after any dropout), and
-on the path x' + g (x - x') that run's output is a' + g (a - a'), where
-a and a' are its outputs at x and x'. So the run goes forward on those two
-rows only, and, being linear, backward once on the gradient summed over
-the path (Sundararajan et al. 2017, arXiv:1703.01365).
+a run of affine layers (the folded first conv or dense, after any
+standardize and dropout layers), and on the path x' + g (x - x') that
+run's output is a' + g (a - a'), where a and a' are its outputs at x and
+x'. So the run goes forward on those two rows only, and, being linear,
+backward once on the gradient summed over the path (Sundararajan et al.
+2017, arXiv:1703.01365).
 
 `constant_logits` serves windows that hold each channel constant in
 time (the APB and MVB baselines). Up to the global average pool, the
@@ -109,11 +110,11 @@ INFER_BLOCK_ROWS = 8
 GRADIENT_TARGETS = ("logit", "prob")
 
 # Layer kinds that are affine maps in infer mode (dropout passes its input on).
-_INFER_AFFINE = frozenset({"conv1d", "dense", "batchnorm", "dropout"})
+_INFER_AFFINE = frozenset({"conv1d", "dense", "batchnorm", "standardize", "dropout"})
 
 # Layer kinds whose infer-mode output at a time step reads only the input
 # steps a conv kernel spans around it (the others act step by step).
-_TIME_LOCAL = frozenset({"conv1d", "batchnorm", "relu", "dropout"})
+_TIME_LOCAL = frozenset({"conv1d", "batchnorm", "standardize", "relu", "dropout"})
 
 
 def _first_with_params(layers) -> int:
@@ -215,6 +216,12 @@ class LayerStack:
 
     def layer_configs(self) -> list[dict]:
         return [layer.config() for layer in self.layers]
+
+    def fit_standardize(self, x) -> None:
+        """Fit a leading standardize layer, if any, on a data-layout batch."""
+        first = self.layers[0]
+        if first.kind == "standardize":
+            first.fit(_time_major(self._batched(x)[0]))
 
     # -- forward ---------------------------------------------------------
 

@@ -69,10 +69,13 @@ def fit(stack: LayerStack, train_x: np.ndarray, train_y: np.ndarray,
         settings: FitSettings | None = None) -> FitResult:
     """Train with AdamW until max_epochs or early stopping.
 
-    Checkpoints the best-validation-loss weights and restores them at the
-    end. Deterministic for a fixed seed, data, and batch order.
+    A stack that begins with a standardize layer takes its statistics
+    from train_x first. Checkpoints the best-validation-loss weights and
+    restores them at the end. Deterministic for a fixed seed, data, and
+    batch order.
     """
     s = settings or FitSettings()
+    stack.fit_standardize(train_x)
     optimizer = AdamW(stack, lr=s.lr, weight_decay=s.weight_decay)
     shuffle_rng = np.random.default_rng(s.seed)
     result = FitResult()

@@ -1,5 +1,5 @@
-"""Raw recordings to model-ready samples: trim, window, normalize, mean
-vectors, and the non-random train/validation/test splits.
+"""Raw recordings to model-ready samples: trim, window, normalize, channel
+means, and the non-random train/validation/test splits.
 
 Pipeline: the first 40 s and last 10 s of every run are discarded, 89
 overlapping 1.5 s windows are cut from the remainder at a uniform stride,
@@ -16,9 +16,10 @@ Dtypes: runs and `window_run`'s views of them are float64. Each window is
 z-scored in float64 and stored rounded to float32, once. The fcn-cnn
 computes in float32, so its inputs are the values it would round a
 float64 window to; the mean-mlp's channel means are taken in float64
-(`channel_means`) from the float32 windows. At paper scale the windows
-(6,408 x 37 x 150 values) are the largest array of data preparation, so
-float32 halves what sets its peak memory.
+(`channel_means`) from the float32 windows, and the model standardises
+them. At paper scale the windows (6,408 x 37 x 150 values) are the
+largest array of data preparation, so float32 halves what sets its peak
+memory.
 
 `build_samples` cuts every run's window views in run-key order on the
 calling thread, so a run too short to window fails first in that order.
@@ -121,32 +122,6 @@ def channel_means(values: np.ndarray) -> np.ndarray:
     """Temporal mean of every channel of (..., channels, steps) values,
     accumulated in float64 whatever their dtype."""
     return values.mean(axis=-1, dtype=np.float64)
-
-
-@dataclass
-class MeanVectorStats:
-    """Training-set mean/std of the channel-mean vectors."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    @classmethod
-    def fit(cls, vectors: np.ndarray) -> "MeanVectorStats":
-        """Fit on the (n, channels) channel-wise temporal means of the
-        training samples."""
-        if len(vectors) == 0:
-            raise DataError("cannot fit mean-vector statistics on an empty set")
-        std = vectors.std(axis=0)
-        std[std == 0.0] = 1.0
-        return cls(mean=vectors.mean(axis=0), std=std)
-
-    def standardize(self, vectors: np.ndarray) -> np.ndarray:
-        """(..., channels) mean vectors z-scored against these statistics."""
-        n_channels = vectors.shape[-1]
-        if self.mean.shape != (n_channels,) or self.std.shape != (n_channels,):
-            raise DataError(f"mean-vector statistics hold {self.mean.size} means and "
-                            f"{self.std.size} stds for {n_channels} channels")
-        return (vectors - self.mean) / self.std
 
 
 @dataclass

@@ -2,9 +2,12 @@
 
 A 2-DOF (heave y, twist phi) spring-mass-damper section model stands in
 for the wind-tunnel recordings. Damage is parameterized per class as a
-stiffness reduction plus a static equilibrium shift (downward heave,
-twist), with one added-mass class outside the crack progression. The
-instantaneous effective angle of attack
+stiffness reduction plus a static equilibrium twist, with one added-mass
+class outside the crack progression. Each class also gives a downward
+equilibrium heave (sag, `DamageSpec.heave_offset_m`), which is recorded
+in `MotionTrace.equilibrium_heave` but does not enter the pressure model:
+the heave reaches the effective angle of attack only through its rate.
+The instantaneous effective angle of attack
 
     alpha_eff(t) = alpha0 + twist_offset + phi(t) + arctan(ydot(t) / V)
 
@@ -125,7 +128,7 @@ class DamageSpec:
     stiffness_scale_heave: float = 1.0
     stiffness_scale_twist: float = 1.0
     twist_offset_deg: float = 0.0  # static equilibrium twist
-    heave_offset_m: float = 0.0  # static equilibrium sag
+    heave_offset_m: float = 0.0  # equilibrium sag: recorded, not in any pressure channel
     added_mass: float = 0.0  # kg, only nonzero for the mass-attachment class
 
     def validate(self):

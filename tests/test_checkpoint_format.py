@@ -8,6 +8,17 @@ tests/data/conv_v1_logits.json holds a fixed (3, 3, 12) input batch and
 the logits that engine gave for it. The file must load and reproduce them
 whatever layout the engine computes in, save back to the same bytes, and
 parse field by field as the format document states.
+
+tests/data/mlp_v1.ckpt is a frozen mean-mlp checkpoint that `aeroshm
+retrain --baseline mvb --window-count 2 --epochs 1` wrote on the dataset
+of `aeroshm generate --seed 0 --duration 55 --aoa 0` before the mean-mlp
+held its input statistics in a standardize layer: they are in its
+metadata key `mean_stats`, and its first layer is the input dropout.
+tests/data/mlp_v1_logits.json holds five of that dataset's channel-mean
+vectors, raw, and the logits that engine gave for them once standardised.
+`load_model` must read the statistics as a leading standardize layer that
+reproduces those logits bit for bit, and the stack then saves in the
+layout a checkpoint has now.
 """
 
 import json
@@ -17,10 +28,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aeroshm.harness import load_model
 from aeroshm.net import load_checkpoint, save_checkpoint
+from aeroshm.surrogate import GeneratorConfig, generate_campaign
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "conv_v1.ckpt"
+MLP_FIXTURE = DATA / "mlp_v1.ckpt"
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +122,35 @@ def test_fixture_parses_as_the_format_document_states(expected):
     assert list(state) == list(arrays)
     for label, arr in arrays.items():
         np.testing.assert_array_equal(state[label], arr)
+
+
+def test_mlp_fixture_loads_its_mean_stats_as_a_standardize_layer(tmp_path):
+    ref = json.loads((DATA / "mlp_v1_logits.json").read_text())
+    means, logits = np.array(ref["input"]), np.array(ref["logits"])
+    old_header, old_arrays = parse(MLP_FIXTURE.read_bytes())
+    stats = old_header["metadata"]["mean_stats"]
+    assert old_header["layers"][0] == {"kind": "dropout", "rate": 0.2}
+    campaign = generate_campaign(GeneratorConfig.static_dominant(), seed=0, aoa_deg=0.0,
+                                 duration_s=55.0)
+    stack, data, config, _ = load_model(MLP_FIXTURE, campaign)
+    assert config.arch == "mean-mlp" and data.inputs.shape[1:] == (37,)
+    np.testing.assert_array_equal(stack.logits(means), logits)
+
+    # saved again: the standardize layer leads, the other arrays move up one
+    # layer as they are, and the metadata no longer holds mean_stats
+    metadata = {k: v for k, v in old_header["metadata"].items() if k != "mean_stats"}
+    path = tmp_path / "again.ckpt"
+    save_checkpoint(stack, path, metadata)
+    header, arrays = parse(path.read_bytes())
+    assert header["layers"] == [{"kind": "standardize", "channels": 37},
+                                *old_header["layers"]]
+    assert header["metadata"] == metadata
+    assert list(arrays) == ["0.buffer.mean", "0.buffer.std"] + [
+        f"{int(label.split('.')[0]) + 1}.{label.split('.', 1)[1]}" for label in old_arrays]
+    np.testing.assert_array_equal(arrays["0.buffer.mean"], stats["mean"])
+    np.testing.assert_array_equal(arrays["0.buffer.std"], stats["std"])
+    for label, arr in old_arrays.items():
+        index, rest = label.split(".", 1)
+        np.testing.assert_array_equal(arrays[f"{int(index) + 1}.{rest}"], arr)
+    again, _, _, _ = load_model(path, campaign)
+    np.testing.assert_array_equal(again.logits(means), logits)

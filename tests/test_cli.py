@@ -24,10 +24,13 @@ from aeroshm.data import (
 )
 from aeroshm.errors import ConfigError
 from aeroshm.harness import ExperimentConfig
-from aeroshm.net import FitResult
+from aeroshm.net import FitResult, load_checkpoint, save_checkpoint
 from aeroshm.surrogate import GeneratorConfig, simulate_run
 
 TRAIN = ["--window-count", "2", "--epochs", "1"]
+# a mean-mlp checkpoint that held its input statistics in the metadata key
+# mean_stats, written on this module's dataset (tests/test_checkpoint_format.py)
+MLP_V1 = Path(__file__).parent / "data" / "mlp_v1.ckpt"
 
 
 def run_pipeline(root):
@@ -244,9 +247,10 @@ def test_damage_class_outside_0_to_5_exits_data_error(two_runs, class7_dataset, 
     }[step]
     capsys.readouterr()
     assert main([*argv, "--data", str(class7_dataset)]) == EXIT_DATA
-    # a checkpoint also warns that it was trained on another dataset
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert last == "data error: run (1, 7, 1) has damage class 7, outside 0..5"
+    # the first such run in manifest order, refused as the dataset loads
+    meta = class7_dataset / "runs" / "ts1_d7_r1" / "meta.json"
+    assert capsys.readouterr().err == \
+        f"data error: metadata {meta} field damage_class must be in 0..5, got 7\n"
 
 
 def test_stored_generator_config_regenerates_the_dataset(two_runs, tmp_path):
@@ -387,23 +391,27 @@ def test_manifest_without_runs_exits_data_error(tmp_path, capsys):
      "baseline_reduce"),
     ("checkpoint.ckpt", lambda h: h["metadata"].update(baseline_reduce="xyz"),
      "baseline_reduce"),
-    ("checkpoint_mvb.ckpt",
+    (MLP_V1,
      lambda h: h["metadata"].update(mean_stats={"mean": "x", "std": [1.0]}),
      "mean_stats.mean"),
-    ("checkpoint_mvb.ckpt",
+    (MLP_V1,
      lambda h: h["metadata"].update(mean_stats={"mean": [0.0], "std": [1.0]}),
      "1 means and 1 stds for 37 channels"),
-    ("checkpoint_mvb.ckpt",
+    (MLP_V1,
      lambda h: h["metadata"]["mean_stats"]["std"].__setitem__(3, 0.0),
      "mean_stats.std"),
-    ("checkpoint_mvb.ckpt",
+    (MLP_V1,
      lambda h: h["metadata"]["mean_stats"]["std"].__setitem__(0, float("nan")),
      "mean_stats.std"),
+    ("checkpoint_mvb.ckpt",
+     lambda h: h["metadata"].update(mean_stats={"mean": [0.0] * 37, "std": [1.0] * 37}),
+     "mean_stats must be null in a checkpoint with a standardize layer"),
     ("checkpoint.ckpt", lambda h: h.update(dtype="float16"), "dtype"),
     ("checkpoint.ckpt", lambda h: h.update(dtype=5), "dtype"),
 ], ids=["layers", "arch", "metadata", "config", "dataset-fingerprint", "baseline-reduce",
         "unknown-baseline-reduce", "mean-stats-not-numbers", "mean-stats-one-channel",
-        "mean-stats-zero-std", "mean-stats-nan-std", "dtype-float16", "dtype-not-a-string"])
+        "mean-stats-zero-std", "mean-stats-nan-std", "mean-stats-beside-a-standardize-layer",
+        "dtype-float16", "dtype-not-a-string"])
 def test_checkpoint_without_layers_exits_data_error(two_runs, tmp_path, capsys, name,
                                                     edit, word):
     (root, _), _ = two_runs
@@ -415,6 +423,34 @@ def test_checkpoint_without_layers_exits_data_error(two_runs, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("data error:") and err.count("\n") == 1
     assert word in err
+
+
+def test_older_mlp_checkpoint_evaluates_as_it_did(two_runs, tmp_path):
+    """MLP_V1 is the checkpoint_mvb.ckpt this module's pipeline wrote before
+    the standardize layer: its eval report is the retrained model's."""
+    (root, _), _ = two_runs
+    assert main(["eval", "--checkpoint", str(MLP_V1), "--data", str(root / "data"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "eval_test.json").read_text())
+    assert report["hashes"]["trained_on"] == report["hashes"]["dataset"]
+    assert without_wall_clock(tmp_path / "eval_test.json") == \
+        without_wall_clock(root / "run" / "mlp" / "eval_test.json")
+
+
+@pytest.mark.parametrize("index,value", [(3, 0.0), (0, float("nan"))],
+                         ids=["zero-std", "nan-std"])
+def test_bad_standardize_buffer_exits_data_error(two_runs, tmp_path, capsys, index, value):
+    (root, _), _ = two_runs
+    stack, metadata = load_checkpoint(root / "run" / "checkpoint_mvb.ckpt")
+    stack.layers[0].buffers["std"][index] = value
+    path = tmp_path / "broken.ckpt"
+    save_checkpoint(stack, path, metadata)
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(path), "--data", str(root / "data")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert "0.buffer.std must hold positive finite values" in err
 
 
 @pytest.mark.parametrize("key,value", [
@@ -564,6 +600,33 @@ def test_ingest_into_a_dataset_reads_its_layout(tmp_path):
     assert campaign.layout == layout
     np.testing.assert_array_equal(campaign.run(1, 2, 1).values,
                                   table[:, list(layout.working_ids)].T)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda meta: meta.update(sample_rate=0),
+     "sample_rate must be positive and finite, got 0.0"),
+    (lambda meta: meta.update(sample_rate=-100),
+     "sample_rate must be positive and finite, got -100.0"),
+    (lambda meta: meta.update(damage_class=7), "damage_class must be in 0..5, got 7"),
+], ids=["zero-sample-rate", "negative-sample-rate", "damage-class-7"])
+def test_ingest_of_unusable_metadata_exits_data_error_before_writing(tmp_path, capsys, edit,
+                                                                     message):
+    data = tmp_path / "data"
+    config = GeneratorConfig.named_profile("static-dominant")
+    save_campaign(Campaign(runs=[simulate_run(config, 1, 0, 1, seed=0, duration_s=2.0)]), data)
+    before = {path: path.read_bytes() for path in data.rglob("*") if path.is_file()}
+    meta_path = tmp_path / "meta.json"
+    export_csv_run(simulate_run(config, 1, 2, 1, seed=1, duration_s=2.0),
+                   tmp_path / "run.csv", meta_path)
+    meta = json.loads(meta_path.read_text())
+    edit(meta)
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["ingest", "--csv", str(tmp_path / "run.csv"), "--meta", str(meta_path),
+                 "--out", str(data)]) == EXIT_DATA
+    assert capsys.readouterr().err == \
+        f"data error: metadata sidecar {meta_path} field {message}\n"
+    assert {path: path.read_bytes() for path in data.rglob("*") if path.is_file()} == before
 
 
 def test_unexpected_exception_exits_internal_error(tmp_path, monkeypatch, capsys):

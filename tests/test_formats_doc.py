@@ -11,15 +11,17 @@ import pytest
 from aeroshm.baselines import BaselineKind
 from aeroshm.data import RawRun
 from aeroshm.harness import RETIRED_CONFIG_KEYS, TrainingRecord
-from aeroshm.models import ARCHITECTURES
+from aeroshm.models import ARCHITECTURES, build_cnn, build_mlp
 from aeroshm.net.checkpoint import Header
+from aeroshm.net.layers import LAYER_KINDS
 from aeroshm.net.stack import GRADIENT_TARGETS
 
 DOC = Path(__file__).parents[1] / "docs" / "formats.md"
 
 
 def table_rows(heading: str) -> list[list[str]]:
-    """The cells of each row of the first table under a heading."""
+    """The cells of each row of the first table under a heading (or any
+    other whole line), up to the next heading."""
     section = DOC.read_text().split(f"\n{heading}\n", 1)[1].split("\n#", 1)[0]
     lines = section.splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("|"))
@@ -59,3 +61,20 @@ def test_doc_lists_the_retired_config_keys_with_their_values():
     documented = {row[0].strip("`"): row[1] for row in table_rows("### Retired config keys")}
     assert documented == {key: "any value" if value is None else f'`"{value}"`'
                           for key, value in RETIRED_CONFIG_KEYS.items()}
+
+
+def test_doc_layer_table_lists_every_kind_with_its_config_keys_and_buffers():
+    layers = {layer.kind: layer for layer in build_cnn(2, 16).layers + build_mlp(2).layers}
+    assert sorted(layers) == sorted(LAYER_KINDS)
+
+    def names(cell):
+        return sorted(re.findall(r"`([^`]+)`", cell))
+
+    documented = {}
+    for kinds, keys, buffers in table_rows(
+            "A layer config is `{\"kind\": ...}` plus its constructor's arguments:"):
+        for kind in names(kinds):
+            documented[kind] = (names(keys), names(buffers))
+    assert documented == {
+        kind: (sorted(set(layer.config()) - {"kind"}), sorted(layer.buffers))
+        for kind, layer in layers.items()}

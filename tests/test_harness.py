@@ -28,15 +28,16 @@ def prepared(arch: str, n_test: int) -> tuple[LayerStack, PreparedData, Experime
     order = [int(i) for i in rng.permutation(N_SAMPLES)]
     split = SplitAssignment(split_index=1, seed=0, train=order[n_test:], validation=[],
                             test=order[:n_test], held_out_run=1)
-    inputs, mean_stats = harness.model_inputs(samples, arch, None, fit_rows=split.train)
+    inputs = harness.model_inputs(samples, arch)
     if arch == "fcn-cnn":
         stack = build_cnn(CHANNELS, STEPS, n_classes=harness.N_CLASSES, seed=4)
     else:
         stack = build_mlp(CHANNELS, n_classes=harness.N_CLASSES, seed=4)
-    # warm the BatchNorm running statistics, so that infer mode is nontrivial
+    # set the mean-mlp's standardize layer and warm the BatchNorm running
+    # statistics, so that infer mode is nontrivial
+    stack.fit_standardize(inputs[split.train])
     stack.forward(inputs[split.train], train=True)
-    data = PreparedData(samples=samples, split=split, inputs=inputs,
-                        mean_stats=mean_stats, layout=SensorLayout())
+    data = PreparedData(samples=samples, split=split, inputs=inputs, layout=SensorLayout())
     return stack, data, ExperimentConfig(arch=arch, window_steps=STEPS)
 
 
@@ -78,8 +79,8 @@ class TestAblateOnBaselines:
         idx = data.split.test
         for kind, report in reports.items():
             reduced = reduce_dataset(data.samples[idx], kind)
-            inputs, _ = harness.model_inputs(reduced, arch, data.mean_stats)
-            expected = harness.evaluate(stack, inputs, reduced.labels, config)
+            expected = harness.evaluate(stack, harness.model_inputs(reduced, arch),
+                                        reduced.labels, config)
             assert report.kind == f"ablate-{kind}"
             assert report.n_samples == n_test
             assert report.balanced_accuracy == expected.balanced_accuracy
@@ -101,8 +102,7 @@ class TestAblateOnBaselines:
             zero = np.zeros((1, CHANNELS), dtype=np.float32)
         else:
             assert method == "predict"
-            zero = harness.model_inputs(reduce_dataset(data.samples[:1], "apb"), arch,
-                                        data.mean_stats)[0]
+            zero = harness.model_inputs(reduce_dataset(data.samples[:1], "apb"), arch)
         np.testing.assert_array_equal(batch, np.repeat(zero, len(batch), axis=0))
 
     def test_bad_name_fails_before_any_pass(self, monkeypatch):

@@ -13,6 +13,7 @@ from aeroshm.net import (
     LayerStack,
     ReLU,
     Softmax,
+    Standardize,
 )
 
 
@@ -208,6 +209,54 @@ class TestBatchNorm:
         np.testing.assert_allclose(dx, dout * scale[None, :, None], atol=1e-12)
 
 
+class TestStandardize:
+    def test_fit_takes_mean_and_std_over_all_but_the_last_axis(self, rng):
+        x = rng.normal(loc=2.0, scale=3.0, size=(20, 4))
+        x[:, 2] = 7.0  # zero std, which maps to 1
+        layer = Standardize(4)
+        layer.fit(x)
+        std = x.std(axis=0)
+        std[2] = 1.0
+        np.testing.assert_array_equal(layer.buffers["mean"], x.mean(axis=0))
+        np.testing.assert_array_equal(layer.buffers["std"], std)
+        np.testing.assert_array_equal(layer.forward(x), (x - x.mean(axis=0)) / std)
+        assert (layer.forward(x)[:, 2] == 0.0).all()
+        # (batch, time, channels): statistics per channel over samples and time
+        x3 = rng.normal(size=(5, 3, 7))
+        layer = Standardize(3)
+        layer.fit(time_major(x3))
+        np.testing.assert_allclose(layer.buffers["mean"], x3.mean(axis=(0, 2)), rtol=1e-12)
+        np.testing.assert_allclose(layer.buffers["std"], x3.std(axis=(0, 2)), rtol=1e-12)
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_backward_matches_fd(self, rng, train):
+        layer = Standardize(3)
+        layer.fit(rng.normal(loc=1.0, scale=2.0, size=(16, 3)))
+        x = rng.normal(size=(4, 3))
+        r = rng.normal(size=(4, 3))
+        layer.forward(x, train=train)
+        np.testing.assert_allclose(layer.backward(r.copy()),
+                                   layer_fd_input(layer, x.copy(), r, train=train),
+                                   atol=1e-7)
+        assert layer.params == {} and layer.grads == {}
+
+    @pytest.mark.parametrize("name,index,value,message", [
+        ("mean", 1, np.nan, "mean must hold finite values, got nan"),
+        ("std", 0, 0.0, "std must hold positive finite values, got 0.0"),
+        ("std", 2, -1.0, "std must hold positive finite values, got -1.0"),
+        ("std", 1, np.inf, "std must hold positive finite values, got inf"),
+    ])
+    def test_fault_names_the_first_bad_value(self, name, index, value, message):
+        layer = Standardize(3)
+        assert layer.fault() is None
+        layer.buffers[name][index] = value
+        assert layer.fault() == message
+
+    def test_rejects_other_channel_count(self):
+        with pytest.raises(ShapeError, match="3 channels, got 4"):
+            Standardize(3).forward(np.zeros((2, 4)))
+
+
 class TestReLU:
     def test_forward_and_dead_region(self, rng):
         layer = ReLU()
@@ -302,6 +351,10 @@ def make_layer(kind, rng):
         return BatchNorm(3), (6, 3, 10), (6, 3, 10)
     if kind == "batchnorm-2d":
         return BatchNorm(3), (6, 3), (6, 3)
+    if kind == "standardize":
+        layer = Standardize(3)
+        layer.fit(rng.normal(loc=1.0, scale=2.0, size=(8, 3)))
+        return layer, (6, 3, 10), (6, 3, 10)
     if kind == "relu":
         return ReLU(), (6, 3, 10), (6, 3, 10)
     if kind == "global-avg-pool":
@@ -315,8 +368,8 @@ def make_layer(kind, rng):
 
 @pytest.mark.parametrize("need_param_grads", [True, False])
 @pytest.mark.parametrize("train", [True, False])
-@pytest.mark.parametrize("kind", ["conv1d", "batchnorm-3d", "batchnorm-2d", "relu",
-                                  "global-avg-pool", "dense", "dropout", "softmax"])
+@pytest.mark.parametrize("kind", ["conv1d", "batchnorm-3d", "batchnorm-2d", "standardize",
+                                  "relu", "global-avg-pool", "dense", "dropout", "softmax"])
 def test_layers_never_modify_their_inputs(rng, kind, train, need_param_grads):
     layer, in_shape, out_shape = make_layer(kind, rng)
     if isinstance(layer, BatchNorm):  # nontrivial running statistics for infer mode
@@ -331,8 +384,8 @@ def test_layers_never_modify_their_inputs(rng, kind, train, need_param_grads):
 
 
 @pytest.mark.parametrize("train", [True, False])
-@pytest.mark.parametrize("kind", ["conv1d", "batchnorm-3d", "batchnorm-2d", "relu",
-                                  "global-avg-pool", "dense", "dropout", "softmax"])
+@pytest.mark.parametrize("kind", ["conv1d", "batchnorm-3d", "batchnorm-2d", "standardize",
+                                  "relu", "global-avg-pool", "dense", "dropout", "softmax"])
 def test_float32_layers_stay_float32(rng, kind, train):
     """A layer cast to float32 and handed float32 arrays computes in
     float32: its output, its input gradient and its parameter gradients."""

@@ -7,7 +7,7 @@ from aeroshm.errors import ConfigError
 from aeroshm.harness import ExperimentConfig, prepare_data
 from aeroshm.models import build_architecture, build_cnn, build_mlp
 from aeroshm.net import FitSettings, fit
-from aeroshm.preprocessing import MeanVectorStats, channel_means, trim_run, window_run, zscore
+from aeroshm.preprocessing import channel_means, trim_run, window_run, zscore
 from aeroshm.surrogate import GeneratorConfig, generate_campaign
 
 # Regression values computed once from the layer formulas:
@@ -112,7 +112,7 @@ class TestMlp:
         stack = build_mlp(37)
         kinds = [layer.kind for layer in stack.layers]
         assert kinds == [
-            "dropout",
+            "standardize", "dropout",
             "dense", "batchnorm", "relu", "dropout",
             "dense", "batchnorm", "relu", "dropout",
             "dense", "batchnorm", "relu",
@@ -122,6 +122,7 @@ class TestMlp:
         assert widths == [(37, 128), (128, 128), (128, 64), (64, 6)]
         rates = [l.rate for l in stack.layers if l.kind == "dropout"]
         assert rates == [0.2, 0.4, 0.4]
+        assert stack.layers[0].channels == 37
 
     def test_parameter_count_frozen_and_closed_form(self):
         stack = build_mlp(37)
@@ -194,10 +195,18 @@ class TestFloat32Windows:
             np.testing.assert_array_equal(array, wide_state[name])
 
     def test_mean_mlp_inputs_stay_within_bound_of_float64_windows(self, static_campaign):
+        """What the first dense layer reads, the channel means standardised
+        by the model's first layer with statistics fitted on the training
+        slice."""
         config = ExperimentConfig(arch="mean-mlp", window_count=8, seed=5)
         data = prepare_data(static_campaign, config)
         assert data.samples.values.dtype == np.float32
         assert data.inputs.dtype == np.float64
-        means = channel_means(float64_windows(static_campaign, 8))
-        expected = MeanVectorStats.fit(means[data.split.train]).standardize(means)
-        assert np.abs(data.inputs - expected).max() <= MLP_INPUT_FLOAT32_BOUND
+        standardised = []
+        for means in (data.inputs, channel_means(float64_windows(static_campaign, 8))):
+            stack = build_mlp(37, seed=5)
+            stack.fit_standardize(means[data.split.train])
+            assert [layer.kind for layer in stack.layers[:3]] == [
+                "standardize", "dropout", "dense"]  # dropout passes on in infer mode
+            standardised.append(stack.layers[0].forward(means))
+        assert np.abs(standardised[0] - standardised[1]).max() <= MLP_INPUT_FLOAT32_BOUND

@@ -23,6 +23,7 @@ from aeroshm.baselines import make_baseline
 from aeroshm.errors import ConfigError, NumericError, ShapeError
 from aeroshm.models import build_cnn, build_mlp
 from aeroshm.net import stack as stack_module
+from aeroshm.net import training as training_module
 from aeroshm.net import (
     AdamW,
     BatchNorm,
@@ -33,6 +34,7 @@ from aeroshm.net import (
     LayerStack,
     ReLU,
     Softmax,
+    Standardize,
     cross_entropy_from_logits,
     fit,
     load_checkpoint,
@@ -153,7 +155,8 @@ B = stack_module.INFER_BLOCK_ROWS
 def warmed_model(arch):
     """A model whose BatchNorm running statistics are not the identity:
     the fcn-cnn in float64, as the oracles here need, or as build_cnn
-    builds it ("fcn-cnn-float32"), or the mean-mlp."""
+    builds it ("fcn-cnn-float32"), or the mean-mlp, whose standardize
+    layer is not the identity either."""
     rng = np.random.default_rng(31)
     if arch == "fcn-cnn":
         stack, shape = float64_cnn(3, 16, seed=4), (3, 16)
@@ -161,6 +164,7 @@ def warmed_model(arch):
         stack, shape = build_cnn(3, 16, seed=4), (3, 16)
     else:
         stack, shape = build_mlp(5, seed=4), (5,)
+        stack.fit_standardize(np.random.default_rng(32).normal(2.0, 3.0, size=(16, 5)))
     stack.forward(rng.normal(size=(8,) + shape), train=True)
     return stack, shape
 
@@ -472,6 +476,60 @@ class TestPathGradients:
             stack.path_gradients(x, x, 5, 0, target="loss")
         with pytest.raises(NumericError):
             stack.path_gradients(np.full(shape, np.nan), x, 5, 0)
+
+
+class TestLeadingStandardize:
+    """A stack that begins with a standardize layer: `fit` sets it from the
+    training inputs before the first step, and infer passes run it as an
+    affine, time-local layer."""
+
+    def test_fit_sets_it_from_train_x_before_the_first_step(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        x = rng.normal(loc=4.0, scale=0.5, size=(24, 5))
+        x[:, 3] = 1.5  # zero std, which maps to 1
+        y = np.arange(24) % 6
+        stack = build_mlp(5, seed=2)
+        seen = []
+        step = training_module.train_step
+        monkeypatch.setattr(training_module, "train_step", lambda st, *a, **k: seen.append(
+            {name: arr.copy() for name, arr in st.layers[0].buffers.items()})
+            or step(st, *a, **k))
+        fit(stack, x, y, x[:6], y[:6], FitSettings(max_epochs=2, batch_size=8, seed=1))
+        std = x.std(axis=0)
+        std[3] = 1.0
+        assert len(seen) == 6
+        for buffers in (seen[0], stack.layers[0].buffers):
+            np.testing.assert_array_equal(buffers["mean"], x.mean(axis=0))
+            np.testing.assert_array_equal(buffers["std"], std)
+
+    @staticmethod
+    def standardized_cnn(rng):
+        cnn = float64_cnn(3, 16, seed=4)
+        stack = LayerStack([Standardize(3), *cnn.layers], (3, 16))
+        windows = rng.normal(loc=1.0, scale=2.0, size=(10, 3, 16))
+        stack.fit_standardize(windows)
+        np.testing.assert_allclose(stack.layers[0].buffers["mean"],
+                                   windows.mean(axis=(0, 2)), rtol=1e-12)
+        np.testing.assert_allclose(stack.layers[0].buffers["std"],
+                                   windows.std(axis=(0, 2)), rtol=1e-12)
+        return warm_batchnorm(stack, rng)
+
+    def test_constant_logits_equal_full_window_logits(self, rng):
+        stack = self.standardized_cnn(rng)
+        levels = rng.normal(size=(5, 3))
+        windows = np.repeat(levels[:, :, None], 16, axis=2)
+        np.testing.assert_array_equal(stack.constant_logits(levels), stack.logits(windows))
+
+    def test_path_runs_it_on_the_endpoints_only(self, rng, monkeypatch):
+        stack = self.standardized_cnn(rng)
+        x, baseline = rng.normal(size=(2, 3, 16))
+        rows = []
+        forward = Standardize.forward
+        monkeypatch.setattr(Standardize, "forward", lambda self, arr, *a, **k:
+                            rows.append(len(arr)) or forward(self, arr, *a, **k))
+        stack.path_gradients(x, baseline, 20, 1)
+        assert rows == [2]
+        TestPathGradients.check(stack, x, baseline, 20, 1)
 
 
 class TestLoss:

@@ -1,4 +1,4 @@
-"""Trim/window/normalize/mean-vector/split behavior, including the exact
+"""Trim/window/normalize/channel-mean/split behavior, including the exact
 full-grid sample counts."""
 
 import re
@@ -10,9 +10,9 @@ import pytest
 from aeroshm.data import Campaign, RawRun, SampleSet
 from aeroshm.errors import ConfigError, DataError
 from aeroshm.harness import model_inputs
+from aeroshm.models import build_mlp
 from aeroshm.preprocessing import (
     ZSCORE_BLOCK,
-    MeanVectorStats,
     assign_splits,
     build_samples,
     channel_means,
@@ -147,48 +147,44 @@ class TestZScore:
         np.testing.assert_array_equal(zscore(np.array([[1e-200, -1e-200]])), 0.0)
 
 
-def mean_vectors(samples, stats):
-    return stats.standardize(channel_means(samples.values))
-
-
 class TestMeanVector:
+    """The mean-mlp's inputs: the channel means, raw. The model standardises
+    them in its first layer (tests/test_layers.py::TestStandardize)."""
+
     def test_time_constant_sample(self):
         samples = numbered_samples([np.full((3, 10), v) for v in (1.0, 2.0, 3.0)])
-        stats = MeanVectorStats.fit(channel_means(samples.values))
-        vec = mean_vectors(samples[0], stats)
-        expected = (1.0 - stats.mean) / stats.std
-        np.testing.assert_allclose(vec, expected, atol=1e-12)
-        np.testing.assert_array_equal(mean_vectors(samples, stats)[0], vec)
+        np.testing.assert_array_equal(model_inputs(samples, "mean-mlp"),
+                                      [[1.0] * 3, [2.0] * 3, [3.0] * 3])
+        np.testing.assert_array_equal(model_inputs(samples[0], "mean-mlp"), [1.0] * 3)
 
     def test_mvb_collapse_preserves_mean_vector(self, rng):
         from aeroshm.baselines import reduce_dataset
         samples = numbered_samples(rng.normal(size=(1, 5, 20)))
-        stats = MeanVectorStats.fit(channel_means(samples.values))
         collapsed = reduce_dataset(samples, "mvb")
-        np.testing.assert_allclose(mean_vectors(samples, stats),
-                                   mean_vectors(collapsed, stats), atol=1e-12)
+        np.testing.assert_allclose(model_inputs(samples, "mean-mlp"),
+                                   model_inputs(collapsed, "mean-mlp"), atol=1e-12)
 
     def test_training_set_normalizes_to_zero_mean(self, rng):
-        samples = numbered_samples(rng.normal(size=(20, 4, 30)))
-        stats = MeanVectorStats.fit(channel_means(samples.values))
-        vectors = mean_vectors(samples, stats)
-        assert vectors.shape == (20, 4)
-        np.testing.assert_allclose(vectors.mean(axis=0), 0.0, atol=1e-9)
+        samples = numbered_samples(rng.normal(loc=3.0, size=(20, 4, 30)))
+        vectors = model_inputs(samples, "mean-mlp")
+        stack = build_mlp(4)
+        stack.fit_standardize(vectors)
+        standardised = stack.layers[0].forward(vectors)
+        assert standardised.shape == (20, 4)
+        np.testing.assert_allclose(standardised.mean(axis=0), 0.0, atol=1e-9)
+        np.testing.assert_allclose(standardised.std(axis=0), 1.0)
 
-    def test_missing_stats_rejected(self):
-        with pytest.raises(ConfigError):
-            model_inputs(fake_samples([(1, 0, 1, 0)]), "mean-mlp", None)
+    def test_inputs_are_the_raw_channel_means(self, rng):
+        samples = numbered_samples(rng.normal(loc=5.0, size=(3, 4, 30)))
+        np.testing.assert_array_equal(model_inputs(samples, "mean-mlp"),
+                                      channel_means(samples.values))
+        assert model_inputs(samples, "fcn-cnn") is samples.values
 
     def test_means_of_float32_windows_accumulate_in_float64(self, rng):
         values = rng.normal(size=(5, 3, 150)).astype(np.float32)
         means = channel_means(values)
         assert means.dtype == np.float64
         np.testing.assert_array_equal(means, values.astype(np.float64).mean(axis=-1))
-
-    def test_statistics_for_other_channels_rejected(self):
-        stats = MeanVectorStats(mean=np.zeros(3), std=np.ones(3))
-        with pytest.raises(DataError, match="3 means and 3 stds for 4 channels"):
-            stats.standardize(np.zeros((2, 4)))
 
 
 class TestSplits:

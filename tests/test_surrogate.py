@@ -425,6 +425,18 @@ class TestCampaign:
                                      with_noise=with_noise)
         assert campaign.fingerprint() == expected
 
+    def test_heave_offset_reaches_no_pressure_channel(self, config):
+        """The equilibrium sag is recorded, not simulated: scaling and
+        shifting every class's heave_offset_m leaves the campaign's bits
+        as they are."""
+        one_series = replace(config, test_series=config.test_series[:1])
+        sagged = replace(one_series, damage_table=[
+            replace(d, heave_offset_m=50 * d.heave_offset_m - 0.3)
+            for d in one_series.damage_table])
+        stock = generate_campaign(one_series, seed=0, aoa_deg=0.0, duration_s=60.0)
+        assert generate_campaign(sagged, seed=0, aoa_deg=0.0,
+                                 duration_s=60.0).fingerprint() == stock.fingerprint()
+
     def test_runs_of_same_condition_differ(self, config):
         campaign = generate_campaign(config, seed=0, aoa_deg=0.0, duration_s=20.0)
         r1 = campaign.run(1, 0, 1)
@@ -572,7 +584,14 @@ class TestDatasetRoundTrip:
         (lambda meta: meta.update(n_channels=-1,
                                   n_steps=-meta["n_channels"] * meta["n_steps"]),
          "n_channels"),
-    ], ids=["wrong-type", "null-count", "count-off-the-signals", "negative-counts"])
+        (lambda meta: meta.update(damage_class=6), "damage_class"),
+        (lambda meta: meta.update(damage_class=-1), "damage_class"),
+        (lambda meta: meta.update(sample_rate=0.0), "sample_rate"),
+        (lambda meta: meta.update(sample_rate=float("nan")), "sample_rate"),
+        (lambda meta: meta.update(sample_rate=float("inf")), "sample_rate"),
+    ], ids=["wrong-type", "null-count", "count-off-the-signals", "negative-counts",
+            "damage-class-6", "negative-damage-class", "zero-sample-rate", "nan-sample-rate",
+            "infinite-sample-rate"])
     def test_bad_metadata_value_named(self, config, tmp_path, edit, key):
         self.check_both_loaders_reject(config, tmp_path, edit, key)
 
