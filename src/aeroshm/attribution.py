@@ -67,10 +67,6 @@ class AttributionStats:
     raw: np.ndarray  # (population, channels)
     sample_ids: list = field(default_factory=list)
 
-    @property
-    def n_samples(self) -> int:
-        return self.raw.shape[0]
-
 
 def integrated_gradients(model, values: np.ndarray, baseline_kind,
                          steps: int = 200, target_class: int | None = None,

@@ -4,13 +4,19 @@ Subcommands: generate, ingest, train, eval, attribute, ablate, retrain,
 spectra, report. All experiment settings can come from a single JSON
 config file (--config) with individual command-line overrides.
 
+Every enumerated option offers the choices of the registry that owns
+them: --profile `surrogate.PROFILES`, --arch `models.ARCHITECTURES`,
+--slice `harness.SLICES`, --baseline and --baselines `BaselineKind`, and
+--preset `spectra.STFT_PRESETS`.
+
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numeric failure, 5 internal error (any other exception, reported in
 one line). A path that cannot be read or written (an OSError, such as an
 --out that exists as a file) is a data error, reported in one line that
 names the path; train and retrain make --out after reading the config
 and the dataset, before the fit, and attribute makes it before its first
-attribution map.
+attribution map. A stdout closed before the command ends (say, by
+`| head`) is no error: the command exits 0 and prints nothing more.
 """
 
 from __future__ import annotations
@@ -18,25 +24,28 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from . import harness
 from .attribution import GAP_WARN_RATIO
+from .baselines import BaselineKind
 from .data import Campaign, ingest_csv_run, load_campaign, save_campaign
 from .errors import ConfigError, DataError, NumericError
-from .harness import ExperimentConfig
+from .harness import SLICES, ExperimentConfig
 from .models import ARCHITECTURES
 from .records import read_json
-from .spectra import StftSpec, shedding_scan, stft
-from .surrogate import GeneratorConfig, generate_campaign
+from .spectra import STFT_PRESETS, shedding_scan, stft
+from .surrogate import PROFILES, GeneratorConfig, generate_campaign
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_INTERNAL = 5
+BASELINES = [kind.value for kind in BaselineKind]
 
 
 def _config_overrides(args) -> dict:
@@ -57,7 +66,7 @@ def cmd_generate(args) -> int:
         config = GeneratorConfig.from_dict(
             read_json(Path(args.generator_config), ConfigError, "generator config"))
     else:
-        config = GeneratorConfig.named_profile(args.profile)
+        config = PROFILES[args.profile]()
     if args.duration is not None:
         config.duration_s = args.duration
     aoa = None if args.aoa == "both" else float(args.aoa)
@@ -112,9 +121,12 @@ def cmd_ablate(args) -> int:
                                                      load_campaign(Path(args.data)))
     reports = harness.ablate_on_baselines(stack, data, config, kinds=kinds,
                                           slice_name=args.slice, hashes=hashes)
-    for kind, report in reports.items():
-        if args.out:
+    # every report is saved before the first is printed, so a closed stdout
+    # cannot cut the saved ones short
+    if args.out:
+        for kind, report in reports.items():
             report.save(Path(args.out) / f"ablate_{kind}.json")
+    for report in reports.values():
         print(report.text_summary())
     return EXIT_OK
 
@@ -154,15 +166,16 @@ def cmd_spectra(args) -> int:
                           f"comma-separated list of frequencies") from None
     campaign = load_campaign(Path(args.data))
     run = campaign.run(args.test_series, args.damage_class, args.run_index)
-    spec = StftSpec.wide() if args.preset == "wide" else StftSpec.fine()
+    spec = STFT_PRESETS[args.preset]
     report = shedding_scan(run, args.sensor, candidates, spec=spec,
                            layout=campaign.layout)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    # the files are written before anything is printed, so a closed stdout
+    # cannot leave them unwritten
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "shedding_scan.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        (out / "shedding_scan.json").write_text(text)
         channel = campaign.layout.channel_of_id(args.sensor)
         result = stft(run.values[channel], spec, sample_rate=run.sample_rate)
         with open(out / "stft.csv", "w", newline="") as fh:
@@ -171,6 +184,8 @@ def cmd_spectra(args) -> int:
             for i, f in enumerate(result.freqs):
                 writer.writerow([f"{f:.4f}"] +
                                 [f"{v:.8g}" for v in result.magnitude[i]])
+    print(text)
+    if args.out:
         print(f"wrote {out / 'stft.csv'} and {out / 'shedding_scan.json'}")
     return EXIT_OK
 
@@ -190,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="simulate a surrogate campaign")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--profile", default="static-dominant",
-                   choices=["static-dominant", "dynamics-dominant"])
+    p.add_argument("--profile", default="static-dominant", choices=list(PROFILES))
     p.add_argument("--generator-config", help="JSON generator config file")
     p.add_argument("--aoa", default="0", choices=["0", "8", "both"])
     p.add_argument("--duration", type=float, help="run duration in seconds")
@@ -228,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True)
         for flag, kwargs in extras:
             p.add_argument(flag, **kwargs)
-        p.add_argument("--slice", default=slice_default,
-                       choices=["train", "validation", "test", "all"])
+        p.add_argument("--slice", default=slice_default, choices=SLICES)
         p.add_argument("--out")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -238,19 +251,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="evaluate a checkpoint on "
                                       "baseline-reduced inputs")
-    add_checkpoint_args(p, "test", ("--baselines", {"default": "apb,tvb,mvb"}))
+    add_checkpoint_args(p, "test", ("--baselines", {"default": ",".join(BASELINES)}))
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("retrain", help="retrain on a baseline-reduced dataset")
     add_training_args(p)
-    p.add_argument("--baseline", required=True, choices=["tvb", "mvb", "apb"])
+    p.add_argument("--baseline", required=True, choices=BASELINES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_retrain)
 
     p = sub.add_parser("attribute", help="integrated-gradients attribution "
                                          "over correctly classified samples")
     add_checkpoint_args(p, "validation",
-                        ("--baseline", {"choices": ["apb", "tvb", "mvb"]}),
+                        ("--baseline", {"choices": BASELINES}),
                         ("--steps", {"dest": "ig_steps", "type": int}),
                         ("--max-samples", {"dest": "ig_max_samples", "type": int}))
     p.set_defaults(func=cmd_attribute)
@@ -264,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the Strouhal shedding frequencies f = St * V / c, St = 0.2 on the
     # 0.16 m chord, at the grid's two wind speeds of 12 and 24 m/s
     p.add_argument("--candidates", default="15,30", help="comma-separated Hz")
-    p.add_argument("--preset", default="wide", choices=["wide", "fine"])
+    p.add_argument("--preset", default="wide", choices=list(STFT_PRESETS))
     p.add_argument("--out")
     p.set_defaults(func=cmd_spectra)
 
@@ -278,7 +291,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at /dev/null, so that
+        # the flush at interpreter exit has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -255,11 +255,10 @@ def _pop_counts(meta: dict, what: str, defaults=(None, None)) -> tuple[int, int]
     return counts
 
 
-def _checked_run(record: dict, what: str) -> RawRun:
-    """The run of a metadata record plus its values, refused where its
-    damage class lies outside 0..5 or its sample rate is not positive and
-    finite. `what` names the record in messages."""
-    run = from_json(RawRun, record, DataError, what)
+def check_run(run: RawRun, what: str) -> RawRun:
+    """The run rule: refuse a run whose damage class lies outside 0..5 or
+    whose sample rate is not positive and finite, and pass any other.
+    `what` names the run in messages."""
     if not 0 <= run.damage_class < N_DAMAGE_CLASSES:
         raise DataError(f"{what} field damage_class must be in "
                         f"0..{N_DAMAGE_CLASSES - 1}, got {run.damage_class}")
@@ -300,13 +299,18 @@ def load_run(run_dir: Path) -> RawRun:
                         f"but {bin_path} holds {size} bytes, not {8 * n_channels * n_steps}")
     values = np.fromfile(bin_path, dtype="<f8").reshape(n_channels, n_steps)
     _check_finite(values, lambda ch, step: f"channel {ch}, time step {step} of {bin_path}")
-    return _checked_run({**meta, "values": values}, what)
+    return check_run(from_json(RawRun, {**meta, "values": values}, DataError, what), what)
 
 
 def save_campaign(campaign: Campaign, dataset_dir: Path) -> None:
+    """Write a campaign. Every run is checked against the run rule
+    (`check_run`) before any file is written, the first bad one in run-key
+    order named, so no dataset is saved that `load_campaign` refuses."""
+    runs = sorted(campaign.runs, key=lambda r: r.key())
+    for run in runs:
+        check_run(run, f"run {run.key()}")
     dataset_dir = Path(dataset_dir)
     dataset_dir.mkdir(parents=True, exist_ok=True)
-    runs = sorted(campaign.runs, key=lambda r: r.key())
     rels = [Path("runs") / _run_dirname(run) for run in runs]
     map_runs(lambda i: save_run(runs[i], dataset_dir / rels[i]), range(len(runs)))
     run_entries = [{**run.meta_dict(), "dir": str(rel)} for run, rel in zip(runs, rels)]
@@ -395,6 +399,6 @@ def ingest_csv_run(csv_path: Path, meta_path: Path,
     if counts != values.shape:
         raise DataError(f"{what} gives n_channels x n_steps = {counts[0]}x{counts[1]}, "
                         f"but {csv_path} holds {values.shape[0]}x{values.shape[1]} values")
-    return _checked_run({"sample_rate": SAMPLE_RATE_HZ, "seed": None, **meta,
-                         "values": values}, what)
+    record = {"sample_rate": SAMPLE_RATE_HZ, "seed": None, **meta, "values": values}
+    return check_run(from_json(RawRun, record, DataError, what), what)
 

@@ -38,7 +38,7 @@ from .errors import ConfigError, DataError
 from .models import ARCHITECTURES, architecture, build_architecture
 from .net import FitSettings, LayerStack, Standardize, fit, load_checkpoint, save_checkpoint
 from .net.stack import GRADIENT_TARGETS
-from .preprocessing import SplitAssignment, assign_splits, build_samples
+from .preprocessing import HELD_OUT_RUN, assign_splits, build_samples
 from .records import from_json, json_object, read_json
 
 N_CLASSES = N_DAMAGE_CLASSES
@@ -48,6 +48,8 @@ N_CLASSES = N_DAMAGE_CLASSES
 # the IG chunk size no longer means anything, and every window is now
 # z-scored jointly over its channels and steps.
 RETIRED_CONFIG_KEYS = {"ig_chunk": None, "zscore_scope": "joint"}
+# the slices of PreparedData: the three of `assign_splits`, and every sample
+SLICES = ("train", "validation", "test", "all")
 
 
 @dataclass
@@ -55,7 +57,7 @@ class ExperimentConfig(FitSettings):
     """Every knob of one experiment; serialized into reports and
     checkpoints. The training-loop settings are FitSettings' fields.
     Building one checks every field, the enumerated ones (arch, baseline,
-    ig_target) against the values their owning modules accept."""
+    ig_target, split_index) against the values their owning modules accept."""
 
     arch: str = "fcn-cnn"
     aoa_deg: float = 0.0
@@ -80,8 +82,9 @@ class ExperimentConfig(FitSettings):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
-        if self.split_index not in (1, 2, 3):
-            raise ConfigError(f"split_index must be 1, 2 or 3, got {self.split_index!r}")
+        if self.split_index not in HELD_OUT_RUN:
+            raise ConfigError(f"split_index must be one of {', '.join(map(str, HELD_OUT_RUN))}, "
+                              f"got {self.split_index!r}")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
         architecture(self.arch)
@@ -175,11 +178,11 @@ def balanced_scores(y_true: np.ndarray, y_pred: np.ndarray,
 
 @dataclass
 class PreparedData:
-    """Windowed, normalized samples with a split and per-architecture
-    model inputs."""
+    """Windowed, normalized samples with the index lists of their split,
+    keyed by slice name, and per-architecture model inputs."""
 
     samples: SampleSet
-    split: SplitAssignment
+    split: dict[str, list[int]]
     inputs: np.ndarray  # model inputs, aligned with samples
     layout: SensorLayout
 
@@ -188,11 +191,10 @@ class PreparedData:
         return self.samples.labels
 
     def slice(self, name: str):
-        idx = {"train": self.split.train, "validation": self.split.validation,
-               "test": self.split.test,
-               "all": list(range(len(self.samples)))}.get(name)
-        if idx is None:
+        """The inputs, labels and sample indices of one of SLICES."""
+        if name not in SLICES:
             raise ConfigError(f"unknown slice {name!r}")
+        idx = list(range(len(self.samples))) if name == "all" else self.split[name]
         if not idx:
             raise DataError(f"slice {name!r} is empty")
         return self.inputs[idx], self.labels[idx], idx
@@ -360,7 +362,7 @@ def evaluate(stack: LayerStack, inputs: np.ndarray, labels: np.ndarray,
 
 def ablate_on_baselines(stack: LayerStack, data: PreparedData,
                         config: ExperimentConfig,
-                        kinds=("apb", "tvb", "mvb"),
+                        kinds=tuple(BaselineKind),
                         slice_name: str = "test",
                         hashes: dict | None = None) -> dict[str, Report]:
     """Evaluate an unmodified trained stack on baseline-reduced inputs,

@@ -16,15 +16,14 @@ class AdamW:
         p <- p - lr * ( m_hat / (sqrt(v_hat) + eps) + wd * p )
     """
 
-    def __init__(self, stack: LayerStack, lr: float = 1e-3,
-                 weight_decay: float = 1e-5, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    B1 = 0.9
+    B2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, stack: LayerStack, lr: float = 1e-3, weight_decay: float = 1e-5):
         self.stack = stack
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [{k: np.zeros_like(p) for k, p in layer.params.items()}
                    for layer in stack.layers]
@@ -33,16 +32,16 @@ class AdamW:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.B1 ** self.t
+        bc2 = 1.0 - self.B2 ** self.t
         for layer, m_l, v_l in zip(self.stack.layers, self._m, self._v):
             for name, p in layer.params.items():
                 g = layer.grads[name]
                 m = m_l[name]
                 v = v_l[name]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                m *= self.B1
+                m += (1.0 - self.B1) * g
+                v *= self.B2
+                v += (1.0 - self.B2) * g * g
+                update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
                 p -= self.lr * (update + self.weight_decay * p)

@@ -7,10 +7,13 @@ and each window is z-scored jointly: one mean and one std over all its
 channels and steps, so the relative levels of the channels survive. The
 windows of a campaign are held in one columnar SampleSet: a (samples,
 channels, steps) float32 array plus label and provenance arrays, which
-`build_samples` alone builds; it refuses a damage class outside 0..5.
-Splits hold one of the three runs per boundary condition (test series x
-damage class) out for testing; a 25% validation slice is carved out of
-the training pool, stratified by class and boundary condition.
+`build_samples` alone builds; it refuses a run that breaks the run rule
+of `data.check_run`. Splits hold one of the three runs per boundary
+condition (test series x damage class) out for testing, the run that
+HELD_OUT_RUN names for the split index; a 25% validation slice is carved
+out of the training pool, stratified by class and boundary condition.
+`assign_splits` returns the train, validation and test index lists keyed
+by slice name.
 
 Dtypes: runs and `window_run`'s views of them are float64. Each window is
 z-scored in float64 and stored rounded to float32, once. The fcn-cnn
@@ -33,12 +36,12 @@ gets the same bits as it would sequentially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import N_DAMAGE_CLASSES, Campaign, RawRun, SampleSet, map_runs
+from .data import Campaign, RawRun, SampleSet, check_run, map_runs
 from .errors import ConfigError, DataError
 
 TRIM_HEAD_S = 40.0
@@ -48,7 +51,7 @@ WINDOW_COUNT = 89
 # windows a build_samples task z-scores at a time: 8 x 37 x 150 float64
 # values are 355 KB, a scratch that stays in cache and is reused
 ZSCORE_BLOCK = 8
-# which run index each split holds out for testing
+# the split indices and the run index each one holds out for testing
 HELD_OUT_RUN = {1: 3, 2: 1, 3: 2}
 
 
@@ -124,34 +127,17 @@ def channel_means(values: np.ndarray) -> np.ndarray:
     return values.mean(axis=-1, dtype=np.float64)
 
 
-@dataclass
-class SplitAssignment:
-    """Index lists into a SampleSet, plus how they were derived."""
-
-    split_index: int
-    seed: int
-    train: list[int]
-    validation: list[int]
-    test: list[int]
-    held_out_run: int
-
-    def sizes(self) -> tuple[int, int, int]:
-        return (len(self.train), len(self.validation), len(self.test))
-
-
 def build_samples(campaign: Campaign, window_steps: int = WINDOW_STEPS,
                   window_count: int = WINDOW_COUNT) -> SampleSet:
     """Trim, window, and normalize every run of a campaign, in run-key
     order. The windows are z-scored in float64 and returned in float32.
-    A run whose damage class lies outside 0..5 is refused, the first in
-    run-key order named."""
+    A run that breaks the run rule (`data.check_run`) is refused, the
+    first in run-key order named."""
     runs = sorted(campaign.runs, key=lambda r: r.key())
     if not runs:
         raise DataError("campaign has no runs to window")
     for run in runs:
-        if not 0 <= run.damage_class < N_DAMAGE_CLASSES:
-            raise DataError(f"run {run.key()} has damage class {run.damage_class}, "
-                            f"outside 0..{N_DAMAGE_CLASSES - 1}")
+        check_run(run, f"run {run.key()}")
     views = [window_run(trim_run(run), window_steps, window_count) for run in runs]
     values = np.empty((len(runs) * window_count, *views[0].shape[1:]), dtype=np.float32)
 
@@ -177,17 +163,21 @@ def build_samples(campaign: Campaign, window_steps: int = WINDOW_STEPS,
 
 
 def assign_splits(samples: SampleSet, split_index: int, seed: int = 0,
-                  val_fraction: float = 0.25) -> SplitAssignment:
-    """Per boundary condition, hold one run index out for testing and carve
-    a stratified validation slice from the remaining two.
+                  val_fraction: float = 0.25) -> dict[str, list[int]]:
+    """The ascending sample indices of the train, validation and test
+    slices, keyed by slice name: per boundary
+    condition, hold one run index out for testing and carve a stratified
+    validation slice from the remaining two.
 
-    The rotation convention is fixed: split 1 holds out run 3, split 2 run
-    1, split 3 run 2. Validation indices are drawn per (class, test-series)
-    cell with a seeded RNG; quotas are distributed largest-remainder so
-    every class contributes equally on the full balanced grid.
+    The rotation convention is HELD_OUT_RUN: split 1 holds out run 3,
+    split 2 run 1, split 3 run 2. Validation indices are drawn per (class,
+    test-series) cell with a seeded RNG; quotas are distributed
+    largest-remainder so every class contributes equally on the full
+    balanced grid.
     """
     if split_index not in HELD_OUT_RUN:
-        raise ConfigError(f"split_index must be 1, 2 or 3, got {split_index}")
+        raise ConfigError(f"split_index must be one of {', '.join(map(str, HELD_OUT_RUN))}, "
+                          f"got {split_index}")
     if len(samples) == 0:
         raise DataError("empty sample list")
     if not 0.0 <= val_fraction < 1.0:
@@ -195,11 +185,11 @@ def assign_splits(samples: SampleSet, split_index: int, seed: int = 0,
 
     labels, series, runs = samples.labels, samples.test_series, samples.run_index
     for ts, label in sorted(set(zip(series.tolist(), labels.tolist()))):
-        have = set(runs[(series == ts) & (labels == label)].tolist())
-        if have != {1, 2, 3}:
+        have = sorted(set(runs[(series == ts) & (labels == label)].tolist()))
+        if have != sorted(HELD_OUT_RUN.values()):
             raise DataError(
                 f"boundary condition ts={ts} class={label} has runs "
-                f"{sorted(have)}, need exactly (1, 2, 3)")
+                f"{have}, need exactly {tuple(sorted(HELD_OUT_RUN.values()))}")
 
     held_out = HELD_OUT_RUN[split_index]
     pool = np.flatnonzero(runs != held_out)
@@ -220,11 +210,9 @@ def assign_splits(samples: SampleSet, split_index: int, seed: int = 0,
             members = cells[key]
             val_idx.append(members[rng.choice(len(members), size=q, replace=False)])
     validation = np.sort(np.concatenate(val_idx))
-    return SplitAssignment(
-        split_index=split_index, seed=seed,
-        train=np.setdiff1d(pool, validation).tolist(), validation=validation.tolist(),
-        test=np.flatnonzero(runs == held_out).tolist(), held_out_run=held_out,
-    )
+    return {"train": np.setdiff1d(pool, validation).tolist(),
+            "validation": validation.tolist(),
+            "test": np.flatnonzero(runs == held_out).tolist()}
 
 
 def _largest_remainder(sizes: list[int], total: int) -> list[int]:

@@ -1,9 +1,10 @@
 """Short-time Fourier analysis and a scan for vortex shedding.
 
-The scan looks for persistent narrow-band energy at candidate shedding
-frequencies, such as the Strouhal predictions f = St * V / c: a band is
-"detected" when its mean magnitude stays at least `threshold_db` above
-the local noise floor for a minimum number of consecutive frames. The
+STFT_PRESETS names the analysis resolutions, "wide" (the default) and
+"fine". The scan looks for persistent narrow-band energy at candidate
+shedding frequencies, such as the Strouhal predictions f = St * V / c: a
+band is "detected" when its mean magnitude stays at least THRESHOLD_DB
+above the local noise floor for MIN_CONSECUTIVE consecutive frames. The
 known structural excitation band is reported separately so it can never
 be mistaken for shedding.
 """
@@ -14,32 +15,37 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import RawRun
+from .data import RawRun, SensorLayout
 from .errors import ConfigError, DataError
+
+# The detection rule, band mean >= 7 dB over the local floor for >= 4
+# consecutive frames, was calibrated on noise-only simulations: with the
+# overlapping Hann frames of the wide preset it yields no false detections
+# over hundreds of 150 s noise runs, while genuine tones sit well above 20 dB.
+THRESHOLD_DB = 7.0
+MIN_CONSECUTIVE = 4
 
 
 @dataclass(frozen=True)
 class StftSpec:
     """Analysis resolution: frequency resolution is 1 / window_seconds."""
 
-    window_seconds: float = 2.0
-    hop_seconds: float = 1.0
-    freq_min: float = 0.5
-    freq_max: float = 50.0
+    window_seconds: float
+    hop_seconds: float
+    freq_min: float
+    freq_max: float
 
     @property
     def freq_resolution(self) -> float:
         return 1.0 / self.window_seconds
 
-    @classmethod
-    def wide(cls) -> "StftSpec":
-        """0.5-50 Hz at 0.5 Hz resolution, 1.0 s time step."""
-        return cls(window_seconds=2.0, hop_seconds=1.0, freq_min=0.5, freq_max=50.0)
 
-    @classmethod
-    def fine(cls) -> "StftSpec":
-        """10-35 Hz at 1.0 Hz resolution, 0.5 s time step."""
-        return cls(window_seconds=1.0, hop_seconds=0.5, freq_min=10.0, freq_max=35.0)
+STFT_PRESETS = {
+    # 0.5-50 Hz at 0.5 Hz resolution, 1.0 s time step
+    "wide": StftSpec(window_seconds=2.0, hop_seconds=1.0, freq_min=0.5, freq_max=50.0),
+    # 10-35 Hz at 1.0 Hz resolution, 0.5 s time step
+    "fine": StftSpec(window_seconds=1.0, hop_seconds=0.5, freq_min=10.0, freq_max=35.0),
+}
 
 
 @dataclass
@@ -57,7 +63,7 @@ def stft(signal: np.ndarray, spec: StftSpec | None = None,
     Magnitudes are amplitude-normalized (2 |X| / sum(window), halved for
     DC/Nyquist), so a unit-amplitude sinusoid peaks near 1.
     """
-    spec = spec or StftSpec.wide()
+    spec = spec or STFT_PRESETS["wide"]
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1:
         raise ConfigError(f"stft expects a single channel, got shape {signal.shape}")
@@ -103,8 +109,6 @@ class SheddingReport:
     candidates: list[BandDetection]
     excitation: BandDetection | None
     spec: StftSpec
-    threshold_db: float
-    min_consecutive: int
 
     def detected_any(self) -> bool:
         return any(c.detected for c in self.candidates)
@@ -112,8 +116,8 @@ class SheddingReport:
     def to_dict(self) -> dict:
         return {
             "sensor_id": self.sensor_id,
-            "threshold_db": self.threshold_db,
-            "min_consecutive_frames": self.min_consecutive,
+            "threshold_db": THRESHOLD_DB,
+            "min_consecutive_frames": MIN_CONSECUTIVE,
             "window_seconds": self.spec.window_seconds,
             "hop_seconds": self.spec.hop_seconds,
             "candidates": [asdict(c) for c in self.candidates],
@@ -121,8 +125,7 @@ class SheddingReport:
         }
 
 
-def _band_detection(result: StftResult, frequency: float, threshold_db: float,
-                    min_consecutive: int) -> BandDetection:
+def _band_detection(result: StftResult, frequency: float) -> BandDetection:
     df = result.spec.freq_resolution
     band = np.abs(result.freqs - frequency) <= df + 1e-9
     # local noise floor: median magnitude in the surrounding 2..8 bin annulus
@@ -133,17 +136,17 @@ def _band_detection(result: StftResult, frequency: float, threshold_db: float,
     floor = np.median(result.magnitude[annulus], axis=0)
     floor = np.maximum(floor, 1e-30)
     level_db = 20.0 * np.log10(np.maximum(band_mean, 1e-30) / floor)
-    over = level_db >= threshold_db
+    over = level_db >= THRESHOLD_DB
 
     best_run, run = 0, 0
     best_sustained_db = -np.inf
     for i, flag in enumerate(over):
         run = run + 1 if flag else 0
         best_run = max(best_run, run)
-        if run >= min_consecutive:
-            window_db = level_db[i - min_consecutive + 1:i + 1].min()
+        if run >= MIN_CONSECUTIVE:
+            window_db = level_db[i - MIN_CONSECUTIVE + 1:i + 1].min()
             best_sustained_db = max(best_sustained_db, window_db)
-    detected = best_run >= min_consecutive
+    detected = best_run >= MIN_CONSECUTIVE
     peak_db = float(best_sustained_db if detected else level_db.max())
     return BandDetection(
         frequency_hz=float(frequency), detected=bool(detected),
@@ -154,21 +157,11 @@ def _band_detection(result: StftResult, frequency: float, threshold_db: float,
 
 
 def shedding_scan(run: RawRun, sensor_id: int, candidates_hz: list[float],
-                  spec: StftSpec | None = None, threshold_db: float = 7.0,
-                  min_consecutive: int = 4,
+                  spec: StftSpec | None = None,
                   layout=None) -> SheddingReport:
     """Scan one sensor's signal for persistent bands at candidate
-    frequencies; the run's excitation frequency is reported separately.
-
-    The default threshold (band mean >= 7 dB over the local floor for >= 4
-    consecutive frames) was calibrated on noise-only simulations: with the
-    overlapping Hann frames of the wide preset it yields no false
-    detections over hundreds of 150 s noise runs, while genuine tones sit
-    well above 20 dB.
-    """
-    from .data import SensorLayout
-
-    spec = spec or StftSpec.wide()
+    frequencies; the run's excitation frequency is reported separately."""
+    spec = spec or STFT_PRESETS["wide"]
     layout = layout or SensorLayout()
     if sensor_id not in layout.working_ids:
         raise DataError(f"unknown or dead sensor id {sensor_id}")
@@ -187,13 +180,9 @@ def shedding_scan(run: RawRun, sensor_id: int, candidates_hz: list[float],
                 f"[{spec.freq_min}, {spec.freq_max}] Hz")
     channel = layout.channel_of_id(sensor_id)
     result = stft(run.values[channel], spec, sample_rate=run.sample_rate)
-    detections = [_band_detection(result, f, threshold_db, min_consecutive)
-                  for f in candidates_hz]
+    detections = [_band_detection(result, f) for f in candidates_hz]
     excitation = None
     if spec.freq_min <= run.excitation_hz <= spec.freq_max:
-        excitation = _band_detection(result, run.excitation_hz,
-                                     threshold_db, min_consecutive)
-    return SheddingReport(
-        sensor_id=sensor_id, candidates=detections, excitation=excitation,
-        spec=spec, threshold_db=threshold_db, min_consecutive=min_consecutive,
-    )
+        excitation = _band_detection(result, run.excitation_hz)
+    return SheddingReport(sensor_id=sensor_id, candidates=detections,
+                          excitation=excitation, spec=spec)

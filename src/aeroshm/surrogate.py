@@ -21,7 +21,8 @@ is expected to recover.
 
 All generator coefficients live in GeneratorConfig and are written next
 to every generated dataset (generator_config.json) so the planted
-structure can be audited. Two stock profiles are provided:
+structure can be audited. PROFILES holds the two stock profiles, each
+with its own damage table (`_damage_table` rows):
 
     static-dominant    class information mostly in equilibrium shifts,
                        i.e. in channel means (mean-value reduction keeps
@@ -162,39 +163,43 @@ class PressureFieldParams:
     noise_std: float = 0.012  # sensor white noise, Cp units
 
 
-def _default_damage_table_static() -> list[DamageSpec]:
-    # Crack classes: mild stiffness loss, pronounced equilibrium shifts.
-    cracks = [
-        (0, "crack-0%", 1.00, 1.00, 0.00, 0.000),
-        (1, "crack-12.5%", 0.97, 0.96, 0.45, -0.004),
-        (2, "crack-25%", 0.94, 0.92, 1.00, -0.009),
-        (3, "crack-37.5%", 0.91, 0.88, 1.70, -0.016),
-        (4, "crack-50%", 0.88, 0.84, 2.60, -0.025),
-    ]
-    table = [DamageSpec(i, lbl, sy, st, tw, hv) for i, lbl, sy, st, tw, hv in cracks]
-    table.append(DamageSpec(5, "added-mass", 1.0, 1.0, 0.70, -0.012, added_mass=0.6))
-    return table
+_DAMAGE_LABELS = ("crack-0%", "crack-12.5%", "crack-25%", "crack-37.5%", "crack-50%",
+                 "added-mass")
 
 
-def _default_damage_table_dynamics() -> list[DamageSpec]:
-    # Crack classes: strong stiffness loss, near-zero equilibrium shifts.
-    cracks = [
-        (0, "crack-0%", 1.00, 1.00, 0.00, 0.000),
-        (1, "crack-12.5%", 0.85, 0.84, 0.02, -0.001),
-        (2, "crack-25%", 0.72, 0.70, 0.04, -0.002),
-        (3, "crack-37.5%", 0.60, 0.58, 0.06, -0.003),
-        (4, "crack-50%", 0.50, 0.48, 0.08, -0.004),
-    ]
-    table = [DamageSpec(i, lbl, sy, st, tw, hv) for i, lbl, sy, st, tw, hv in cracks]
-    table.append(DamageSpec(5, "added-mass", 1.0, 1.0, 0.03, -0.002, added_mass=1.0))
-    return table
+def _damage_table(rows) -> list[DamageSpec]:
+    """Classes 0..5, labelled _DAMAGE_LABELS, from one (heave stiffness
+    scale, twist stiffness scale, twist offset deg, heave offset m, added
+    mass kg) row each."""
+    return [DamageSpec(i, label, *row)
+            for i, (label, row) in enumerate(zip(_DAMAGE_LABELS, rows))]
+
+
+# Crack classes: mild stiffness loss, pronounced equilibrium shifts.
+_STATIC_DAMAGE = (
+    (1.00, 1.00, 0.00, 0.000, 0.0),
+    (0.97, 0.96, 0.45, -0.004, 0.0),
+    (0.94, 0.92, 1.00, -0.009, 0.0),
+    (0.91, 0.88, 1.70, -0.016, 0.0),
+    (0.88, 0.84, 2.60, -0.025, 0.0),
+    (1.0, 1.0, 0.70, -0.012, 0.6),
+)
+# Crack classes: strong stiffness loss, near-zero equilibrium shifts.
+_DYNAMICS_DAMAGE = (
+    (1.00, 1.00, 0.00, 0.000, 0.0),
+    (0.85, 0.84, 0.02, -0.001, 0.0),
+    (0.72, 0.70, 0.04, -0.002, 0.0),
+    (0.60, 0.58, 0.06, -0.003, 0.0),
+    (0.50, 0.48, 0.08, -0.004, 0.0),
+    (1.0, 1.0, 0.03, -0.002, 1.0),
+)
 
 
 @dataclass
 class GeneratorConfig:
     profile: str = "static-dominant"
     section: SectionParams = field(default_factory=SectionParams)
-    damage_table: list[DamageSpec] = field(default_factory=_default_damage_table_static)
+    damage_table: list[DamageSpec] = field(default_factory=lambda: _damage_table(_STATIC_DAMAGE))
     pressure: PressureFieldParams = field(default_factory=PressureFieldParams)
     test_series: list[SeriesSpec] = field(default_factory=lambda: list(GRID_TEST_SERIES))
     sample_rate: float = 100.0
@@ -205,25 +210,6 @@ class GeneratorConfig:
     damping_jitter: float = 0.05
     force_jitter: float = 0.03
     dead_sensors: tuple[int, ...] = (5, 21, 33)
-
-    @classmethod
-    def static_dominant(cls) -> "GeneratorConfig":
-        return cls()
-
-    @classmethod
-    def dynamics_dominant(cls) -> "GeneratorConfig":
-        # stronger buffet: the damage-shifted resonance is itself a feature
-        return cls(profile="dynamics-dominant",
-                   section=SectionParams(buffet_force_std=0.2),
-                   damage_table=_default_damage_table_dynamics())
-
-    @classmethod
-    def named_profile(cls, name: str) -> "GeneratorConfig":
-        if name == "static-dominant":
-            return cls.static_dominant()
-        if name == "dynamics-dominant":
-            return cls.dynamics_dominant()
-        raise ConfigError(f"unknown generator profile {name!r}")
 
     def layout(self) -> SensorLayout:
         return SensorLayout(dead_sensors=tuple(self.dead_sensors))
@@ -281,6 +267,16 @@ class GeneratorConfig:
     def from_dict(cls, d: dict) -> "GeneratorConfig":
         """Inverse of to_dict: every field present and of its declared type."""
         return from_json(cls, d, ConfigError, "generator config")
+
+
+# The stock profiles by name, each a function giving a fresh config.
+PROFILES = {
+    "static-dominant": GeneratorConfig,
+    # stronger buffet: the damage-shifted resonance is itself a feature
+    "dynamics-dominant": lambda: GeneratorConfig(
+        profile="dynamics-dominant", section=SectionParams(buffet_force_std=0.2),
+        damage_table=_damage_table(_DYNAMICS_DAMAGE)),
+}
 
 
 def pressure_profiles(pressure: PressureFieldParams, layout: SensorLayout,

@@ -30,7 +30,7 @@ import pytest
 
 from aeroshm.harness import load_model
 from aeroshm.net import load_checkpoint, save_checkpoint
-from aeroshm.surrogate import GeneratorConfig, generate_campaign
+from aeroshm.surrogate import PROFILES, generate_campaign
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "conv_v1.ckpt"
@@ -130,7 +130,7 @@ def test_mlp_fixture_loads_its_mean_stats_as_a_standardize_layer(tmp_path):
     old_header, old_arrays = parse(MLP_FIXTURE.read_bytes())
     stats = old_header["metadata"]["mean_stats"]
     assert old_header["layers"][0] == {"kind": "dropout", "rate": 0.2}
-    campaign = generate_campaign(GeneratorConfig.static_dominant(), seed=0, aoa_deg=0.0,
+    campaign = generate_campaign(PROFILES["static-dominant"](), seed=0, aoa_deg=0.0,
                                  duration_s=55.0)
     stack, data, config, _ = load_model(MLP_FIXTURE, campaign)
     assert config.arch == "mean-mlp" and data.inputs.shape[1:] == (37,)

@@ -1,11 +1,13 @@
 """End-to-end CLI runs on a tiny surrogate campaign: exit codes, bit-exact
 reruns, and the one-line errors for bad configs, datasets and checkpoints."""
 
+import argparse
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,8 @@ from conftest import export_csv_run, rewrite_checkpoint_header
 
 import aeroshm
 from aeroshm import harness
-from aeroshm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, main
+from aeroshm.baselines import BaselineKind
+from aeroshm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, build_parser, main
 from aeroshm.data import (
     N_PHYSICAL_SENSORS,
     Campaign,
@@ -24,8 +27,10 @@ from aeroshm.data import (
 )
 from aeroshm.errors import ConfigError
 from aeroshm.harness import ExperimentConfig
+from aeroshm.models import ARCHITECTURES
 from aeroshm.net import FitResult, load_checkpoint, save_checkpoint
-from aeroshm.surrogate import GeneratorConfig, simulate_run
+from aeroshm.spectra import STFT_PRESETS
+from aeroshm.surrogate import PROFILES, GeneratorConfig, simulate_run
 
 TRAIN = ["--window-count", "2", "--epochs", "1"]
 # a mean-mlp checkpoint that held its input statistics in the metadata key
@@ -223,13 +228,21 @@ def test_config_with_joint_zscore_trains_the_same_checkpoint(two_runs, tmp_path)
 
 @pytest.fixture(scope="module")
 def class7_dataset(two_runs, tmp_path_factory):
-    """The first pipeline's dataset with damage class 5 relabelled 7."""
+    """The first pipeline's dataset with damage class 5 relabelled 7 in
+    every meta.json, run directory and manifest entry, by hand:
+    save_campaign refuses such a run."""
     (root, _), _ = two_runs
-    campaign = load_campaign(root / "data")
-    campaign.runs = [replace(run, damage_class=7) if run.damage_class == 5 else run
-                     for run in campaign.runs]
     data = tmp_path_factory.mktemp("class7") / "data"
-    save_campaign(campaign, data)
+    shutil.copytree(root / "data", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    for entry in manifest["runs"]:
+        if entry["damage_class"] == 5:
+            run_dir = data / entry["dir"]
+            meta = json.loads((run_dir / "meta.json").read_text())
+            (run_dir / "meta.json").write_text(json.dumps({**meta, "damage_class": 7}))
+            entry.update(damage_class=7, dir=entry["dir"].replace("_d5_", "_d7_"))
+            run_dir.rename(data / entry["dir"])
+    (data / "manifest.json").write_text(json.dumps(manifest))
     return data
 
 
@@ -584,7 +597,7 @@ def test_attribute_out_path_that_is_a_file_exits_data_error(two_runs, tmp_path, 
 
 def test_ingest_into_a_dataset_reads_its_layout(tmp_path):
     data = tmp_path / "data"
-    config = GeneratorConfig.named_profile("static-dominant")
+    config = PROFILES["static-dominant"]()
     layout = SensorLayout(dead_sensors=(5, 21, 34))
     save_campaign(Campaign(runs=[simulate_run(config, 1, 0, 1, seed=0, duration_s=2.0)],
                            layout=layout), data)
@@ -612,7 +625,7 @@ def test_ingest_into_a_dataset_reads_its_layout(tmp_path):
 def test_ingest_of_unusable_metadata_exits_data_error_before_writing(tmp_path, capsys, edit,
                                                                      message):
     data = tmp_path / "data"
-    config = GeneratorConfig.named_profile("static-dominant")
+    config = PROFILES["static-dominant"]()
     save_campaign(Campaign(runs=[simulate_run(config, 1, 0, 1, seed=0, duration_s=2.0)]), data)
     before = {path: path.read_bytes() for path in data.rglob("*") if path.is_file()}
     meta_path = tmp_path / "meta.json"
@@ -673,3 +686,86 @@ def test_train_classifier_fits_with_its_config(two_runs, monkeypatch):
     (settings,) = seen
     assert (settings.batch_size, settings.max_epochs, settings.lr, settings.seed,
             settings.log_every) == (7, 3, 0.5, 11, 2)
+
+
+def test_every_choice_list_is_its_registry():
+    registries = {
+        ("generate", "profile"): list(PROFILES),
+        ("generate", "aoa"): ["0", "8", "both"],
+        ("train", "arch"): sorted(ARCHITECTURES),
+        ("retrain", "arch"): sorted(ARCHITECTURES),
+        ("retrain", "baseline"): [kind.value for kind in BaselineKind],
+        ("attribute", "baseline"): [kind.value for kind in BaselineKind],
+        **{(command, "slice"): list(harness.SLICES)
+           for command in ("eval", "ablate", "attribute")},
+        ("spectra", "preset"): list(STFT_PRESETS),
+    }
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    found = {(command, action.dest): list(action.choices)
+             for command, parser in commands.items() for action in parser._actions
+             if action.choices is not None}
+    assert found == registries
+    assert commands["ablate"].get_default("baselines") == \
+        ",".join(kind.value for kind in BaselineKind)
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, on the descriptor `fd`."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("step", ["ablate", "spectra"])
+def test_closed_stdout_exits_ok_after_writing_every_file(two_runs, tmp_path, capsys,
+                                                        monkeypatch, step):
+    """The files equal the pipeline's: a closed stdout cuts none short."""
+    (root, _), _ = two_runs
+    out = tmp_path / "out"
+    argv, expected = {
+        "ablate": (["ablate", "--checkpoint", str(root / "run" / "checkpoint.ckpt")],
+                   {f"ablate_{kind}.json": root / "run" / f"ablate_{kind}.json"
+                    for kind in ("apb", "tvb", "mvb")}),
+        "spectra": (["spectra", "--test-series", "1", "--damage-class", "0",
+                     "--sensor", "18"],
+                    {name: root / "run" / "spectra" / name
+                     for name in ("shedding_scan.json", "stft.csv")}),
+    }[step]
+    capsys.readouterr()
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedStdout(fh.fileno()))
+        assert main([*argv, "--data", str(root / "data"), "--out", str(out)]) == EXIT_OK
+        # the descriptor now writes to /dev/null
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+    for name, path in expected.items():
+        if name.startswith("ablate"):
+            assert without_wall_clock(out / name) == without_wall_clock(path)
+        else:
+            assert (out / name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_closed_early_exits_ok(two_runs, unbuffered):
+    """Buffered, the output fails as it is flushed; unbuffered, as it is
+    printed."""
+    (root, _), _ = two_runs
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(aeroshm.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen([sys.executable, "-m", "aeroshm", "report",
+                           str(root / "run" / "report.json")], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()  # before the command prints its first line
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_OK
+    assert err == b""

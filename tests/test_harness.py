@@ -1,5 +1,7 @@
-"""The harness's scoring and baseline ablation, called directly on small
-prepared data."""
+"""The harness's scoring, baseline ablation and slices, called directly on
+small prepared data."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -7,11 +9,12 @@ import pytest
 from aeroshm import harness
 from aeroshm.baselines import reduce_dataset
 from aeroshm.data import SampleSet, SensorLayout
-from aeroshm.errors import ConfigError
+from aeroshm.errors import ConfigError, DataError
 from aeroshm.harness import ExperimentConfig, PreparedData
 from aeroshm.models import build_cnn, build_mlp
 from aeroshm.net import LayerStack
-from aeroshm.preprocessing import SplitAssignment
+from aeroshm.preprocessing import HELD_OUT_RUN
+from aeroshm.surrogate import PROFILES, generate_campaign
 
 CHANNELS, STEPS, N_SAMPLES = 3, 16, 12
 
@@ -26,8 +29,7 @@ def prepared(arch: str, n_test: int) -> tuple[LayerStack, PreparedData, Experime
         test_series=np.ones(N_SAMPLES, dtype=np.int64),
         run_index=np.arange(N_SAMPLES), window_index=np.zeros(N_SAMPLES, dtype=np.int64))
     order = [int(i) for i in rng.permutation(N_SAMPLES)]
-    split = SplitAssignment(split_index=1, seed=0, train=order[n_test:], validation=[],
-                            test=order[:n_test], held_out_run=1)
+    split = {"train": order[n_test:], "validation": [], "test": order[:n_test]}
     inputs = harness.model_inputs(samples, arch)
     if arch == "fcn-cnn":
         stack = build_cnn(CHANNELS, STEPS, n_classes=harness.N_CLASSES, seed=4)
@@ -35,8 +37,8 @@ def prepared(arch: str, n_test: int) -> tuple[LayerStack, PreparedData, Experime
         stack = build_mlp(CHANNELS, n_classes=harness.N_CLASSES, seed=4)
     # set the mean-mlp's standardize layer and warm the BatchNorm running
     # statistics, so that infer mode is nontrivial
-    stack.fit_standardize(inputs[split.train])
-    stack.forward(inputs[split.train], train=True)
+    stack.fit_standardize(inputs[split["train"]])
+    stack.forward(inputs[split["train"]], train=True)
     data = PreparedData(samples=samples, split=split, inputs=inputs, layout=SensorLayout())
     return stack, data, ExperimentConfig(arch=arch, window_steps=STEPS)
 
@@ -76,7 +78,7 @@ class TestAblateOnBaselines:
         stack, data, config = prepared(arch, n_test)
         reports = harness.ablate_on_baselines(stack, data, config, hashes={"dataset": "d"})
         assert list(reports) == ["apb", "tvb", "mvb"]
-        idx = data.split.test
+        idx = data.split["test"]
         for kind, report in reports.items():
             reduced = reduce_dataset(data.samples[idx], kind)
             expected = harness.evaluate(stack, harness.model_inputs(reduced, arch),
@@ -120,3 +122,39 @@ class TestAblateOnBaselines:
         assert list(reports) == ["mvb", "apb", "tvb"]
         assert [(method, len(batch)) for method, batch in calls] == [
             ("constant_logits", 9), ("constant_logits", 2), ("predict", 9)]
+
+
+@pytest.fixture(scope="module")
+def grid_campaign():
+    """The AoA-0 grid with two windows per run."""
+    return generate_campaign(PROFILES["static-dominant"](), seed=0, aoa_deg=0.0,
+                             duration_s=52.0)
+
+
+class TestSlices:
+    @pytest.mark.parametrize("split_index", sorted(HELD_OUT_RUN))
+    def test_splits_partition_all(self, grid_campaign, split_index):
+        data = harness.prepare_data(
+            grid_campaign, ExperimentConfig(split_index=split_index, window_count=2))
+        slices = {name: data.slice(name) for name in harness.SLICES}
+        for inputs, labels, idx in slices.values():
+            np.testing.assert_array_equal(labels, data.samples.labels[idx])
+            np.testing.assert_array_equal(inputs, data.inputs[idx])
+        parts = [set(slices[name][2]) for name in data.split]
+        assert [*data.split, "all"] == list(harness.SLICES)
+        assert all(a.isdisjoint(b) for a, b in itertools.combinations(parts, 2))
+        assert set.union(*parts) == set(slices["all"][2]) == set(range(len(data.samples)))
+        test_runs = data.samples.run_index[slices["test"][2]]
+        assert set(test_runs.tolist()) == {HELD_OUT_RUN[split_index]}
+
+    def test_unknown_name_rejected(self, grid_campaign):
+        data = harness.prepare_data(grid_campaign, ExperimentConfig(window_count=2))
+        with pytest.raises(ConfigError, match="unknown slice 'holdout'"):
+            data.slice("holdout")
+
+    def test_empty_validation_slice_rejected(self, grid_campaign):
+        data = harness.prepare_data(grid_campaign,
+                                    ExperimentConfig(window_count=2, val_fraction=0.0))
+        assert data.split["validation"] == []
+        with pytest.raises(DataError, match="slice 'validation' is empty"):
+            data.slice("validation")

@@ -8,7 +8,7 @@ from aeroshm.harness import ExperimentConfig, prepare_data
 from aeroshm.models import build_architecture, build_cnn, build_mlp
 from aeroshm.net import FitSettings, fit
 from aeroshm.preprocessing import channel_means, trim_run, window_run, zscore
-from aeroshm.surrogate import GeneratorConfig, generate_campaign
+from aeroshm.surrogate import PROFILES, generate_campaign
 
 # Regression values computed once from the layer formulas:
 #   conv:  filters * (in_channels * kernel) + filters
@@ -162,7 +162,7 @@ class TestRegistry:
 
 @pytest.fixture(scope="module")
 def static_campaign():
-    return generate_campaign(GeneratorConfig.static_dominant(), seed=5, aoa_deg=0.0,
+    return generate_campaign(PROFILES["static-dominant"](), seed=5, aoa_deg=0.0,
                              duration_s=60.0)
 
 
@@ -181,7 +181,7 @@ class TestFloat32Windows:
         wide = float64_windows(static_campaign, 2)
         assert data.inputs.dtype == np.float32
         np.testing.assert_array_equal(data.inputs, wide.astype(np.float32))
-        train, val = data.split.train, data.split.validation
+        train, val = data.split["train"], data.split["validation"]
         fits = []
         for inputs in (data.inputs, wide):
             stack = build_cnn(37, 150, seed=5)
@@ -205,7 +205,7 @@ class TestFloat32Windows:
         standardised = []
         for means in (data.inputs, channel_means(float64_windows(static_campaign, 8))):
             stack = build_mlp(37, seed=5)
-            stack.fit_standardize(means[data.split.train])
+            stack.fit_standardize(means[data.split["train"]])
             assert [layer.kind for layer in stack.layers[:3]] == [
                 "standardize", "dropout", "dense"]  # dropout passes on in infer mode
             standardised.append(stack.layers[0].forward(means))

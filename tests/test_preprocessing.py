@@ -191,14 +191,15 @@ class TestSplits:
     def test_full_grid_counts(self):
         samples = full_grid_samples()
         split = assign_splits(samples, split_index=1, seed=0)
-        assert split.sizes() == (3204, 1068, 2136)
+        assert {name: len(idx) for name, idx in split.items()} == \
+            {"train": 3204, "validation": 1068, "test": 2136}
 
     def test_rotation_convention(self):
         samples = full_grid_samples(n_series=1, n_windows=4)
         for split_index, held in ((1, 3), (2, 1), (3, 2)):
             split = assign_splits(samples, split_index, seed=0)
-            test_runs = set(samples.run_index[split.test].tolist())
-            train_runs = set(samples.run_index[split.train].tolist())
+            test_runs = set(samples.run_index[split["test"]].tolist())
+            train_runs = set(samples.run_index[split["train"]].tolist())
             assert test_runs == {held}
             assert held not in train_runs
 
@@ -208,22 +209,22 @@ class TestSplits:
         def pairs(idx):
             return set(zip(samples.test_series[idx].tolist(),
                            samples.run_index[idx].tolist()))
-        test_pairs = pairs(split.test)
-        other_pairs = pairs(split.train + split.validation)
+        test_pairs = pairs(split["test"])
+        other_pairs = pairs(split["train"] + split["validation"])
         assert test_pairs.isdisjoint(other_pairs)
 
     def test_class_balance_per_split(self):
         samples = full_grid_samples()
         split = assign_splits(samples, 1, seed=3)
-        for indices, per_class in ((split.train, 534), (split.validation, 178),
-                                   (split.test, 356)):
+        for indices, per_class in ((split["train"], 534), (split["validation"], 178),
+                                   (split["test"], 356)):
             counts = np.bincount(samples.labels[indices], minlength=6)
             assert set(counts.tolist()) == {per_class}
 
     def test_no_overlap_and_complete(self):
         samples = full_grid_samples()
         split = assign_splits(samples, 1, seed=0)
-        all_idx = split.train + split.validation + split.test
+        all_idx = split["train"] + split["validation"] + split["test"]
         assert len(all_idx) == len(samples)
         assert len(set(all_idx)) == len(samples)
 
@@ -231,23 +232,23 @@ class TestSplits:
         samples = full_grid_samples()
         s1 = assign_splits(samples, 1, seed=9)
         s2 = assign_splits(samples, 1, seed=9)
-        assert (s1.train, s1.validation, s1.test) == (s2.train, s2.validation, s2.test)
+        assert s1 == s2
         s3 = assign_splits(samples, 1, seed=10)
-        assert s1.validation != s3.validation
+        assert s1["validation"] != s3["validation"]
 
     def test_validation_draw_is_pinned(self):
         # the seeded draws per (class, test-series) cell, in their fixed
         # order; a change here changes every trained checkpoint
         samples = full_grid_samples(n_series=2, n_classes=2, n_windows=4)
-        assert assign_splits(samples, 1, seed=7).validation == [6, 7, 13, 19, 24, 26, 39, 40]
-        assert assign_splits(samples, 2, seed=7).validation == [5, 6, 19, 21, 31, 35, 41, 47]
+        assert assign_splits(samples, 1, seed=7)["validation"] == [6, 7, 13, 19, 24, 26, 39, 40]
+        assert assign_splits(samples, 2, seed=7)["validation"] == [5, 6, 19, 21, 31, 35, 41, 47]
 
     def test_single_boundary_condition(self):
         samples = fake_samples([(1, 0, r, w) for r in (1, 2, 3) for w in range(10)])
         split = assign_splits(samples, 1, seed=0)
-        assert set(samples.run_index[split.test].tolist()) == {3}
-        assert len(split.test) == 10
-        assert len(split.train) + len(split.validation) == 20
+        assert set(samples.run_index[split["test"]].tolist()) == {3}
+        assert len(split["test"]) == 10
+        assert len(split["train"]) + len(split["validation"]) == 20
 
     def test_missing_run_rejected(self):
         samples = fake_samples([(1, 0, r, w) for r in (1, 2) for w in range(5)])
@@ -337,6 +338,7 @@ class TestBuildSamples:
     def test_first_run_with_a_class_outside_0_to_5_named(self, damage_class):
         runs = [make_run(53.0, damage_class=c, run_index=r, seed=r)
                 for c in (damage_class, 0) for r in (3, 2)]
-        message = f"run (1, {damage_class}, 2) has damage class {damage_class}, outside 0..5"
+        message = (f"run (1, {damage_class}, 2) field damage_class must be in 0..5, "
+                   f"got {damage_class}")
         with pytest.raises(DataError, match=re.escape(message)):
             build_samples(Campaign(runs=runs), window_steps=100, window_count=3)

@@ -6,7 +6,7 @@ import pytest
 from aeroshm.cli import build_parser
 from aeroshm.data import RawRun
 from aeroshm.errors import ConfigError, DataError
-from aeroshm.spectra import StftSpec, shedding_scan, stft
+from aeroshm.spectra import STFT_PRESETS, shedding_scan, stft
 from aeroshm.surrogate import GRID_TEST_SERIES
 
 FS = 100.0
@@ -35,14 +35,14 @@ class TestStrouhal:
 
 class TestStft:
     def test_presets_match_stated_resolutions(self):
-        wide, fine = StftSpec.wide(), StftSpec.fine()
+        wide, fine = STFT_PRESETS["wide"], STFT_PRESETS["fine"]
         assert wide.freq_resolution == pytest.approx(0.5)
         assert wide.hop_seconds == 1.0
         assert fine.freq_resolution == pytest.approx(1.0)
         assert fine.hop_seconds == 0.5
 
     def test_pure_tone_single_dominant_bin(self):
-        result = stft(tone(1.9, duration=30.0), StftSpec.wide())
+        result = stft(tone(1.9, duration=30.0), STFT_PRESETS["wide"])
         avg = result.magnitude.mean(axis=1)
         dominant = result.freqs[np.argmax(avg)]
         assert abs(dominant - 1.9) <= result.spec.freq_resolution
@@ -51,13 +51,13 @@ class TestStft:
         assert avg.max() > 20 * off_band.max()
 
     def test_amplitude_normalization(self):
-        result = stft(tone(10.0, duration=30.0, amplitude=2.5), StftSpec.wide())
+        result = stft(tone(10.0, duration=30.0, amplitude=2.5), STFT_PRESETS["wide"])
         peak = result.magnitude.max()
         assert abs(peak - 2.5) < 0.15
 
     def test_two_tones_both_visible(self):
         sig = tone(1.9, 40.0) + tone(15.0, 40.0)
-        result = stft(sig, StftSpec.wide())
+        result = stft(sig, STFT_PRESETS["wide"])
         avg = result.magnitude.mean(axis=1)
         for f in (1.9, 15.0):
             band = avg[np.abs(result.freqs - f) <= 0.5]
@@ -65,10 +65,10 @@ class TestStft:
 
     def test_signal_too_short(self):
         with pytest.raises(DataError):
-            stft(np.zeros(100), StftSpec.wide())  # needs 200 samples
+            stft(np.zeros(100), STFT_PRESETS["wide"])  # needs 200 samples
 
     def test_band_restriction(self):
-        result = stft(tone(5.0, 10.0), StftSpec.fine())
+        result = stft(tone(5.0, 10.0), STFT_PRESETS["fine"])
         assert result.freqs.min() >= 10.0
         assert result.freqs.max() <= 35.0
 

@@ -4,6 +4,7 @@ export/ingest round trips, and the thread pool campaign I/O runs on."""
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import replace
@@ -15,6 +16,7 @@ from conftest import export_csv_run
 from scipy.linalg import expm
 
 from aeroshm.data import (
+    Campaign,
     ingest_csv_run,
     load_campaign,
     load_run,
@@ -23,9 +25,10 @@ from aeroshm.data import (
     save_run,
 )
 from aeroshm.errors import ConfigError, DataError, NumericError
-from aeroshm.spectra import StftSpec, stft
+from aeroshm.spectra import STFT_PRESETS, stft
 from aeroshm.surrogate import (
     MOTION_BLOCK_STEPS,
+    PROFILES,
     GeneratorConfig,
     SectionParams,
     generate_campaign,
@@ -50,7 +53,7 @@ def heave_amplitude(trace):
 
 @pytest.fixture(scope="module")
 def config():
-    return GeneratorConfig.static_dominant()
+    return PROFILES["static-dominant"]()
 
 
 class TestSimulateRun:
@@ -97,7 +100,7 @@ class TestSimulateRun:
         for ts, f_h in ((1, 1.0), (3, 1.9)):
             run = simulate_run(config, ts, 2, 1, seed=3, duration_s=60.0)
             sig = run.values[15] - run.values[15].mean()
-            result = stft(sig, StftSpec.wide())
+            result = stft(sig, STFT_PRESETS["wide"])
             dominant = result.freqs[np.argmax(result.magnitude.mean(axis=1))]
             assert abs(dominant - f_h) <= result.spec.freq_resolution
 
@@ -191,8 +194,8 @@ class TestPlantedGroundTruth:
             assert x < 0.30  # near the leading edge
 
     def test_dynamics_profile_reverses_information_balance(self):
-        static = GeneratorConfig.static_dominant()
-        dynamic = GeneratorConfig.dynamics_dominant()
+        static = PROFILES["static-dominant"]()
+        dynamic = PROFILES["dynamics-dominant"]()
 
         def class_spread(cfg):
             shifts, amps = [], []
@@ -310,7 +313,7 @@ def step_generators(monkeypatch, sample_rate):
         return _expm(a)
 
     monkeypatch.setattr("aeroshm.surrogate._expm", recording)
-    for config in (GeneratorConfig.static_dominant(), GeneratorConfig.dynamics_dominant()):
+    for config in (profile() for profile in PROFILES.values()):
         config = replace(config, sample_rate=sample_rate, quiet_s=1.0, duration_s=2.0)
         for series in config.test_series:
             for damage in config.damage_table:
@@ -409,12 +412,14 @@ class TestCampaign:
     # motion's products go through BLAS, so the pins hold for one numpy and
     # OpenBLAS build (numpy 2.4.6, OpenBLAS 0.3.31, x86_64)
     PINNED = {
-        "static-aoa0-seed3": (GeneratorConfig.static_dominant, 0.0, 3, True,
-                              "2fa6ea5dfecef58dcf709192a224edd8f8ec49cbc9997c411352733d80d0d00f"),
-        "dynamics-aoa8-seed11": (GeneratorConfig.dynamics_dominant, 8.0, 11, True,
-                                 "934812e6e59905dcb177d8b0f8b9ac4e29096234a024cb242cef5b13df516d2e"),
+        "static-aoa0-seed3": (
+            PROFILES["static-dominant"], 0.0, 3, True,
+            "2fa6ea5dfecef58dcf709192a224edd8f8ec49cbc9997c411352733d80d0d00f"),
+        "dynamics-aoa8-seed11": (
+            PROFILES["dynamics-dominant"], 8.0, 11, True,
+            "934812e6e59905dcb177d8b0f8b9ac4e29096234a024cb242cef5b13df516d2e"),
         "static-aoa0-seed3-noiseless": (
-            GeneratorConfig.static_dominant, 0.0, 3, False,
+            PROFILES["static-dominant"], 0.0, 3, False,
             "90a523d721d4031373b38f653c70ca825b27e73aa13e939be013e64c94ce2ea6"),
     }
 
@@ -594,6 +599,19 @@ class TestDatasetRoundTrip:
             "infinite-sample-rate"])
     def test_bad_metadata_value_named(self, config, tmp_path, edit, key):
         self.check_both_loaders_reject(config, tmp_path, edit, key)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"damage_class": 7}, "run (1, 7, 2) field damage_class must be in 0..5, got 7"),
+        ({"sample_rate": 0.0},
+         "run (1, 0, 2) field sample_rate must be positive and finite, got 0.0"),
+    ], ids=["damage-class-7", "zero-sample-rate"])
+    def test_save_refuses_what_load_would_refuse(self, config, tmp_path, change, message):
+        """Before it writes anything, naming the first bad run in key order."""
+        runs = [simulate_run(config, 1, 0, r, seed=0, duration_s=2.0) for r in (3, 2, 1)]
+        runs[:2] = [replace(run, **change) for run in runs[:2]]
+        with pytest.raises(DataError, match=re.escape(message)):
+            save_campaign(Campaign(runs=runs), tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
 
 
 class TestMapRuns:
