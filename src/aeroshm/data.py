@@ -23,11 +23,11 @@ reads it, in that thread's malloc arena. Allocating every array on the
 calling thread instead puts the loaded campaign on the main heap, where
 glibc trims each freed campaign: in the `prepare` benchmark (2-core
 x86_64) generation and loading then both faulted in every page, and
-`load_campaign` took 0.17-0.19 s against 0.11-0.12 s. Generation stays
-sequential: each `simulate_run` already draws its noise on a second
-thread. `Campaign.fingerprint` stays one sha256 stream in run-key order,
-since hashing in another order or shape would change every stored
-fingerprint.
+`load_campaign` took 0.17-0.19 s against 0.11-0.12 s. Generation
+integrates one run's motion at a time: `generate_campaign` already draws
+the next runs' sensor noise on a pool of its own. `Campaign.fingerprint`
+stays one sha256 stream in run-key order, since hashing in another order
+or shape would change every stored fingerprint.
 """
 
 from __future__ import annotations
@@ -217,6 +217,14 @@ class Campaign:
         return h.hexdigest()
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def map_runs(fn: Callable, items: Iterable) -> list:
     """[fn(item) for item in items], computed on a thread pool.
 
@@ -228,11 +236,7 @@ def map_runs(fn: Callable, items: Iterable) -> list:
     items = list(items)
     if not items:
         return []
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=min(len(items), cpus)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(items), usable_cpus())) as pool:
         futures = [pool.submit(fn, item) for item in items]
     return [f.result() for f in futures]
 

@@ -2,6 +2,7 @@
 export/ingest round trips, and the thread pool campaign I/O runs on."""
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -28,6 +29,7 @@ from aeroshm.errors import ConfigError, DataError, NumericError
 from aeroshm.spectra import STFT_PRESETS, stft
 from aeroshm.surrogate import (
     MOTION_BLOCK_STEPS,
+    NOISE_WORKERS,
     PROFILES,
     GeneratorConfig,
     SectionParams,
@@ -37,6 +39,7 @@ from aeroshm.surrogate import (
     simulate_motion,
     simulate_run,
     _THETA13,
+    _draw_noise,
     _expm,
     _structural_matrix,
 )
@@ -54,6 +57,26 @@ def heave_amplitude(trace):
 @pytest.fixture(scope="module")
 def config():
     return PROFILES["static-dominant"]()
+
+
+def record_draws(monkeypatch, fail=()):
+    """Patch the noise draw to record each call's run key, the thread it
+    ran on and whether it ended; the draws of the keys in `fail` raise."""
+    draws = []
+
+    def recorded(config, test_series, damage_class, run_index, *rest):
+        draw = SimpleNamespace(key=(test_series, damage_class, run_index),
+                               thread=threading.current_thread(), ended=False)
+        draws.append(draw)
+        try:
+            if draw.key in fail:
+                raise DataError(f"draw {draw.key}")
+            return _draw_noise(config, test_series, damage_class, run_index, *rest)
+        finally:
+            draw.ended = True
+
+    monkeypatch.setattr("aeroshm.surrogate._draw_noise", recorded)
+    return draws
 
 
 class TestSimulateRun:
@@ -138,29 +161,18 @@ class TestSimulateRun:
         with pytest.raises(ConfigError, match=r"duration_s 1e\+300 s is too long"):
             simulate_run(config, 1, 0, 1, seed=0, duration_s=1e300, with_noise=with_noise)
 
-    @staticmethod
-    def record_workers(monkeypatch):
-        started = []
-
-        class Recorded(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr("aeroshm.surrogate.threading", SimpleNamespace(Thread=Recorded))
-        return started
-
     def test_noise_worker_joined_on_return(self, config, monkeypatch):
-        started = self.record_workers(monkeypatch)
+        draws = record_draws(monkeypatch)
         before = threading.active_count()
         simulate_run(config, 1, 0, 1, seed=0, duration_s=20.0)
-        assert len(started) == 1 and not started[0].is_alive()
+        assert len(draws) == 1 and draws[0].ended and not draws[0].thread.is_alive()
+        assert draws[0].thread is not threading.current_thread()
         assert threading.active_count() == before
         simulate_run(config, 1, 0, 1, seed=0, duration_s=20.0, with_noise=False)
-        assert len(started) == 1  # no noise, no worker
+        assert len(draws) == 1  # no noise, no draw
 
     def test_noise_worker_joined_when_the_motion_raises(self, config, monkeypatch):
-        started = self.record_workers(monkeypatch)
+        draws = record_draws(monkeypatch)
 
         def unstable(*args, **kwargs):
             raise NumericError("unstable section model")
@@ -168,8 +180,8 @@ class TestSimulateRun:
         monkeypatch.setattr("aeroshm.surrogate.simulate_motion", unstable)
         before = threading.active_count()
         with pytest.raises(NumericError, match="unstable"):
-            simulate_run(config, 1, 0, 1, seed=0)
-        assert len(started) == 1 and not started[0].is_alive()
+            simulate_run(config, 1, 0, 1, seed=0)  # 150 s: the draw outlasts the motion
+        assert len(draws) == 1 and draws[0].ended and not draws[0].thread.is_alive()
         assert threading.active_count() == before
 
     def test_metadata_carried(self, config):
@@ -461,6 +473,113 @@ class TestCampaign:
             simulate_run(config, 9, 0, 1, seed=0, duration_s=10.0)
         with pytest.raises(ConfigError):
             simulate_run(config, 1, 6, 1, seed=0, duration_s=10.0)
+
+
+class TestCampaignNoiseDraws:
+    """generate_campaign draws the runs' noise ahead of their motion on a
+    pool of its own."""
+
+    SECONDS = 5.0
+    GRID = [(ts, d, r) for ts in (1, 2, 3, 4) for d in range(6) for r in (1, 2, 3)]  # AoA 0
+
+    @pytest.mark.parametrize("with_noise", [True, False], ids=["noisy", "noiseless"])
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_every_run_equals_simulate_run_alone(self, profile, with_noise):
+        config = PROFILES[profile]()
+        campaign = generate_campaign(config, seed=6, duration_s=self.SECONDS,
+                                     with_noise=with_noise)
+        assert len(campaign) == 144
+        for run in campaign.runs:
+            alone = simulate_run(config, *run.key(), seed=6, duration_s=self.SECONDS,
+                                 with_noise=with_noise)
+            assert alone.meta_dict() == run.meta_dict()
+            assert alone.values.tobytes() == run.values.tobytes()
+
+    def test_no_pool_thread_outlives_the_campaign(self, config, monkeypatch):
+        draws = record_draws(monkeypatch)
+        before = threading.active_count()
+        campaign = generate_campaign(config, seed=0, aoa_deg=0.0, duration_s=self.SECONDS)
+        assert sorted(d.key for d in draws) == [r.key() for r in campaign.runs] == self.GRID
+        assert all(d.ended and not d.thread.is_alive() for d in draws)
+        assert threading.active_count() == before
+        generate_campaign(config, seed=0, aoa_deg=0.0, duration_s=self.SECONDS,
+                          with_noise=False)
+        assert len(draws) == len(self.GRID)  # no noise, no draw
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["motion", "draw"])
+    @pytest.mark.parametrize("k", [0, 1, 40])
+    def test_first_error_in_grid_order_raised_after_every_draw(self, config, monkeypatch,
+                                                               failing, k):
+        """Run k fails in its motion or its draw, and every later run's
+        draw fails too: run k's error is the one raised."""
+        fail = set(self.GRID[k + 1:])
+        if failing == "draw":
+            fail.add(self.GRID[k])
+            expected = DataError, f"draw {self.GRID[k]}"
+        else:
+            calls = itertools.count()
+            motion = simulate_motion
+
+            def motion_failing_at_k(*args, **kwargs):
+                if next(calls) == k:
+                    raise NumericError(f"motion of run {k}")
+                return motion(*args, **kwargs)
+
+            monkeypatch.setattr("aeroshm.surrogate.simulate_motion", motion_failing_at_k)
+            expected = NumericError, f"motion of run {k}"
+        draws = record_draws(monkeypatch, fail=fail)
+        before = threading.active_count()
+        with pytest.raises(expected[0], match=f"^{re.escape(expected[1])}$"):
+            generate_campaign(config, seed=0, aoa_deg=0.0, duration_s=self.SECONDS)
+        assert self.GRID[k] in {d.key for d in draws}
+        assert len(draws) <= k + 1 + NOISE_WORKERS
+        assert all(d.ended and not d.thread.is_alive() for d in draws)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_noise_drawn_as_many_runs_ahead_as_the_pool_has_workers(
+            self, config, monkeypatch, cpus):
+        """While run c's motion integrates, the draw of run c + workers
+        starts, no draw starts further ahead, and no more draws run at
+        once than the pool has workers; the bits do not depend on the
+        worker count."""
+        stock = generate_campaign(config, seed=3, aoa_deg=0.0, duration_s=self.SECONDS)
+        monkeypatch.setattr("aeroshm.surrogate.usable_cpus", lambda: cpus)
+        workers = min(NOISE_WORKERS, cpus)
+        started = {key: threading.Event() for key in self.GRID}
+        returned, ahead, running, concurrency = [], [], set(), []
+        lock = threading.Lock()
+
+        def counted_draw(config, *key_and_rest):
+            key = key_and_rest[:3]
+            with lock:
+                ahead.append(self.GRID.index(key) - len(returned))  # of the run integrating
+                running.add(key)
+                concurrency.append(len(running))
+            started[key].set()
+            try:
+                return _draw_noise(config, *key_and_rest)
+            finally:
+                with lock:
+                    running.remove(key)
+
+        def counted_run(config, *key, **kwargs):
+            later = self.GRID.index(key) + workers
+            if later < len(self.GRID):
+                assert started[self.GRID[later]].wait(timeout=10), \
+                    f"run {key} began before the draw {workers} runs ahead"
+            run = simulate_run(config, *key, **kwargs)
+            returned.append(key)
+            return run
+
+        monkeypatch.setattr("aeroshm.surrogate._draw_noise", counted_draw)
+        monkeypatch.setattr("aeroshm.surrogate.simulate_run", counted_run)
+        campaign = generate_campaign(config, seed=3, aoa_deg=0.0, duration_s=self.SECONDS)
+        assert sorted(started) == self.GRID and all(e.is_set() for e in started.values())
+        assert len(ahead) == len(self.GRID) and max(ahead) == workers
+        assert max(concurrency) <= workers
+        assert campaign.fingerprint() == stock.fingerprint()
 
 
 class TestDatasetRoundTrip:
