@@ -74,7 +74,7 @@ def integrated_gradients(model, values: np.ndarray, baseline_kind,
                          sample_id: tuple | None = None) -> AttributionMap:
     """Attribution map for one sample.
 
-    model must expose forward(x) -> probabilities and
+    model must expose predict(batch) -> class indices and
     path_gradients(x, baseline, steps, class_index, target=...) ->
     (F(x), F(baseline), the input gradient of F summed over the midpoint
     path); a trained LayerStack does, and batches its own passes.
@@ -88,7 +88,7 @@ def integrated_gradients(model, values: np.ndarray, baseline_kind,
     x = np.asarray(values, dtype=np.float64)
     baseline = make_baseline(x, kind)
     if target_class is None:
-        target_class = int(np.argmax(model.forward(x)))
+        target_class = int(model.predict(x[None])[0])
 
     f_x, f_baseline, grad_sum = model.path_gradients(
         x, baseline, steps, target_class, target=target)

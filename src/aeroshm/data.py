@@ -245,6 +245,13 @@ def _run_dirname(run: RawRun) -> str:
     return f"ts{run.test_series}_d{run.damage_class}_r{run.run_index}"
 
 
+def _refuse_repeats(names: list[str], what: str) -> None:
+    """Raise a DataError naming the first of `names` that repeats."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise DataError(f"{what} repeats run {name}")
+
+
 # metadata keys that give the shape of a run's values, not RawRun fields
 RUN_COUNTS = ("n_channels", "n_steps")
 
@@ -308,11 +315,13 @@ def load_run(run_dir: Path) -> RawRun:
 
 def save_campaign(campaign: Campaign, dataset_dir: Path) -> None:
     """Write a campaign. Every run is checked against the run rule
-    (`check_run`) before any file is written, the first bad one in run-key
-    order named, so no dataset is saved that `load_campaign` refuses."""
+    (`check_run`), and the run keys for repeats, before any file is
+    written, the first bad one in run-key order named, so no dataset is
+    saved that `load_campaign` refuses."""
     runs = sorted(campaign.runs, key=lambda r: r.key())
     for run in runs:
         check_run(run, f"run {run.key()}")
+    _refuse_repeats([_run_dirname(run) for run in runs], "campaign")
     dataset_dir = Path(dataset_dir)
     dataset_dir.mkdir(parents=True, exist_ok=True)
     rels = [Path("runs") / _run_dirname(run) for run in runs]
@@ -332,6 +341,9 @@ def save_campaign(campaign: Campaign, dataset_dir: Path) -> None:
 
 
 def load_campaign(dataset_dir: Path) -> Campaign:
+    """Read a campaign. A manifest that repeats a run directory is refused
+    before any run is read, and runs whose metadata repeat a run key once
+    they are read."""
     dataset_dir = Path(dataset_dir)
     manifest_path = dataset_dir / "manifest.json"
     if not manifest_path.exists():
@@ -342,6 +354,7 @@ def load_campaign(dataset_dir: Path) -> Campaign:
             isinstance(e, dict) and isinstance(e.get("dir"), str) for e in entries):
         raise DataError(
             f"{manifest_path} needs a 'runs' list whose entries each give a 'dir' string")
+    _refuse_repeats([entry["dir"] for entry in entries], str(manifest_path))
     layout_path = dataset_dir / "layout.json"
     layout = SensorLayout()
     if layout_path.exists():
@@ -356,6 +369,7 @@ def load_campaign(dataset_dir: Path) -> Campaign:
                 f"run {run.key()} has {run.n_channels} channels, "
                 f"layout declares {layout.n_channels}"
             )
+    _refuse_repeats([_run_dirname(run) for run in runs], str(dataset_dir))
     return Campaign(runs=runs, layout=layout, generator_config=generator_config)
 
 

@@ -88,7 +88,8 @@ def save_checkpoint(stack: LayerStack, path: Path, metadata: dict | None = None)
 
 def load_checkpoint(path: Path) -> tuple[LayerStack, dict]:
     """Rebuild a stack (weights, buffers, layer configs) from a checkpoint
-    file; returns (stack, metadata)."""
+    file; returns (stack, metadata). The header's array table must list
+    each of the stack's state labels exactly once."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing checkpoint file {path}")
@@ -116,9 +117,15 @@ def load_checkpoint(path: Path) -> tuple[LayerStack, dict]:
         raise DataError(f"malformed {what}: {exc}") from exc
     stack.astype(header.dtype)
     offset = 20 + header_len
+    labels = {label for label, _ in stack.state_arrays()}
     state: dict[str, np.ndarray] = {}
     for entry in header.arrays:
         label, shape = entry.label, entry.shape
+        if label in state:
+            raise DataError(f"{path}: checkpoint header lists array {label!r} twice")
+        if label not in labels:
+            raise DataError(f"{path}: checkpoint header lists array {label!r}, "
+                            f"which the stack does not hold")
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if offset + nbytes > len(blob):

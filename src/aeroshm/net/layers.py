@@ -1,10 +1,12 @@
 """Layer set for the differentiable network engine.
 
 Eight layer kinds: conv1d, batchnorm, standardize, relu, global-avg-pool,
-dense, dropout, softmax. Every layer implements a forward pass that caches
-what its backward pass needs, and a backward pass returning the gradient
-with respect to its input while accumulating parameter gradients. All math
-runs on plain numpy arrays.
+dense, dropout, softmax. Every layer but softmax implements a forward pass
+that caches what its backward pass needs, and a backward pass returning
+the gradient with respect to its input while accumulating parameter
+gradients. Softmax, the head every `LayerStack` ends in, has a forward
+pass only: a stack's gradients start at its logits (see net/stack.py).
+All math runs on plain numpy arrays.
 
 Dtype rule: a layer computes in the dtype of the array it is handed.
 Every array it allocates (conv1d's padded buffer and input gradient,
@@ -432,13 +434,7 @@ class Softmax(Layer):
     def forward(self, x, train=False):
         z = x - x.max(axis=1, keepdims=True)
         e = np.exp(z)
-        p = e / e.sum(axis=1, keepdims=True)
-        self._cache = p
-        return p
-
-    def backward(self, dout, need_param_grads=True):
-        p = self._cache
-        return p * (dout - (dout * p).sum(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
 
 
 LAYER_KINDS = {

@@ -1,12 +1,16 @@
 """Sequential layer stack with reverse-mode gradients.
 
-A classifier stack ends in a softmax layer. `forward` returns class
-probabilities; `logits` stops just before the softmax. Gradients are
+A stack is a softmax classifier over batches. Its last layer is a
+`Softmax` (the constructor refuses any other), and every pass takes a
+(batch, *input_shape) array; there are no single-sample inputs. `logits`
+returns the pre-softmax scores and `predict` their argmax. Gradients are
 available with respect to parameters, for training, after a train-mode
 pass (`backprop_logits`), and with respect to the input, for
 attribution, in infer mode (`class_gradients`, `path_gradients`), against
 either the pre-softmax logit of a target class or its post-softmax
-probability.
+probability. Every gradient starts at the logits, so the head has no
+backward: a probability target takes the softmax of the logits and forms
+its Jacobian itself (`_seed`).
 
 The stack is the one place that maps the data's layout to the layers'
 layout and back. Inputs and input gradients are (batch, channels, time)
@@ -16,7 +20,7 @@ net/layers.py). A rank-3 batch goes to the first layer as the view
 `x.transpose(0, 2, 1)`, and an input gradient goes back through the
 same transpose. Rank-2 (batch, features) batches pass as they are.
 
-Infer-mode passes (`forward` and `logits` with train=False, `predict`,
+Infer-mode passes (`logits` with train=False, `predict`, `constant_logits`,
 `class_gradients`, `path_gradients`) run folded layers: in infer mode a
 batchnorm is a fixed channel-wise affine map, so each conv1d or dense
 layer that a batchnorm directly follows runs as one layer of its own
@@ -165,8 +169,8 @@ def _time_major(xb: np.ndarray) -> np.ndarray:
 class LayerStack:
     def __init__(self, layers: list[Layer], input_shape: tuple[int, ...],
                  seed: int = 0, arch: str = "custom"):
-        if not layers:
-            raise ConfigError("empty layer stack")
+        if not layers or not isinstance(layers[-1], Softmax):
+            raise ConfigError("a layer stack must end in a softmax layer")
         self.layers = layers
         self.input_shape = tuple(int(d) for d in input_shape)
         self.seed = seed
@@ -182,10 +186,6 @@ class LayerStack:
         rng = np.random.default_rng(seed)
         layers = [layer_from_config(c, rng) for c in configs]
         return cls(layers, input_shape, seed=seed, arch=arch)
-
-    @property
-    def has_softmax_head(self) -> bool:
-        return isinstance(self.layers[-1], Softmax)
 
     @property
     def n_classes(self) -> int:
@@ -221,7 +221,7 @@ class LayerStack:
         """Fit a leading standardize layer, if any, on a data-layout batch."""
         first = self.layers[0]
         if first.kind == "standardize":
-            first.fit(_time_major(self._batched(x)[0]))
+            first.fit(_time_major(self._batched(x)))
 
     # -- forward ---------------------------------------------------------
 
@@ -231,21 +231,16 @@ class LayerStack:
     # as well would only repeat these checks.
     _CHECKED_KINDS = frozenset({"conv1d", "dense", "batchnorm"})
 
-    def _batched(self, x: np.ndarray, shape=None) -> tuple[np.ndarray, bool]:
-        """x in the stack's dtype as a batch of `shape` rows (the model
-        input's by default), and whether it was one row; checks the shape
-        and that every value is finite."""
+    def _batched(self, x: np.ndarray, shape=None) -> np.ndarray:
+        """x, a batch of `shape` rows (the model input's by default), in the
+        stack's dtype; checks the shape and that every value is finite."""
         shape = self.input_shape if shape is None else shape
         x = np.asarray(x, dtype=self.dtype)
-        if x.shape == shape:
-            xb, single = x[None], True
-        elif x.shape[1:] == shape:
-            xb, single = x, False
-        else:
-            raise ShapeError(f"input shape {x.shape} does not match {shape}")
-        if not np.isfinite(xb).all():
+        if x.shape[1:] != shape:
+            raise ShapeError(f"input shape {x.shape} is not a batch of {shape}")
+        if not np.isfinite(x).all():
             raise NumericError("non-finite value in network input")
-        return xb, single
+        return x
 
     def _run(self, out: np.ndarray, layers, train: bool) -> np.ndarray:
         """Run `layers` over a batch in the layers' layout."""
@@ -269,31 +264,19 @@ class LayerStack:
         return np.concatenate([self._run(_time_major(xb[rows]), layers, train)
                                for rows in _row_blocks(len(xb))])
 
-    def forward(self, x, train: bool = False) -> np.ndarray:
-        """Class probabilities, shape (batch, m) or (m,) for a single input."""
-        xb, single = self._batched(x)
-        out = self._pass(xb, self.layers, train)
-        return out[0] if single else out
-
     def logits(self, x, train: bool = False) -> np.ndarray:
-        """Pre-softmax scores (requires a softmax-terminated stack)."""
-        if not self.has_softmax_head:
-            raise ConfigError("logits() requires a softmax-terminated stack")
-        xb, single = self._batched(x)
-        out = self._pass(xb, self.layers[:-1], train)
-        return out[0] if single else out
+        """Pre-softmax scores of a batch, shape (batch, n_classes)."""
+        return self._pass(self._batched(x), self.layers[:-1], train)
 
     def constant_logits(self, levels) -> np.ndarray:
         """`logits` of the windows that hold each row of `levels`, shape
-        (batch, channels) or (channels,), constant over input_shape[1]
-        steps, bit for bit, from a pass over a window only as wide as the
-        receptive field of the layers before the pool (module docstring).
-        A window no wider than that runs whole."""
+        (batch, channels), constant over input_shape[1] steps, bit for bit,
+        from a pass over a window only as wide as the receptive field of
+        the layers before the pool (module docstring). A window no wider
+        than that runs whole."""
         if len(self.input_shape) != 2:
             raise ConfigError("constant windows need a (channels, time) model input")
-        if not self.has_softmax_head:
-            raise ConfigError("logits() requires a softmax-terminated stack")
-        lb, single = self._batched(levels, self.input_shape[:1])
+        lb = self._batched(levels, self.input_shape[:1])
         layers = _infer_layers(self.layers[:-1])
         kinds = [layer.kind for layer in layers]
         if "global-avg-pool" not in kinds:
@@ -316,8 +299,7 @@ class LayerStack:
                                      (rows.stop - rows.start, width, lb.shape[1]))
             acts = self._run(window, layers[:pool], False)
             out.append(self._run(np.repeat(acts, repeats, axis=1), layers[pool:], False))
-        out = np.concatenate(out)
-        return out[0] if single else out
+        return np.concatenate(out)
 
     def predict(self, x) -> np.ndarray:
         """Argmax class indices in infer mode."""
@@ -346,7 +328,7 @@ class LayerStack:
             raise ShapeError(
                 f"dlogits has {len(dlogits)} rows, but the layer caches hold "
                 f"a pass over {self._train_rows} rows")
-        layers = self.layers[:-1] if self.has_softmax_head else self.layers
+        layers = self.layers[:-1]
         first = _first_with_params(layers)
         grad = dlogits
         for layer in reversed(layers[first + 1:]):
@@ -357,8 +339,6 @@ class LayerStack:
 
     def _targets(self, class_index, n: int, target: str) -> np.ndarray:
         """class_index as n per-row indices, checked with target."""
-        if not self.has_softmax_head:
-            raise ConfigError("gradients of a class output require a softmax-terminated stack")
         idx = np.full(n, class_index, dtype=np.int64) if np.isscalar(class_index) \
             else np.asarray(class_index, dtype=np.int64)
         if idx.shape != (n,):
@@ -367,11 +347,12 @@ class LayerStack:
         if (idx < 0).any() or (idx >= m).any():
             raise ConfigError(f"class index out of range [0, {m})")
         if target not in GRADIENT_TARGETS:
-            raise ConfigError(f"target must be 'logit' or 'prob', got {target!r}")
+            raise ConfigError(f"target must be one of {', '.join(GRADIENT_TARGETS)}, "
+                              f"got {target!r}")
         return idx
 
     def class_gradients(self, x, class_index, target: str = "logit"):
-        """Scalar output and its input-gradient for each row of a batch.
+        """Scalar output and its input gradient for each row of a batch.
 
         class_index may be a single int (applied to every row) or an array
         of per-row indices. target selects the differentiated scalar:
@@ -379,7 +360,7 @@ class LayerStack:
         probability. The batch runs in infer-mode row blocks, and no
         parameter gradient is computed.
         """
-        xb, single = self._batched(x)
+        xb = self._batched(x)
         n = len(xb)
         idx = self._targets(class_index, n, target)
         layers = _infer_layers(self.layers[:-1])
@@ -391,8 +372,6 @@ class LayerStack:
             grads[rows] = _time_major(_input_gradient(layers, dlogits))
         if not np.isfinite(grads).all():
             raise NumericError("non-finite gradient in backward pass")
-        if single:
-            return float(values[0]), grads[0]
         return values, grads
 
     def _seed(self, logits, idx, target):
@@ -434,7 +413,7 @@ class LayerStack:
             if np.shape(value) != self.input_shape:
                 raise ShapeError(f"{name} shape {np.shape(value)} does not match "
                                  f"model input {self.input_shape}")
-        xb, _ = self._batched(np.stack([x, baseline]))
+        xb = self._batched(np.stack([x, baseline]))
         n = steps + 2  # rows: x, the baseline, then the path points
         idx = self._targets(class_index, n, target)
         layers = _infer_layers(self.layers[:-1])

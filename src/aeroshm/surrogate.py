@@ -458,13 +458,14 @@ def _run_buffer(alloc, shape: tuple[int, ...], duration_s: float) -> np.ndarray:
 def simulate_motion(section: SectionParams, damage: DamageSpec,
                     duration_s: float, sample_rate: float = 100.0,
                     quiet_s: float = 15.0, excitation_hz: float = 1.0,
-                    excitation_phase: float = 0.0, excitation: bool = True,
+                    excitation_phase: float = 0.0,
                     buffet_rng: np.random.Generator | None = None,
                     initial_deviation: np.ndarray | None = None) -> MotionTrace:
     """Integrate the damaged 2-DOF model.
 
-    Sinusoidal tip excitation starts after the quiet lead-in. Each sample
-    step is exact: the matrix exponential of the structural system in the
+    Sinusoidal tip excitation starts after the quiet lead-in; a lead-in
+    of at least duration_s gives a run without it. Each sample step is
+    exact: the matrix exponential of the structural system in the
     lead-in, then of the augmented (state + forcing oscillator) system,
     both by the degree-13 Pade approximant with scaling and squaring
     (`_expm`), within 6e-16 of scipy.linalg.expm at 100 Hz.
@@ -490,7 +491,7 @@ def simulate_motion(section: SectionParams, damage: DamageSpec,
 
     dt = 1.0 / sample_rate
     n = _sample_count(duration_s, sample_rate)
-    k_on = _sample_count(quiet_s, sample_rate) if excitation else n
+    k_on = _sample_count(quiet_s, sample_rate)
 
     omega = 2.0 * math.pi * excitation_hz
     a6 = np.zeros((6, 6))
@@ -576,8 +577,7 @@ def _draw_noise(config: GeneratorConfig, test_series: int, damage_class: int,
 
 def simulate_run(config: GeneratorConfig, test_series: int, damage_class: int,
                  run_index: int, seed: int, duration_s: float | None = None,
-                 with_noise: bool = True, with_excitation: bool = True,
-                 noise: Future | None = None) -> RawRun:
+                 with_noise: bool = True, noise: Future | None = None) -> RawRun:
     """One 37-channel pressure recording for a (test series, damage class,
     run) cell of the campaign grid.
 
@@ -590,10 +590,11 @@ def simulate_run(config: GeneratorConfig, test_series: int, damage_class: int,
     on the calling one. `generate_campaign` submits the draw ahead and
     passes its future as `noise`; a call without one submits its own, to
     a one-thread pool that is shut down before the call returns or raises.
-    The drawn buffer becomes the run's values: the signal
-    sens_c * alpha + base_c is added into it in blocks of
-    SIGNAL_BLOCK_CHANNELS channels. Each product and sum keeps its order,
-    and IEEE addition commutes, so the bits equal signal + noise.
+    The drawn buffer, or a zeroed one for a run without noise, becomes
+    the run's values: the signal sens_c * alpha + base_c is added into it
+    in blocks of SIGNAL_BLOCK_CHANNELS channels. Each product and sum
+    keeps its order, and IEEE addition commutes, so the bits equal
+    signal + noise, or the signal alone (0.0 + v is v for any v but -0.0).
     """
     config.validate()
     series = config.series(test_series)
@@ -628,24 +629,20 @@ def simulate_run(config: GeneratorConfig, test_series: int, damage_class: int,
         trace = simulate_motion(
             section, damage, duration, sample_rate=config.sample_rate,
             quiet_s=config.quiet_s, excitation_hz=series.excitation_hz,
-            excitation_phase=phase, excitation=with_excitation,
-            buffet_rng=buffet_rng)
+            excitation_phase=phase, buffet_rng=buffet_rng)
         base, sens = pressure_profiles(config.pressure, layout, series.aoa_deg)
         alpha_dev_deg = (
             damage.twist_offset_deg
             + np.degrees(trace.twist)
             + np.degrees(np.arctan2(trace.heave_rate, series.wind_speed))
         )
-        if noise is None:
-            values = sens[:, None] * alpha_dev_deg
-            values += base[:, None]
-        else:
-            values = noise.result()
-            for lo in range(0, len(values), SIGNAL_BLOCK_CHANNELS):
-                block = slice(lo, lo + SIGNAL_BLOCK_CHANNELS)
-                signal = sens[block, None] * alpha_dev_deg
-                signal += base[block, None]
-                values[block] += signal
+        values = (noise.result() if noise is not None else
+                  _run_buffer(np.zeros, (len(sens), len(alpha_dev_deg)), duration))
+        for lo in range(0, len(values), SIGNAL_BLOCK_CHANNELS):
+            block = slice(lo, lo + SIGNAL_BLOCK_CHANNELS)
+            signal = sens[block, None] * alpha_dev_deg
+            signal += base[block, None]
+            values[block] += signal
 
     return RawRun(
         values=values,

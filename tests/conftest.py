@@ -32,11 +32,16 @@ def float64_cnn(*args, **kwargs):
     return build_cnn(*args, **kwargs).astype(np.float64)
 
 
+def probabilities(stack, xb):
+    """Class probabilities of a batch: the stack's softmax head on its
+    logits."""
+    return stack.layers[-1].forward(stack.logits(xb))
+
+
 def scalar_output(stack, x, class_idx, target="logit"):
     """The differentiated scalar, recomputed via a plain forward pass."""
-    if target == "logit":
-        return float(stack.logits(x)[class_idx])
-    return float(stack.forward(x)[class_idx])
+    out = stack.logits(x[None]) if target == "logit" else probabilities(stack, x[None])
+    return float(out[0, class_idx])
 
 
 def fd_input_gradient(stack, x, class_idx, target="logit", h=1e-4):
@@ -121,7 +126,7 @@ def warm_batchnorm(stack, rng, rows=8):
     """Warm a stack's BatchNorm running statistics with a train-mode pass,
     then draw its gammas and betas, so that every BatchNorm is a
     nontrivial affine map in infer mode."""
-    stack.forward(rng.normal(size=(rows,) + stack.input_shape), train=True)
+    stack.logits(rng.normal(size=(rows,) + stack.input_shape), train=True)
     for layer in stack.layers:
         if isinstance(layer, BatchNorm):
             layer.params["gamma"][...] = rng.uniform(0.5, 1.5, layer.channels)
@@ -155,7 +160,7 @@ def random_small_model(rng: np.random.Generator):
     stack = LayerStack(layers, (channels, steps), seed=0)
     x = rng.normal(size=(channels, steps))
     if kind == 2:  # warm the running statistics so infer mode is nontrivial
-        stack.forward(rng.normal(size=(8, channels, steps)), train=True)
+        stack.logits(rng.normal(size=(8, channels, steps)), train=True)
     return stack, x
 
 

@@ -35,10 +35,8 @@ class LinearModel:
     def __init__(self, weights):
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
 
-    def forward(self, x, train=False):
-        scores = np.array([(w * x).sum() for w in self.weights])
-        e = np.exp(scores - scores.max())
-        return e / e.sum()
+    def predict(self, batch):
+        return np.array([np.argmax([(w * x).sum() for w in self.weights]) for x in batch])
 
     def path_gradients(self, x, baseline, steps, class_index, target="logit"):
         w = self.weights[class_index]
@@ -78,7 +76,7 @@ def toy_cnn():
     float64."""
     stack = float64_cnn(6, 24, seed=13)
     rng = np.random.default_rng(0)
-    stack.forward(rng.normal(size=(32, 6, 24)), train=True)
+    stack.logits(rng.normal(size=(32, 6, 24)), train=True)
     return stack
 
 
@@ -117,7 +115,7 @@ class TestIntegratedGradients:
     def test_default_target_is_prediction(self, toy_cnn, rng):
         x = rng.normal(size=(6, 24))
         amap = integrated_gradients(toy_cnn, x, "apb", steps=20)
-        assert amap.target_class == int(np.argmax(toy_cnn.forward(x)))
+        assert amap.target_class == int(np.argmax(toy_cnn.logits(x[None])[0]))
 
     def test_completeness_gap_shrinks_with_steps(self, toy_cnn, rng):
         x = rng.normal(size=(6, 24))

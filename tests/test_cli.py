@@ -438,6 +438,50 @@ def test_checkpoint_without_layers_exits_data_error(two_runs, tmp_path, capsys, 
     assert word in err
 
 
+@pytest.fixture(scope="module")
+def repeated_run_dataset(two_runs, tmp_path_factory):
+    """The first pipeline's dataset with its manifest listing its first run
+    twice; the run directories are the pipeline's own."""
+    (root, _), _ = two_runs
+    data = tmp_path_factory.mktemp("repeated") / "data"
+    data.mkdir()
+    for name in ("layout.json", "generator_config.json"):
+        shutil.copy(root / "data" / name, data)
+    (data / "runs").symlink_to(root / "data" / "runs")
+    manifest = json.loads((root / "data" / "manifest.json").read_text())
+    manifest["runs"].insert(1, manifest["runs"][0])
+    manifest["n_runs"] += 1
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    return data
+
+
+@pytest.mark.parametrize("case,word", [
+    ("no-softmax-head", "must end in a softmax layer"),
+    ("repeated-array-label", "lists array '0.param.bias' twice"),
+    ("repeated-manifest-run", "repeats run runs/ts1_d0_r1"),
+], ids=["no-softmax-head", "repeated-array-label", "repeated-manifest-run"])
+@pytest.mark.parametrize("step", ["eval", "ablate", "attribute"])
+def test_headless_stack_or_repeated_entry_exits_data_error(
+        two_runs, repeated_run_dataset, tmp_path, capsys, step, case, word):
+    (root, _), _ = two_runs
+    ckpt, data = root / "run" / "checkpoint.ckpt", root / "data"
+    if case == "repeated-manifest-run":
+        data = repeated_run_dataset
+    else:
+        edit = {"no-softmax-head": lambda h: h["layers"].pop(),
+                "repeated-array-label": lambda h: h["arrays"].append(h["arrays"][0])}[case]
+        rewrite_checkpoint_header(ckpt, tmp_path / "broken.ckpt", edit)
+        ckpt = tmp_path / "broken.ckpt"
+    flags = ["--steps", "4", "--max-samples", "1"] if step == "attribute" else []
+    capsys.readouterr()
+    code = main([step, "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "out"), *flags])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert word in err
+
+
 def test_older_mlp_checkpoint_evaluates_as_it_did(two_runs, tmp_path):
     """MLP_V1 is the checkpoint_mvb.ckpt this module's pipeline wrote before
     the standardize layer: its eval report is the retrained model's."""

@@ -38,7 +38,7 @@ def prepared(arch: str, n_test: int) -> tuple[LayerStack, PreparedData, Experime
     # set the mean-mlp's standardize layer and warm the BatchNorm running
     # statistics, so that infer mode is nontrivial
     stack.fit_standardize(inputs[split["train"]])
-    stack.forward(inputs[split["train"]], train=True)
+    stack.logits(inputs[split["train"]], train=True)
     data = PreparedData(samples=samples, split=split, inputs=inputs, layout=SensorLayout())
     return stack, data, ExperimentConfig(arch=arch, window_steps=STEPS)
 

@@ -330,17 +330,6 @@ class TestSoftmax:
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(p > 0.0) and np.all(p < 1.0)
 
-    def test_backward_matches_jacobian(self, rng):
-        layer = Softmax()
-        z = rng.normal(size=(1, 4))
-        p = layer.forward(z)[0]
-        jac = np.diag(p) - np.outer(p, p)  # analytic softmax Jacobian
-        for k in range(4):
-            layer.forward(z)
-            seed = np.zeros((1, 4))
-            seed[0, k] = 1.0
-            np.testing.assert_allclose(layer.backward(seed)[0], jac[k], atol=1e-12)
-
 
 def make_layer(kind, rng):
     """One layer of every kind, with its (batch, ...) input and output shapes
@@ -378,7 +367,8 @@ def test_layers_never_modify_their_inputs(rng, kind, train, need_param_grads):
     dout = rng.normal(size=out_shape)
     x_before, dout_before = x.copy(), dout.copy()
     layer.forward(time_major(x), train=train)
-    layer.backward(time_major(dout), need_param_grads=need_param_grads)
+    if kind != "softmax":  # the head has no backward (net/stack.py)
+        layer.backward(time_major(dout), need_param_grads=need_param_grads)
     np.testing.assert_array_equal(x, x_before)
     np.testing.assert_array_equal(dout, dout_before)
 
@@ -390,11 +380,11 @@ def test_float32_layers_stay_float32(rng, kind, train):
     """A layer cast to float32 and handed float32 arrays computes in
     float32: its output, its input gradient and its parameter gradients."""
     layer, in_shape, out_shape = make_layer(kind, rng)
-    LayerStack([layer], in_shape[1:]).astype(np.float32)
+    LayerStack([layer, Softmax()], in_shape[1:]).astype(np.float32)
     x = rng.normal(size=in_shape).astype(np.float32)
     dout = rng.normal(size=out_shape).astype(np.float32)
     out = layer.forward(time_major(x), train=train)
-    dx = layer.backward(time_major(dout))
+    dx = out if kind == "softmax" else layer.backward(time_major(dout))
     assert out.dtype == dx.dtype == np.float32
     for store in (layer.params, layer.grads, layer.buffers):
         assert all(arr.dtype == np.float32 for arr in store.values())

@@ -69,8 +69,7 @@ class TestCnn:
 
     def test_accepts_standard_input(self):
         stack = build_cnn(37, 150)
-        probs = stack.forward(np.zeros((37, 150)))
-        assert probs.shape == (6,)
+        assert stack.logits(np.zeros((1, 37, 150))).shape == (1, 6)
 
     def test_temporal_length_preserved_through_blocks(self, rng):
         stack = build_cnn(5, 150)
@@ -131,13 +130,13 @@ class TestMlp:
 
     def test_degenerate_input_dim(self):
         stack = build_mlp(1)
-        probs = stack.forward(np.array([0.3]))
+        probs = stack.layers[-1].forward(stack.logits(np.array([[0.3]])))
         assert abs(probs.sum() - 1.0) < 1e-9
 
     def test_infer_forward_deterministic(self, rng):
         stack = build_mlp(37, seed=2)
         x = rng.normal(size=(8, 37))
-        np.testing.assert_array_equal(stack.forward(x), stack.forward(x))
+        np.testing.assert_array_equal(stack.logits(x), stack.logits(x))
 
     def test_rejects_bad_dim(self):
         with pytest.raises(ConfigError):

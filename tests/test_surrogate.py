@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import threading
 import time
 from dataclasses import replace
@@ -81,8 +82,9 @@ def record_draws(monkeypatch, fail=()):
 
 class TestSimulateRun:
     def test_undamaged_quiet_run_is_constant_base_profile(self, config):
-        run = simulate_run(config, 1, 0, 1, seed=0, duration_s=20.0,
-                           with_noise=False, with_excitation=False)
+        # a run that ends with its quiet lead-in: the motor never starts
+        run = simulate_run(config, 1, 0, 1, seed=0, duration_s=config.quiet_s,
+                           with_noise=False)
         base, _ = pressure_profiles(config.pressure, config.layout(), 0.0)
         np.testing.assert_allclose(
             run.values, np.broadcast_to(base[:, None], run.values.shape), atol=1e-12)
@@ -134,7 +136,7 @@ class TestSimulateRun:
 
     def test_decays_to_equilibrium_without_forcing(self, config):
         trace = simulate_motion(
-            config.section, config.damage(3), 30.0, excitation=False,
+            config.section, config.damage(3), 30.0, quiet_s=30.0,
             initial_deviation=np.array([0.05, 0.02, 0.0, 0.0]))
         assert abs(trace.heave[-1]) < 1e-4
         assert abs(trace.twist[-1]) < 1e-4
@@ -272,7 +274,7 @@ ORACLE_CASES = {  # id: (steps, quiet steps, options)
     "block-plus-one": (BLOCK + 1, 10, {}),
     "two-blocks": (2 * BLOCK, 10, {}),
     "no-quiet-lead-in": (3 * BLOCK + 7, 0, {}),
-    "no-excitation": (2 * BLOCK + 5, None, {}),
+    "no-excitation": (2 * BLOCK + 5, 2 * BLOCK + 5, {}),  # lead-in to the end
     "onset-inside-a-block": (4 * BLOCK + 11, BLOCK + 3, {}),
     "no-buffet-rng": (3 * BLOCK, 50, {"rng": False}),
     "zero-buffet": (3 * BLOCK, 50, {"buffet_force_std": 0.0}),
@@ -292,14 +294,13 @@ class TestBlockedPropagation:
         rngs = [np.random.default_rng(17) if options.get("rng", True) else None
                 for _ in range(2)]
         trace = simulate_motion(
-            section, damage, n / 100.0, quiet_s=(quiet_steps or 0) / 100.0,
-            excitation_hz=1.9, excitation_phase=0.7, excitation=quiet_steps is not None,
-            buffet_rng=rngs[0],
+            section, damage, n / 100.0, quiet_s=quiet_steps / 100.0,
+            excitation_hz=1.9, excitation_phase=0.7, buffet_rng=rngs[0],
             initial_deviation=None if initial is None else np.array(initial))
         blocked = np.stack([trace.heave, trace.twist, trace.heave_rate, trace.twist_rate],
                            axis=1)
         expected = step_by_step_motion(
-            section, damage, n, n if quiet_steps is None else quiet_steps, 1.9, 0.7,
+            section, damage, n, quiet_steps, 1.9, 0.7,
             rngs[1], initial)
         assert blocked.shape == expected.shape == (n, 4)
         for c in range(4):
@@ -731,6 +732,35 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError, match=re.escape(message)):
             save_campaign(Campaign(runs=runs), tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
+
+    def test_save_refuses_a_repeated_run_key_before_writing(self, config, tmp_path):
+        runs = [simulate_run(config, 1, 0, r, seed=0, duration_s=2.0) for r in (1, 2)]
+        with pytest.raises(DataError, match="campaign repeats run ts1_d0_r2"):
+            save_campaign(Campaign(runs=[runs[1], *runs]), tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("copy", [False, True], ids=["same-dir", "copied-dir"])
+    def test_load_refuses_a_repeated_run(self, config, tmp_path, monkeypatch, copy):
+        """A manifest that lists a run's directory twice, refused before any
+        run is read; or a copy of it under another directory, refused once
+        read."""
+        ds = tmp_path / "ds"
+        save_campaign(Campaign(runs=[simulate_run(config, 1, 0, r, seed=0, duration_s=2.0)
+                                     for r in (1, 2)]), ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        entry = dict(manifest["runs"][0])
+        if copy:
+            shutil.copytree(ds / entry["dir"], ds / "runs" / "copy")
+            entry["dir"] = "runs/copy"
+        manifest["runs"].append(entry)
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        read = []
+        monkeypatch.setattr("aeroshm.data.load_run",
+                            lambda run_dir: read.append(run_dir) or load_run(run_dir))
+        repeated = "ts1_d0_r1" if copy else "runs/ts1_d0_r1"
+        with pytest.raises(DataError, match=f"repeats run {repeated}$"):
+            load_campaign(ds)
+        assert len(read) == (3 if copy else 0)
 
 
 class TestMapRuns:
