@@ -37,7 +37,7 @@ from .errors import ConfigError, DataError, NumericError
 from .harness import SLICES, ExperimentConfig
 from .models import ARCHITECTURES
 from .records import read_json
-from .spectra import STFT_PRESETS, shedding_scan, stft
+from .spectra import STFT_PRESETS, shedding_scan
 from .surrogate import PROFILES, GeneratorConfig, generate_campaign
 
 EXIT_OK = 0
@@ -166,8 +166,7 @@ def cmd_spectra(args) -> int:
                           f"comma-separated list of frequencies") from None
     campaign = load_campaign(Path(args.data))
     run = campaign.run(args.test_series, args.damage_class, args.run_index)
-    spec = STFT_PRESETS[args.preset]
-    report = shedding_scan(run, args.sensor, candidates, spec=spec,
+    report = shedding_scan(run, args.sensor, candidates, spec=STFT_PRESETS[args.preset],
                            layout=campaign.layout)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     # the files are written before anything is printed, so a closed stdout
@@ -176,8 +175,7 @@ def cmd_spectra(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "shedding_scan.json").write_text(text)
-        channel = campaign.layout.channel_of_id(args.sensor)
-        result = stft(run.values[channel], spec, sample_rate=run.sample_rate)
+        result = report.stft
         with open(out / "stft.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["freq_hz"] + [f"{t:.3f}" for t in result.times])

@@ -24,10 +24,11 @@ calling thread instead puts the loaded campaign on the main heap, where
 glibc trims each freed campaign: in the `prepare` benchmark (2-core
 x86_64) generation and loading then both faulted in every page, and
 `load_campaign` took 0.17-0.19 s against 0.11-0.12 s. Generation
-integrates one run's motion at a time: `generate_campaign` already draws
-the next runs' sensor noise on a pool of its own. `Campaign.fingerprint`
-stays one sha256 stream in run-key order, since hashing in another order
-or shape would change every stored fingerprint.
+integrates one run's motion at a time: `generate_campaign` queues every
+run's sensor-noise draw on a pool of its own, sized by the same rule
+(`run_pool`). `Campaign.fingerprint` stays one sha256 stream in run-key
+order, since hashing in another order or shape would change every stored
+fingerprint.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ SAMPLE_RATE_HZ = 100.0
 N_PHYSICAL_SENSORS = 40
 DEFAULT_DEAD_SENSORS = (5, 21, 33)
 N_DAMAGE_CLASSES = 6
+MANIFEST_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -225,18 +227,23 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def map_runs(fn: Callable, items: Iterable) -> list:
-    """[fn(item) for item in items], computed on a thread pool.
+def run_pool(n_tasks: int) -> ThreadPoolExecutor:
+    """A thread pool for n_tasks independent tasks (n_tasks >= 1): one
+    thread per CPU this process may use, at most one per task."""
+    return ThreadPoolExecutor(max_workers=min(n_tasks, usable_cpus()))
 
-    The pool has one thread per CPU this process may use, at most one per
-    item, and is shut down before the call returns or raises, so no thread
+
+def map_runs(fn: Callable, items: Iterable) -> list:
+    """[fn(item) for item in items], computed on a `run_pool`.
+
+    The pool is shut down before the call returns or raises, so no thread
     outlives it. Results come in input order; if calls raise, the first
     one's exception in input order is raised, after every call has ended.
     """
     items = list(items)
     if not items:
         return []
-    with ThreadPoolExecutor(max_workers=min(len(items), usable_cpus())) as pool:
+    with run_pool(len(items)) as pool:
         futures = [pool.submit(fn, item) for item in items]
     return [f.result() for f in futures]
 
@@ -328,7 +335,7 @@ def save_campaign(campaign: Campaign, dataset_dir: Path) -> None:
     map_runs(lambda i: save_run(runs[i], dataset_dir / rels[i]), range(len(runs)))
     run_entries = [{**run.meta_dict(), "dir": str(rel)} for run, rel in zip(runs, rels)]
     manifest = {
-        "format_version": 1,
+        "format_version": MANIFEST_FORMAT_VERSION,
         "n_runs": len(run_entries),
         "runs": run_entries,
     }
@@ -341,9 +348,10 @@ def save_campaign(campaign: Campaign, dataset_dir: Path) -> None:
 
 
 def load_campaign(dataset_dir: Path) -> Campaign:
-    """Read a campaign. A manifest that repeats a run directory is refused
-    before any run is read, and runs whose metadata repeat a run key once
-    they are read."""
+    """Read a campaign. A manifest with another format_version, an n_runs
+    other than its number of entries, or a run directory repeated is
+    refused before any run is read, and runs whose metadata repeat a run
+    key once they are read."""
     dataset_dir = Path(dataset_dir)
     manifest_path = dataset_dir / "manifest.json"
     if not manifest_path.exists():
@@ -354,6 +362,10 @@ def load_campaign(dataset_dir: Path) -> Campaign:
             isinstance(e, dict) and isinstance(e.get("dir"), str) for e in entries):
         raise DataError(
             f"{manifest_path} needs a 'runs' list whose entries each give a 'dir' string")
+    for key, expected in (("format_version", MANIFEST_FORMAT_VERSION), ("n_runs", len(entries))):
+        value = manifest.get(key)
+        if type(value) is not int or value != expected:
+            raise DataError(f"{manifest_path} key {key} must be {expected}, got {value!r}")
     _refuse_repeats([entry["dir"] for entry in entries], str(manifest_path))
     layout_path = dataset_dir / "layout.json"
     layout = SensorLayout()

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import RawRun, SensorLayout
 from .errors import ConfigError, DataError
@@ -108,7 +109,7 @@ class SheddingReport:
     sensor_id: int
     candidates: list[BandDetection]
     excitation: BandDetection | None
-    spec: StftSpec
+    stft: StftResult  # the scanned magnitudes, not part of to_dict
 
     def detected_any(self) -> bool:
         return any(c.detected for c in self.candidates)
@@ -118,8 +119,8 @@ class SheddingReport:
             "sensor_id": self.sensor_id,
             "threshold_db": THRESHOLD_DB,
             "min_consecutive_frames": MIN_CONSECUTIVE,
-            "window_seconds": self.spec.window_seconds,
-            "hop_seconds": self.spec.hop_seconds,
+            "window_seconds": self.stft.spec.window_seconds,
+            "hop_seconds": self.stft.spec.hop_seconds,
             "candidates": [asdict(c) for c in self.candidates],
             "excitation": asdict(self.excitation) if self.excitation else None,
         }
@@ -136,23 +137,16 @@ def _band_detection(result: StftResult, frequency: float) -> BandDetection:
     floor = np.median(result.magnitude[annulus], axis=0)
     floor = np.maximum(floor, 1e-30)
     level_db = 20.0 * np.log10(np.maximum(band_mean, 1e-30) / floor)
-    over = level_db >= THRESHOLD_DB
-
-    best_run, run = 0, 0
-    best_sustained_db = -np.inf
-    for i, flag in enumerate(over):
-        run = run + 1 if flag else 0
-        best_run = max(best_run, run)
-        if run >= MIN_CONSECUTIVE:
-            window_db = level_db[i - MIN_CONSECUTIVE + 1:i + 1].min()
-            best_sustained_db = max(best_sustained_db, window_db)
-    detected = best_run >= MIN_CONSECUTIVE
-    peak_db = float(best_sustained_db if detected else level_db.max())
+    # the level each run of MIN_CONSECUTIVE frames sustains: its lowest
+    lows = (sliding_window_view(level_db, MIN_CONSECUTIVE).min(axis=1)
+            if len(level_db) >= MIN_CONSECUTIVE else level_db[:0])
+    sustained = lows[lows >= THRESHOLD_DB]
+    detected = sustained.size > 0
     return BandDetection(
-        frequency_hz=float(frequency), detected=bool(detected),
-        peak_band_db=peak_db,
+        frequency_hz=float(frequency), detected=detected,
+        peak_band_db=float(sustained.max() if detected else level_db.max()),
         mean_band_magnitude=float(band_mean.mean()),
-        frames_over_threshold=int(over.sum()),
+        frames_over_threshold=int((level_db >= THRESHOLD_DB).sum()),
     )
 
 
@@ -185,4 +179,4 @@ def shedding_scan(run: RawRun, sensor_id: int, candidates_hz: list[float],
     if spec.freq_min <= run.excitation_hz <= spec.freq_max:
         excitation = _band_detection(result, run.excitation_hz)
     return SheddingReport(sensor_id=sensor_id, candidates=detections,
-                          excitation=excitation, spec=spec)
+                          excitation=excitation, stft=result)

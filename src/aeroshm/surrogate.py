@@ -50,26 +50,23 @@ noise are seeded, so identical seeds reproduce campaigns bit-exactly.
 A run's sensor noise is drawn on a pool thread (`_draw_noise`) while its
 motion integrates on the calling thread: `standard_normal(out=...)` and
 the scaling by noise_std run with the GIL released, so on two cores the
-two overlap. A lone `simulate_run` draws on a pool of its own.
-A lone draw is the longer of the two, so it would set the pace of a
-campaign; `generate_campaign` instead keeps the draws of the next
-NOISE_WORKERS runs in flight, on as many threads, so later runs' draws
-overlap earlier runs' motion. Each run's noise has its own seed, so the
-order in which the draws run changes no bit.
+two overlap. A lone `simulate_run` draws on a pool of its own. A draw
+takes longer than a motion, so `generate_campaign` queues every run's
+draw on one pool up front: later runs' draws overlap earlier runs'
+motion. Each run's noise has its own seed, so the order in which the
+draws run changes no bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
-from .data import N_DAMAGE_CLASSES, Campaign, RawRun, SensorLayout, usable_cpus
+from .data import N_DAMAGE_CLASSES, Campaign, RawRun, SensorLayout, run_pool
 from .errors import ConfigError, NumericError
 from .records import from_json
 
@@ -236,6 +233,7 @@ class GeneratorConfig:
         raise ConfigError(f"no test series {test_series} in the grid")
 
     def validate(self):
+        _refuse_non_finite(self, "")
         self.section.validate()
         for spec in self.damage_table:
             spec.validate()
@@ -276,6 +274,20 @@ class GeneratorConfig:
     def from_dict(cls, d: dict) -> "GeneratorConfig":
         """Inverse of to_dict: every field present and of its declared type."""
         return from_json(cls, d, ConfigError, "generator config")
+
+
+def _refuse_non_finite(value, path: str) -> None:
+    """Raise a ConfigError naming the first NaN or infinite float in value,
+    a config dataclass or list nested to any depth, that path names."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"{path} must be finite, got {value}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _refuse_non_finite(item, f"{path}[{i}]")
+    elif is_dataclass(value):
+        for name, item in vars(value).items():
+            _refuse_non_finite(item, f"{path}.{name}" if path else name)
 
 
 # The stock profiles by name, each a function giving a fresh config.
@@ -531,16 +543,6 @@ def simulate_motion(section: SectionParams, damage: DamageSpec,
     )
 
 
-# Threads of `generate_campaign`'s noise pool, min(NOISE_WORKERS, usable
-# CPUs), and so the most runs ahead of the one integrating whose noise is
-# drawn. Generating the AoA-0 grid of 150 s runs (72 runs, 2-core box,
-# 8 rounds alternating in one process), the median round read 0.72 s and
-# a simulate_run p50 of 9.3 ms with 1 worker, 0.65 s and 8.8 ms with 2.
-# Two workers drawing only one run ahead idled a core whenever the draws
-# got ahead: 1.68 cores and 0.61 s a round, against 1.84 and 0.56 s two
-# runs ahead (6 rounds).
-NOISE_WORKERS = 2
-
 # Channels per block in which `simulate_run` adds the pressure signal to
 # its noise: a 0.96 MB temporary at 150 s, not 4.4 MB. On the grid above
 # (6 rounds) blocks of 1, 4, 8 and 37 channels all read 7.3-7.6 ms.
@@ -665,16 +667,14 @@ def generate_campaign(config: GeneratorConfig, seed: int,
     subset) x damage class x run index.
 
     The runs' motion integrates on the calling thread, one run at a time
-    in grid order. Their noise is drawn on a pool of
-    min(NOISE_WORKERS, usable CPUs) threads, at most that many runs ahead
-    of the run integrating, which bounds the buffers held to that many
-    plus its own. Two draws in flight while a run integrates keep both
-    cores of a 2-core machine busy: a worker that ends its draw early
-    finds the next one waiting, where with one it would idle until the
-    run returned. Each run's noise has its own seed, so every run equals
-    `simulate_run` called alone for its key, bit for bit. If a run
-    raises, the first error in grid order is raised once the draws in
-    flight have ended, and no pool thread outlives the call.
+    in grid order. Every run's noise draw is queued on a `run_pool`
+    before the first run integrates, and the pool's threads take them in
+    grid order. A drawn buffer becomes its run's values, so the draws
+    ahead hold no more than the finished campaign. Each run's noise has
+    its own seed, so every run equals `simulate_run` called alone for its
+    key, bit for bit. If a run raises, the draws not yet started are
+    cancelled, and the first error in grid order is raised once the
+    started ones have ended, with no pool thread left.
     """
     config.validate()
     duration = _run_duration(config, duration_s)
@@ -686,17 +686,15 @@ def generate_campaign(config: GeneratorConfig, seed: int,
     keys = [(row.test_series, damage.index, run_index)
             for row in series_rows for damage in config.damage_table
             for run_index in range(1, config.runs_per_condition + 1)]
-    workers = min(NOISE_WORKERS, usable_cpus())
-    undrawn = iter(keys if _has_noise(config, with_noise) else ())
-    draws = deque()
-    runs = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for key in keys:
-            # this run's draw and the next `workers` runs' draws in flight
-            for ahead in itertools.islice(undrawn, workers + 1 - len(draws)):
-                draws.append(pool.submit(_draw_noise, config, *ahead, seed, duration))
-            runs.append(simulate_run(config, *key, seed=seed, duration_s=duration,
-                                     with_noise=with_noise,
-                                     noise=draws.popleft() if draws else None))
+    drawn = _has_noise(config, with_noise)
+    pool = run_pool(len(keys))
+    try:
+        noises = [pool.submit(_draw_noise, config, *key, seed, duration) if drawn else None
+                  for key in keys]
+        runs = [simulate_run(config, *key, seed=seed, duration_s=duration,
+                             with_noise=with_noise, noise=noise)
+                for key, noise in zip(keys, noises)]
+    finally:
+        pool.shutdown(cancel_futures=True)
     return Campaign(runs=runs, layout=config.layout(),
                     generator_config=config.to_dict())

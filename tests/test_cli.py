@@ -326,6 +326,32 @@ def test_bad_generator_config_exits_config_error(tmp_path, capsys, edit, word):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("field,value,edit", [
+    ("section.twist_stiffness", "nan",
+     lambda d: d["section"].update(twist_stiffness=float("nan"))),
+    ("damage_table[2].twist_offset_deg", "nan",
+     lambda d: d["damage_table"][2].update(twist_offset_deg=float("nan"))),
+    ("pressure.suction_sens_peak", "-inf",
+     lambda d: d["pressure"].update(suction_sens_peak=-float("inf"))),
+    ("test_series[1].wind_speed", "inf",
+     lambda d: d["test_series"][1].update(wind_speed=float("inf"))),
+    ("quiet_s", "nan", lambda d: d.update(quiet_s=float("nan"))),
+], ids=["section", "damage-row", "pressure", "test-series", "top-level"])
+def test_non_finite_generator_config_exits_config_error(tmp_path, capsys, field, value, edit):
+    """JSON reads NaN and Infinity; generate refuses them, naming the
+    field, before it writes anything."""
+    d = GeneratorConfig().to_dict()
+    edit(d)
+    path = tmp_path / "generator.json"
+    path.write_text(json.dumps(d))
+    code = main(["generate", "--out", str(tmp_path / "data"), "--duration", "60",
+                 "--generator-config", str(path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"configuration error: {field} must be finite, got {value}\n"
+    assert not (tmp_path / "data").exists()
+
+
 def test_duration_too_long_to_allocate_exits_config_error(tmp_path, capsys):
     # numpy refuses a 1e302-sample shape before allocating anything
     code = main(["generate", "--out", str(tmp_path / "data"), "--seed", "0",
@@ -373,11 +399,14 @@ def test_zero_batch_size_exits_config_error(two_runs, tmp_path, capsys):
     ("layout.json", {"dead_sensors": [-1]}, "dead_sensors"),
     ("layout.json", {"dead_sensors": [5, 21, 5]}, "dead_sensors"),
     ("manifest.json", {"runs": [{"dir": 5}]}, "dir"),
+    ("manifest.json", {"format_version": 9, "n_runs": 0, "runs": []}, "format_version"),
+    ("manifest.json", {"format_version": 1, "n_runs": 73, "runs": []}, "n_runs"),
 ], ids=["layout-dead-sensors-not-a-list", "layout-dead-sensor-above-39",
         "layout-negative-dead-sensor", "layout-repeated-dead-sensor",
-        "manifest-dir-not-a-string"])
+        "manifest-dir-not-a-string", "manifest-format-version-9", "manifest-n-runs-73"])
 def test_bad_dataset_record_exits_data_error(tmp_path, capsys, name, record, word):
-    (tmp_path / "manifest.json").write_text(json.dumps({"runs": []}))
+    (tmp_path / "manifest.json").write_text(json.dumps({"format_version": 1, "n_runs": 0,
+                                                        "runs": []}))
     (tmp_path / name).write_text(json.dumps(record))
     code = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "out")])
     assert code == EXIT_DATA

@@ -6,7 +6,7 @@ import pytest
 from aeroshm.cli import build_parser
 from aeroshm.data import RawRun
 from aeroshm.errors import ConfigError, DataError
-from aeroshm.spectra import STFT_PRESETS, shedding_scan, stft
+from aeroshm.spectra import STFT_PRESETS, StftResult, _band_detection, shedding_scan, stft
 from aeroshm.surrogate import GRID_TEST_SERIES
 
 FS = 100.0
@@ -140,6 +140,37 @@ class TestSheddingScan:
     def test_unknown_sensor_rejected(self):
         with pytest.raises(DataError):
             shedding_scan(self._noise_run(), 21, [15.0])  # dead sensor id
+
+    @pytest.mark.parametrize("levels,detected,peak_db", [
+        ([0, 20, 40, 60, 0, 0, 0, 0], False, 60.0),
+        ([0, 60, 40, 80, 60, 0, 100, 0], True, 40.0),
+        ([20, 60, 80, 60, 40, 0, 100, 0], True, 40.0),
+        ([20, 60, 40], False, 60.0),
+    ], ids=["3-frame-run", "4-frame-run", "5-frame-run", "3-frames-in-all"])
+    def test_detection_needs_min_consecutive_frames_over_threshold(self, levels, detected,
+                                                                   peak_db):
+        """Hand-built band levels in dB over a floor of 1: a band is
+        detected when MIN_CONSECUTIVE (4) frames in a row reach
+        THRESHOLD_DB (7 dB), and its peak is the best level such a run
+        sustains; otherwise the peak is its highest frame."""
+        freqs = np.arange(40) * 0.5  # the wide preset's 0.5 Hz bins
+        magnitude = np.ones((freqs.size, len(levels)))
+        magnitude[np.abs(freqs - 5.0) <= 0.5] = 10.0 ** (np.array(levels) / 20.0)
+        result = StftResult(freqs=freqs, times=np.arange(len(levels)) + 1.0,
+                            magnitude=magnitude, spec=STFT_PRESETS["wide"])
+        band = _band_detection(result, 5.0)
+        assert band.detected is detected
+        assert band.peak_band_db == peak_db
+        assert band.frames_over_threshold == sum(level >= 7 for level in levels)
+
+    def test_report_carries_the_scanned_stft(self):
+        run = self._noise_run(duration=30.0)
+        report = shedding_scan(run, 16, [15.0], spec=STFT_PRESETS["fine"])
+        alone = stft(run.values[15], STFT_PRESETS["fine"])
+        assert report.stft.spec == alone.spec
+        for name in ("freqs", "times", "magnitude"):
+            assert getattr(report.stft, name).tobytes() == getattr(alone, name).tobytes()
+        assert "stft" not in report.to_dict()
 
     def test_report_serializes(self):
         report = shedding_scan(self._noise_run(), 16, [15.0])

@@ -30,7 +30,6 @@ from aeroshm.errors import ConfigError, DataError, NumericError
 from aeroshm.spectra import STFT_PRESETS, stft
 from aeroshm.surrogate import (
     MOTION_BLOCK_STEPS,
-    NOISE_WORKERS,
     PROFILES,
     GeneratorConfig,
     SectionParams,
@@ -60,9 +59,10 @@ def config():
     return PROFILES["static-dominant"]()
 
 
-def record_draws(monkeypatch, fail=()):
+def record_draws(monkeypatch, fail=(), delay=0.0):
     """Patch the noise draw to record each call's run key, the thread it
-    ran on and whether it ended; the draws of the keys in `fail` raise."""
+    ran on and whether it ended; each draw first sleeps `delay` seconds,
+    and the draws of the keys in `fail` raise."""
     draws = []
 
     def recorded(config, test_series, damage_class, run_index, *rest):
@@ -70,6 +70,7 @@ def record_draws(monkeypatch, fail=()):
                                thread=threading.current_thread(), ended=False)
         draws.append(draw)
         try:
+            time.sleep(delay)
             if draw.key in fail:
                 raise DataError(f"draw {draw.key}")
             return _draw_noise(config, test_series, damage_class, run_index, *rest)
@@ -156,6 +157,31 @@ class TestSimulateRun:
             generate_campaign(config, seed=0, aoa_deg=0.0, duration_s=duration)
         with pytest.raises(ConfigError, match="duration_s"):
             simulate_motion(config.section, config.damage(0), duration)
+
+    @pytest.mark.parametrize("field,value,edit", [
+        ("section.heave_damping", float("nan"),
+         lambda c, v: replace(c, section=replace(c.section, heave_damping=v))),
+        ("damage_table[2].twist_offset_deg", float("nan"),
+         lambda c, v: replace(c, damage_table=[replace(d, twist_offset_deg=v)
+                                               if d.index == 2 else d
+                                               for d in c.damage_table])),
+        ("pressure.noise_std", float("inf"),
+         lambda c, v: replace(c, pressure=replace(c.pressure, noise_std=v))),
+        ("test_series[5].aoa_deg", float("-inf"),
+         lambda c, v: replace(c, test_series=[replace(row, aoa_deg=v)
+                                              if row.test_series == 6 else row
+                                              for row in c.test_series])),
+        ("force_jitter", float("nan"), lambda c, v: replace(c, force_jitter=v)),
+    ], ids=["section", "damage-row", "pressure", "test-series", "top-level"])
+    def test_non_finite_config_value_rejected_by_name(self, config, field, value, edit):
+        bad = edit(config, value)
+        message = f"^{re.escape(f'{field} must be finite, got {value}')}$"
+        with pytest.raises(ConfigError, match=message):
+            bad.validate()
+        with pytest.raises(ConfigError, match=message):
+            simulate_run(bad, 1, 0, 1, seed=0, duration_s=SHORT)
+        with pytest.raises(ConfigError, match=message):
+            generate_campaign(bad, seed=0, aoa_deg=0.0, duration_s=SHORT)
 
     @pytest.mark.parametrize("with_noise", [True, False])
     def test_duration_too_long_to_allocate_rejected(self, config, with_noise):
@@ -477,8 +503,8 @@ class TestCampaign:
 
 
 class TestCampaignNoiseDraws:
-    """generate_campaign draws the runs' noise ahead of their motion on a
-    pool of its own."""
+    """generate_campaign queues every run's noise draw, ahead of the runs'
+    motion, on a pool of its own."""
 
     SECONDS = 5.0
     GRID = [(ts, d, r) for ts in (1, 2, 3, 4) for d in range(6) for r in (1, 2, 3)]  # AoA 0
@@ -513,7 +539,8 @@ class TestCampaignNoiseDraws:
     def test_first_error_in_grid_order_raised_after_every_draw(self, config, monkeypatch,
                                                                failing, k):
         """Run k fails in its motion or its draw, and every later run's
-        draw fails too: run k's error is the one raised."""
+        draw fails too: run k's error is the one raised, once every draw
+        that started has ended."""
         fail = set(self.GRID[k + 1:])
         if failing == "draw":
             fail.add(self.GRID[k])
@@ -534,53 +561,55 @@ class TestCampaignNoiseDraws:
         with pytest.raises(expected[0], match=f"^{re.escape(expected[1])}$"):
             generate_campaign(config, seed=0, aoa_deg=0.0, duration_s=self.SECONDS)
         assert self.GRID[k] in {d.key for d in draws}
-        assert len(draws) <= k + 1 + NOISE_WORKERS
         assert all(d.ended and not d.thread.is_alive() for d in draws)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_noise_drawn_as_many_runs_ahead_as_the_pool_has_workers(
-            self, config, monkeypatch, cpus):
-        """While run c's motion integrates, the draw of run c + workers
-        starts, no draw starts further ahead, and no more draws run at
-        once than the pool has workers; the bits do not depend on the
-        worker count."""
+    def test_every_draw_runs_on_a_pool_of_one_thread_per_cpu(self, config, monkeypatch,
+                                                             cpus):
+        """Every run's draw starts, no more draws run at once than the pool
+        has threads, and the bits do not depend on the thread count."""
         stock = generate_campaign(config, seed=3, aoa_deg=0.0, duration_s=self.SECONDS)
-        monkeypatch.setattr("aeroshm.surrogate.usable_cpus", lambda: cpus)
-        workers = min(NOISE_WORKERS, cpus)
-        started = {key: threading.Event() for key in self.GRID}
-        returned, ahead, running, concurrency = [], [], set(), []
+        monkeypatch.setattr("aeroshm.data.usable_cpus", lambda: cpus)
+        started, running, concurrency = [], set(), []
         lock = threading.Lock()
 
         def counted_draw(config, *key_and_rest):
             key = key_and_rest[:3]
             with lock:
-                ahead.append(self.GRID.index(key) - len(returned))  # of the run integrating
+                started.append(key)
                 running.add(key)
                 concurrency.append(len(running))
-            started[key].set()
             try:
                 return _draw_noise(config, *key_and_rest)
             finally:
                 with lock:
                     running.remove(key)
 
-        def counted_run(config, *key, **kwargs):
-            later = self.GRID.index(key) + workers
-            if later < len(self.GRID):
-                assert started[self.GRID[later]].wait(timeout=10), \
-                    f"run {key} began before the draw {workers} runs ahead"
-            run = simulate_run(config, *key, **kwargs)
-            returned.append(key)
-            return run
-
         monkeypatch.setattr("aeroshm.surrogate._draw_noise", counted_draw)
-        monkeypatch.setattr("aeroshm.surrogate.simulate_run", counted_run)
         campaign = generate_campaign(config, seed=3, aoa_deg=0.0, duration_s=self.SECONDS)
-        assert sorted(started) == self.GRID and all(e.is_set() for e in started.values())
-        assert len(ahead) == len(self.GRID) and max(ahead) == workers
-        assert max(concurrency) <= workers
+        assert sorted(started) == self.GRID
+        assert max(concurrency) <= cpus
         assert campaign.fingerprint() == stock.fingerprint()
+
+    def test_queued_draws_cancelled_when_the_first_run_fails(self, config, monkeypatch):
+        """Draws are slow and run 0's motion fails: the draws still queued
+        never start, so no more start than the pool has threads, and the
+        ones that did have ended with their threads before the error is
+        raised."""
+        monkeypatch.setattr("aeroshm.data.usable_cpus", lambda: 2)
+        draws = record_draws(monkeypatch, delay=0.2)
+
+        def unstable(*args, **kwargs):
+            raise NumericError("unstable section model")
+
+        monkeypatch.setattr("aeroshm.surrogate.simulate_motion", unstable)
+        before = threading.active_count()
+        with pytest.raises(NumericError, match="unstable"):
+            generate_campaign(config, seed=0, aoa_deg=0.0, duration_s=self.SECONDS)
+        assert len(draws) <= 2
+        assert all(d.ended and not d.thread.is_alive() for d in draws)
+        assert threading.active_count() == before
 
 
 class TestDatasetRoundTrip:
@@ -753,6 +782,7 @@ class TestDatasetRoundTrip:
             shutil.copytree(ds / entry["dir"], ds / "runs" / "copy")
             entry["dir"] = "runs/copy"
         manifest["runs"].append(entry)
+        manifest["n_runs"] += 1
         (ds / "manifest.json").write_text(json.dumps(manifest))
         read = []
         monkeypatch.setattr("aeroshm.data.load_run",
@@ -761,6 +791,31 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError, match=f"repeats run {repeated}$"):
             load_campaign(ds)
         assert len(read) == (3 if copy else 0)
+
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m.update(format_version=9, n_runs=73),
+         "key format_version must be 1, got 9"),
+        (lambda m: m.pop("format_version"), "key format_version must be 1, got None"),
+        (lambda m: m.update(format_version=True), "key format_version must be 1, got True"),
+        (lambda m: m.update(n_runs=73), "key n_runs must be 2, got 73"),
+        (lambda m: m.update(n_runs="2"), "key n_runs must be 2, got '2'"),
+    ], ids=["version-9", "no-version", "version-true", "n-runs-73", "n-runs-string"])
+    def test_load_refuses_a_manifest_of_another_version_or_count(
+            self, config, tmp_path, monkeypatch, edit, message):
+        """Refused before any run is read, naming the key."""
+        ds = tmp_path / "ds"
+        save_campaign(Campaign(runs=[simulate_run(config, 1, 0, r, seed=0, duration_s=2.0)
+                                     for r in (1, 2)]), ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        edit(manifest)
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        read = []
+        monkeypatch.setattr("aeroshm.data.load_run",
+                            lambda run_dir: read.append(run_dir) or load_run(run_dir))
+        with pytest.raises(DataError, match=f"{re.escape(message)}$"):
+            load_campaign(ds)
+        assert read == []
 
 
 class TestMapRuns:
