@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import warnings
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -286,6 +287,14 @@ def check_run(run: RawRun, what: str) -> RawRun:
     return run
 
 
+def check_runs(runs: list[RawRun]) -> None:
+    """The campaign rule: `check_run` for each of runs, then no run key
+    repeated. The first bad run in the order of runs is named."""
+    for run in runs:
+        check_run(run, f"run {run.key()}")
+    _refuse_repeats([_run_dirname(run) for run in runs], "campaign")
+
+
 def _check_finite(values: np.ndarray, where) -> None:
     """Raise a DataError naming the first non-finite value; where(channel,
     step) describes its position."""
@@ -321,14 +330,12 @@ def load_run(run_dir: Path) -> RawRun:
 
 
 def save_campaign(campaign: Campaign, dataset_dir: Path) -> None:
-    """Write a campaign. Every run is checked against the run rule
-    (`check_run`), and the run keys for repeats, before any file is
-    written, the first bad one in run-key order named, so no dataset is
-    saved that `load_campaign` refuses."""
+    """Write a campaign. Its runs are checked against the campaign rule
+    (`check_runs`) before any file is written, the first bad one in
+    run-key order named, so no dataset is saved that `load_campaign`
+    refuses."""
     runs = sorted(campaign.runs, key=lambda r: r.key())
-    for run in runs:
-        check_run(run, f"run {run.key()}")
-    _refuse_repeats([_run_dirname(run) for run in runs], "campaign")
+    check_runs(runs)
     dataset_dir = Path(dataset_dir)
     dataset_dir.mkdir(parents=True, exist_ok=True)
     rels = [Path("runs") / _run_dirname(run) for run in runs]
@@ -389,9 +396,9 @@ def ingest_csv_run(csv_path: Path, meta_path: Path,
                    layout: SensorLayout | None = None) -> RawRun:
     """Read one run from a CSV table plus a JSON metadata sidecar.
 
-    The CSV must have a header row of physical sensor ids and one row per
-    time step. Columns for dead sensors are dropped; all working sensors
-    must be present.
+    The CSV must be UTF-8 text: a header row of distinct physical sensor
+    ids, then one row per time step, at least one. Columns for dead
+    sensors are dropped; all working sensors must be present.
     """
     layout = layout or SensorLayout()
     csv_path, meta_path = Path(csv_path), Path(meta_path)
@@ -399,20 +406,30 @@ def ingest_csv_run(csv_path: Path, meta_path: Path,
         raise DataError(f"missing CSV file {csv_path}")
     what = f"metadata sidecar {meta_path}"
     meta = json_object(read_json(meta_path, DataError, "metadata sidecar"), DataError, what)
-    with open(csv_path) as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise DataError(f"{csv_path} is empty")
-        try:
-            sensor_ids = [int(c) for c in header.split(",")]
-        except ValueError:
-            raise DataError(
-                f"{csv_path}: header must hold integer sensor ids, got {header!r}"
-            ) from None
-        try:
-            table = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise DataError(f"{csv_path}: malformed numeric data: {exc}") from exc
+    try:
+        with open(csv_path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if not header:
+                raise DataError(f"{csv_path} is empty")
+            try:
+                sensor_ids = [int(c) for c in header.split(",")]
+            except ValueError:
+                raise DataError(
+                    f"{csv_path}: header must hold integer sensor ids, got {header!r}"
+                ) from None
+            for k, sensor_id in enumerate(sensor_ids):
+                if sensor_id in sensor_ids[:k]:
+                    raise DataError(f"{csv_path}: header repeats sensor id {sensor_id}")
+            with warnings.catch_warnings():
+                # loadtxt warns of a table without rows; it is refused below
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{csv_path} is not UTF-8 text: {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"{csv_path}: malformed numeric data: {exc}") from exc
+    if len(table) == 0:
+        raise DataError(f"{csv_path}: no data rows")
     if table.shape[1] != len(sensor_ids):
         raise DataError(
             f"{csv_path}: {table.shape[1]} columns but {len(sensor_ids)} header ids")

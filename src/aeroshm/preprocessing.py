@@ -7,11 +7,12 @@ and each window is z-scored jointly: one mean and one std over all its
 channels and steps, so the relative levels of the channels survive. The
 windows of a campaign are held in one columnar SampleSet: a (samples,
 channels, steps) float32 array plus label and provenance arrays, which
-`build_samples` alone builds; it refuses a run that breaks the run rule
-of `data.check_run`. Splits hold one of the three runs per boundary
-condition (test series x damage class) out for testing, the run that
-HELD_OUT_RUN names for the split index; a 25% validation slice is carved
-out of the training pool, stratified by class and boundary condition.
+`build_samples` alone builds; it refuses a campaign that breaks the
+campaign rule of `data.check_runs`. Splits hold one of the three runs per
+boundary condition (test series x damage class) out for testing, the run
+that HELD_OUT_RUN names for the split index; a 25% validation slice is
+carved out of the training pool, stratified by class and boundary
+condition.
 `assign_splits` returns the train, validation and test index lists keyed
 by slice name.
 
@@ -41,7 +42,7 @@ from dataclasses import replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import Campaign, RawRun, SampleSet, check_run, map_runs
+from .data import Campaign, RawRun, SampleSet, check_runs, map_runs
 from .errors import ConfigError, DataError
 
 TRIM_HEAD_S = 40.0
@@ -131,13 +132,13 @@ def build_samples(campaign: Campaign, window_steps: int = WINDOW_STEPS,
                   window_count: int = WINDOW_COUNT) -> SampleSet:
     """Trim, window, and normalize every run of a campaign, in run-key
     order. The windows are z-scored in float64 and returned in float32.
-    A run that breaks the run rule (`data.check_run`) is refused, the
-    first in run-key order named."""
+    A campaign that breaks the campaign rule (`data.check_runs`: the run
+    rule for each run, no run key repeated) is refused, the first bad run
+    in run-key order named."""
     runs = sorted(campaign.runs, key=lambda r: r.key())
     if not runs:
         raise DataError("campaign has no runs to window")
-    for run in runs:
-        check_run(run, f"run {run.key()}")
+    check_runs(runs)
     views = [window_run(trim_run(run), window_steps, window_count) for run in runs]
     values = np.empty((len(runs) * window_count, *views[0].shape[1:]), dtype=np.float32)
 

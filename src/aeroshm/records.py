@@ -21,12 +21,13 @@ import numpy as np
 
 
 def read_json(path: Path, error: type[Exception], what: str):
-    """The JSON value in the file at path."""
+    """The JSON value in the file at path. Text that does not decode is
+    malformed, as is text that does not parse."""
     if not path.exists():
         raise error(f"missing {what} file {path}")
     try:
         return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error(f"malformed {what} {path}: {exc}") from exc
 
 

@@ -406,12 +406,13 @@ def _expm(a: np.ndarray) -> np.ndarray:
 MOTION_BLOCK_STEPS = 64
 
 
-def _propagate(step: np.ndarray, start: np.ndarray,
-               kicks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """States z_0 .. z_m of the recurrence z_(k+1) = S z_k + kick_k, where
-    S = step, z_0 = start and kick_k, row k of the (m, 2) kicks, is added
-    to the state's components 2 and 3 (the rates). Returns z_0 .. z_(m-1)
-    as an (m, d) array, and z_m.
+def _propagate(step: np.ndarray, start: np.ndarray, kicks: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """Run the recurrence z_(k+1) = S z_k + kick_k, where S = step,
+    z_0 = start and kick_k, row k of the (m, 2) kicks, is added to the
+    state's components 2 and 3 (the rates). Writes z_0 .. z_(m-1) into
+    out, an (m, w) array that takes the first w components of each
+    state, and returns z_m.
 
     The m steps are cut into blocks of B = MOTION_BLOCK_STEPS, and every
     block takes its B steps at once: step i of all blocks is one
@@ -419,13 +420,14 @@ def _propagate(step: np.ndarray, start: np.ndarray,
     state, which gives each block's response r_j to its own kicks, and
     alongside S^B from the identity. Then the block start states
     x_(j+1) = S^B x_j + r_j are carried forward one block at a time, and
-    the blocks step again from those starts, which fills in every row.
-    So a call takes 2B + m/B Python steps, not m, and every product stays
+    the blocks step again from those starts: before step i, row i of
+    every block goes into out, as its rows i, i + B, i + 2B, ... So a
+    call takes 2B + m/B Python steps, not m, and every product stays
     small enough to run on one BLAS thread.
     """
     m, d, b = len(kicks), len(start), MOTION_BLOCK_STEPS
     if m == 0:
-        return np.empty((0, d)), start
+        return start
     n_blocks = -(-m // b)
     padded = np.zeros((n_blocks * b, 2))
     padded[:m] = kicks
@@ -438,17 +440,20 @@ def _propagate(step: np.ndarray, start: np.ndarray,
         ends = ends @ step_t
         ends[:n_blocks, 2:4] += block_kicks[i]
     response, power_t = ends[:n_blocks], ends[n_blocks:]
-    states = np.empty((b + 1, n_blocks, d))  # states[i, j] = z_(jB+i)
+    z = np.empty((n_blocks, d))  # row j: z_(jB+i) before step i below
     x = start
     for j in range(n_blocks):
-        states[0, j] = x
+        z[j] = x
         x = x @ power_t + response[j]
-    for i in range(b):
-        np.matmul(states[i], step_t, out=states[i + 1])
-        states[i + 1, :, 2:4] += block_kicks[i]
     last_block, last_step = divmod(m - 1, b)
-    return (states[:b].transpose(1, 0, 2).reshape(-1, d)[:m],
-            states[last_step + 1, last_block])
+    for i in range(b):
+        rows = out[i::b]  # the last block may be short of row i
+        rows[...] = z[:len(rows), :out.shape[1]]
+        z = z @ step_t
+        z[:, 2:4] += block_kicks[i]
+        if i == last_step:
+            end = z[last_block]
+    return end
 
 
 def _sample_count(seconds: float, sample_rate: float) -> int:
@@ -526,11 +531,10 @@ def simulate_motion(section: SectionParams, damage: DamageSpec,
     z = np.zeros(4) if initial_deviation is None else np.asarray(initial_deviation, float)
     traj = _run_buffer(np.empty, (n, 4), duration_s)
     k_quiet = min(k_on, n)
-    traj[:k_quiet], z = _propagate(step_quiet, z, kicks[:k_quiet])
+    z = _propagate(step_quiet, z, kicks[:k_quiet], traj[:k_quiet])
     if k_on < n:
         z6 = np.concatenate([z, [math.sin(excitation_phase), math.cos(excitation_phase)]])
-        forced, _ = _propagate(step_forced, z6, kicks[k_on:])
-        traj[k_on:] = forced[:, :4]
+        _propagate(step_forced, z6, kicks[k_on:], traj[k_on:])
 
     if not np.isfinite(traj).all():
         raise NumericError("section-model integration produced non-finite state")
@@ -541,12 +545,6 @@ def simulate_motion(section: SectionParams, damage: DamageSpec,
         equilibrium_heave=damage.heave_offset_m,
         equilibrium_twist_deg=damage.twist_offset_deg,
     )
-
-
-# Channels per block in which `simulate_run` adds the pressure signal to
-# its noise: a 0.96 MB temporary at 150 s, not 4.4 MB. On the grid above
-# (6 rounds) blocks of 1, 4, 8 and 37 channels all read 7.3-7.6 ms.
-SIGNAL_BLOCK_CHANNELS = 8
 
 
 def _run_duration(config: GeneratorConfig, duration_s: float | None) -> float:
@@ -594,9 +592,10 @@ def simulate_run(config: GeneratorConfig, test_series: int, damage_class: int,
     a one-thread pool that is shut down before the call returns or raises.
     The drawn buffer, or a zeroed one for a run without noise, becomes
     the run's values: the signal sens_c * alpha + base_c is added into it
-    in blocks of SIGNAL_BLOCK_CHANNELS channels. Each product and sum
-    keeps its order, and IEEE addition commutes, so the bits equal
-    signal + noise, or the signal alone (0.0 + v is v for any v but -0.0).
+    one channel row at a time, so no temporary outgrows one row. Each
+    product and sum keeps its order, and IEEE addition commutes, so the
+    bits equal signal + noise, or the signal alone (0.0 + v is v for any
+    v but -0.0).
     """
     config.validate()
     series = config.series(test_series)
@@ -640,11 +639,8 @@ def simulate_run(config: GeneratorConfig, test_series: int, damage_class: int,
         )
         values = (noise.result() if noise is not None else
                   _run_buffer(np.zeros, (len(sens), len(alpha_dev_deg)), duration))
-        for lo in range(0, len(values), SIGNAL_BLOCK_CHANNELS):
-            block = slice(lo, lo + SIGNAL_BLOCK_CHANNELS)
-            signal = sens[block, None] * alpha_dev_deg
-            signal += base[block, None]
-            values[block] += signal
+        for c, row in enumerate(values):
+            row += sens[c] * alpha_dev_deg + base[c]
 
     return RawRun(
         values=values,

@@ -715,6 +715,90 @@ def test_ingest_of_unusable_metadata_exits_data_error_before_writing(tmp_path, c
     assert {path: path.read_bytes() for path in data.rglob("*") if path.is_file()} == before
 
 
+BINARY = bytes(range(128, 256))  # not UTF-8 text
+
+
+def binary(path):
+    path.write_bytes(BINARY)
+    return path
+
+
+def dataset_with_binary(root, tmp, name):
+    """A copy of the pipeline's dataset whose file `name` holds BINARY."""
+    data = tmp / "data"
+    shutil.copytree(root / "data", data)
+    binary(data / name)
+    return data
+
+
+def ingest_argv(tmp, csv=None, meta=None):
+    """ingest of a 2 s run's CSV and sidecar into tmp / "ingested"; csv
+    or meta, where given, replaces that file's bytes."""
+    run = simulate_run(PROFILES["static-dominant"](), 1, 0, 1, seed=0, duration_s=2.0)
+    export_csv_run(run, tmp / "run.csv", tmp / "meta.json")
+    for name, content in (("run.csv", csv), ("meta.json", meta)):
+        if content is not None:
+            (tmp / name).write_bytes(content)
+    return ["ingest", "--csv", str(tmp / "run.csv"), "--meta", str(tmp / "meta.json"),
+            "--out", str(tmp / "ingested")]
+
+
+ALL_IDS = ",".join(map(str, range(N_PHYSICAL_SENSORS)))
+# id: (argv from the pipeline's root and a scratch dir, exit code, message words)
+UNREADABLE_INPUTS = {
+    "report-of-a-checkpoint": (
+        lambda root, tmp: ["report", str(root / "run" / "checkpoint.ckpt")],
+        EXIT_DATA, "malformed report"),
+    "binary-train-config": (
+        lambda root, tmp: ["train", "--data", str(root / "data"), "--out", str(tmp / "out"),
+                           "--config", str(binary(tmp / "config.json"))],
+        EXIT_CONFIG, "malformed config"),
+    "binary-generator-config": (
+        lambda root, tmp: ["generate", "--out", str(tmp / "out"),
+                           "--generator-config", str(binary(tmp / "generator.json"))],
+        EXIT_CONFIG, "malformed generator config"),
+    **{f"binary-dataset-{what.replace(' ', '-')}": (
+        lambda root, tmp, name=name: [
+            "eval", "--checkpoint", str(root / "run" / "checkpoint.ckpt"),
+            "--data", str(dataset_with_binary(root, tmp, name))],
+        EXIT_DATA, f"malformed {what}")
+       for name, what in (("layout.json", "layout"), ("manifest.json", "manifest"),
+                          ("runs/ts1_d0_r1/meta.json", "metadata"),
+                          ("generator_config.json", "generator config"))},
+    "binary-ingest-sidecar": (
+        lambda root, tmp: ingest_argv(tmp, meta=BINARY),
+        EXIT_DATA, "malformed metadata sidecar"),
+    "binary-ingest-csv": (
+        lambda root, tmp: ingest_argv(tmp, csv=BINARY),
+        EXIT_DATA, "run.csv is not UTF-8 text"),
+    "ingest-csv-repeating-a-sensor-id": (
+        lambda root, tmp: ingest_argv(
+            tmp, csv=f"{ALL_IDS},7\n{','.join(['0.5'] * 41)}\n".encode()),
+        EXIT_DATA, "run.csv: header repeats sensor id 7"),
+    "header-only-ingest-csv": (
+        lambda root, tmp: ingest_argv(
+            tmp, csv=(",".join(map(str, SensorLayout().working_ids)) + "\n").encode()),
+        EXIT_DATA, "run.csv: no data rows"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_INPUTS.values(), ids=UNREADABLE_INPUTS.keys())
+def test_unreadable_input_exits_with_a_one_line_error(two_runs, tmp_path, capsys, case):
+    """A record that is not UTF-8 text, or a CSV that no run can come
+    from, is a configuration or data error, not an internal one, and
+    nothing is written."""
+    (root, _), _ = two_runs
+    argv, code, words = case
+    argv = argv(root, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    prefix = "configuration error:" if code == EXIT_CONFIG else "data error:"
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert words in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "ingested").exists()
+
+
 def test_unexpected_exception_exits_internal_error(tmp_path, monkeypatch, capsys):
     def broken(path):
         raise RuntimeError("first line\nsecond line")

@@ -8,7 +8,7 @@ import pytest
 
 from aeroshm import harness
 from aeroshm.baselines import reduce_dataset
-from aeroshm.data import SampleSet, SensorLayout
+from aeroshm.data import Campaign, SampleSet, SensorLayout
 from aeroshm.errors import ConfigError, DataError
 from aeroshm.harness import ExperimentConfig, PreparedData
 from aeroshm.models import build_cnn, build_mlp
@@ -151,6 +151,13 @@ class TestSlices:
         data = harness.prepare_data(grid_campaign, ExperimentConfig(window_count=2))
         with pytest.raises(ConfigError, match="unknown slice 'holdout'"):
             data.slice("holdout")
+
+    def test_repeated_run_key_refused(self, grid_campaign):
+        """As save_campaign refuses it: 73 runs would give 730 windows where
+        the grid's 72 give 720."""
+        campaign = Campaign(runs=grid_campaign.runs + [grid_campaign.runs[5]])
+        with pytest.raises(DataError, match="^campaign repeats run ts1_d1_r3$"):
+            harness.prepare_data(campaign, ExperimentConfig(window_count=10))
 
     def test_empty_validation_slice_rejected(self, grid_campaign):
         data = harness.prepare_data(grid_campaign,

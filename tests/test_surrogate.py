@@ -41,6 +41,7 @@ from aeroshm.surrogate import (
     _THETA13,
     _draw_noise,
     _expm,
+    _propagate,
     _structural_matrix,
 )
 
@@ -339,6 +340,64 @@ class TestBlockedPropagation:
     def test_rejects_a_negative_lead_in(self, config):
         with pytest.raises(ConfigError):
             simulate_motion(config.section, config.damage(0), 5.0, quiet_s=-1.0)
+
+
+class TestPropagate:
+    """_propagate on its own: a forced 6-component step, whose states'
+    first 4 components or all 6 go into a NaN-filled buffer."""
+
+    @pytest.mark.parametrize("width", [4, 6])
+    @pytest.mark.parametrize("m", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_writes_m_rows_and_returns_the_final_state(self, m, width):
+        a = np.zeros((6, 6))
+        a[:4, :4] = _structural_matrix(2.0, 820.0, 2.6, 0.02, 24.0, 0.06)
+        a[2, 4], a[3, 4] = 3.0, 2.4
+        a[4, 5], a[5, 4] = 11.9, -11.9
+        step = _expm(a * 0.01)
+        start = np.array([0.01, -0.02, 0.3, -0.5, 0.6, 0.8])
+        kicks = np.random.default_rng(m).normal(scale=0.05, size=(m, 2))
+        out = np.full((m + 3, width), np.nan)
+        end = _propagate(step, start, kicks, out[:m])
+        assert not np.isnan(out[:m]).any()
+        assert np.isnan(out[m:]).all()
+        np.testing.assert_array_equal(out[0], start[:width])
+        # the recurrence of step_by_step_motion, one state at a time
+        z, expected = start.copy(), np.empty((m, 6))
+        for k in range(m):
+            expected[k] = z
+            z = step @ z
+            z[2:4] += kicks[k]
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(out[:m], expected[:, :width], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(end, z, rtol=0, atol=1e-12 * scale)
+
+
+class TestSignal:
+    @pytest.mark.parametrize("with_noise", [True, False], ids=["noisy", "noiseless"])
+    def test_values_are_noise_plus_the_signal_bit_for_bit(self, config, monkeypatch,
+                                                          with_noise):
+        """Each channel row: noise + (sens * alpha + base), the noise a
+        zero row for a run without it."""
+        traces = []
+
+        def recording(*args, **kwargs):
+            traces.append(simulate_motion(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr("aeroshm.surrogate.simulate_motion", recording)
+        ts, d, r, seed, seconds = 3, 4, 2, 7, 20.0
+        run = simulate_run(config, ts, d, r, seed=seed, duration_s=seconds,
+                           with_noise=with_noise)
+        (trace,) = traces
+        series = config.series(ts)
+        alpha = (config.damage(d).twist_offset_deg + np.degrees(trace.twist)
+                 + np.degrees(np.arctan2(trace.heave_rate, series.wind_speed)))
+        base, sens = pressure_profiles(config.pressure, config.layout(), series.aoa_deg)
+        noise = (_draw_noise(config, ts, d, r, seed, seconds) if with_noise
+                 else np.zeros_like(run.values))
+        expected = noise + (sens[:, None] * alpha + base[:, None])
+        assert run.values.shape == expected.shape
+        assert run.values.tobytes() == expected.tobytes()
 
 
 def step_generators(monkeypatch, sample_rate):
