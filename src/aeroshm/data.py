@@ -287,12 +287,21 @@ def check_run(run: RawRun, what: str) -> RawRun:
     return run
 
 
-def check_runs(runs: list[RawRun]) -> None:
-    """The campaign rule: `check_run` for each of runs, then no run key
-    repeated. The first bad run in the order of runs is named."""
+def check_runs(campaign: Campaign, what: str = "campaign") -> list[RawRun]:
+    """The campaign rule, and the campaign's runs in run-key order: the
+    layout passes `SensorLayout.check`, each run passes `check_run` and has
+    the layout's channel count, and no run key repeats. The first bad run
+    in run-key order is named; `what` names the campaign that repeats one."""
+    layout = campaign.layout
+    layout.check(DataError, "layout")
+    runs = sorted(campaign.runs, key=lambda r: r.key())
     for run in runs:
         check_run(run, f"run {run.key()}")
-    _refuse_repeats([_run_dirname(run) for run in runs], "campaign")
+        if run.n_channels != layout.n_channels:
+            raise DataError(f"run {run.key()} has {run.n_channels} channels, "
+                            f"layout declares {layout.n_channels}")
+    _refuse_repeats([_run_dirname(run) for run in runs], what)
+    return runs
 
 
 def _check_finite(values: np.ndarray, where) -> None:
@@ -330,12 +339,11 @@ def load_run(run_dir: Path) -> RawRun:
 
 
 def save_campaign(campaign: Campaign, dataset_dir: Path) -> None:
-    """Write a campaign. Its runs are checked against the campaign rule
-    (`check_runs`) before any file is written, the first bad one in
-    run-key order named, so no dataset is saved that `load_campaign`
-    refuses."""
-    runs = sorted(campaign.runs, key=lambda r: r.key())
-    check_runs(runs)
+    """Write a campaign, its runs in run-key order. The whole campaign rule
+    (`check_runs`: layout, run rule, channel count, distinct keys) is
+    applied before any file is written, so no dataset is saved that
+    `load_campaign` refuses."""
+    runs = check_runs(campaign)
     dataset_dir = Path(dataset_dir)
     dataset_dir.mkdir(parents=True, exist_ok=True)
     rels = [Path("runs") / _run_dirname(run) for run in runs]
@@ -357,8 +365,9 @@ def save_campaign(campaign: Campaign, dataset_dir: Path) -> None:
 def load_campaign(dataset_dir: Path) -> Campaign:
     """Read a campaign. A manifest with another format_version, an n_runs
     other than its number of entries, or a run directory repeated is
-    refused before any run is read, and runs whose metadata repeat a run
-    key once they are read."""
+    refused before any run is read; once the runs are read, the campaign
+    must meet the campaign rule (`check_runs`), which refuses, say, runs
+    whose metadata repeat a run key."""
     dataset_dir = Path(dataset_dir)
     manifest_path = dataset_dir / "manifest.json"
     if not manifest_path.exists():
@@ -382,14 +391,9 @@ def load_campaign(dataset_dir: Path) -> Campaign:
     generator_config = (read_json(gen_path, DataError, "generator config")
                         if gen_path.exists() else None)
     runs = map_runs(lambda entry: load_run(dataset_dir / entry["dir"]), entries)
-    for run in runs:
-        if run.n_channels != layout.n_channels:
-            raise DataError(
-                f"run {run.key()} has {run.n_channels} channels, "
-                f"layout declares {layout.n_channels}"
-            )
-    _refuse_repeats([_run_dirname(run) for run in runs], str(dataset_dir))
-    return Campaign(runs=runs, layout=layout, generator_config=generator_config)
+    campaign = Campaign(runs=runs, layout=layout, generator_config=generator_config)
+    check_runs(campaign, str(dataset_dir))
+    return campaign
 
 
 def ingest_csv_run(csv_path: Path, meta_path: Path,

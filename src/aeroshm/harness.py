@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .attribution import (
+    MAX_STEPS,
     AttributionMap,
     channel_sum,
     export_map_csv,
@@ -78,6 +79,8 @@ class ExperimentConfig(FitSettings):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.ig_steps > MAX_STEPS:
+            raise ConfigError(f"ig_steps must be at most {MAX_STEPS}, got {self.ig_steps!r}")
         for name in ("seed", "plateau_patience", "early_stop_patience", "log_every"):
             value = getattr(self, name)
             if value < 0:

@@ -1,9 +1,13 @@
 """Builders for the two classifier architectures.
 
-"fcn-cnn": three conv blocks (128 filters k=8, 256 k=5, 128 k=3), each
-followed by batchnorm + ReLU, then global average pooling and a dense
-softmax head. Same-padding keeps the temporal length through all blocks,
-so the pool averages exactly the input's time steps.
+"fcn-cnn": a standardize layer, then three conv blocks (128 filters k=8,
+256 k=5, 128 k=3), each followed by batchnorm + ReLU, then global average
+pooling and a dense softmax head. Same-padding keeps the temporal length
+through all blocks, so the pool averages exactly the input's time steps.
+`fit` sets the standardize layer to the training set's per-channel
+statistics over samples and time. It removes the large channel profile
+that all jointly z-scored windows share, which conv0 would turn into an
+offset that the first batchnorm's running mean lags behind.
 
 "mean-mlp": a standardize layer, which `fit` sets to the training set's
 statistics, then four dense layers (128, 128, 64, n_classes), batchnorm +
@@ -57,7 +61,7 @@ def build_cnn(input_channels: int = 37, input_steps: int = 150,
         raise ConfigError(
             f"input_steps must be >= largest kernel ({largest_kernel}), got {input_steps}")
     rng = np.random.default_rng(seed)
-    layers = []
+    layers = [Standardize(input_channels)]
     channels = input_channels
     for filters, kernel in CNN_BLOCKS:
         layers.append(Conv1d(channels, filters, kernel, rng))

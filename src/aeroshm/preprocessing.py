@@ -7,8 +7,10 @@ and each window is z-scored jointly: one mean and one std over all its
 channels and steps, so the relative levels of the channels survive. The
 windows of a campaign are held in one columnar SampleSet: a (samples,
 channels, steps) float32 array plus label and provenance arrays, which
-`build_samples` alone builds; it refuses a campaign that breaks the
-campaign rule of `data.check_runs`. Splits hold one of the three runs per
+`build_samples` alone builds. It takes its runs from `data.check_runs`,
+so a campaign that breaks the campaign rule (a bad layout, a bad run, a
+run without the layout's channel count, a repeated run key) is refused
+before any window is cut. Splits hold one of the three runs per
 boundary condition (test series x damage class) out for testing, the run
 that HELD_OUT_RUN names for the split index; a 25% validation slice is
 carved out of the training pool, stratified by class and boundary
@@ -132,13 +134,12 @@ def build_samples(campaign: Campaign, window_steps: int = WINDOW_STEPS,
                   window_count: int = WINDOW_COUNT) -> SampleSet:
     """Trim, window, and normalize every run of a campaign, in run-key
     order. The windows are z-scored in float64 and returned in float32.
-    A campaign that breaks the campaign rule (`data.check_runs`: the run
-    rule for each run, no run key repeated) is refused, the first bad run
-    in run-key order named."""
-    runs = sorted(campaign.runs, key=lambda r: r.key())
+    A campaign that breaks the campaign rule (`data.check_runs`: layout,
+    run rule, channel count, distinct keys) is refused, the first bad run
+    in run-key order named, before any window is cut."""
+    runs = check_runs(campaign)
     if not runs:
         raise DataError("campaign has no runs to window")
-    check_runs(runs)
     views = [window_run(trim_run(run), window_steps, window_count) for run in runs]
     values = np.empty((len(runs) * window_count, *views[0].shape[1:]), dtype=np.float32)
 

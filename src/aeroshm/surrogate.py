@@ -4,9 +4,10 @@ A 2-DOF (heave y, twist phi) spring-mass-damper section model stands in
 for the wind-tunnel recordings. Damage is parameterized per class as a
 stiffness reduction plus a static equilibrium twist, with one added-mass
 class outside the crack progression. Each class also gives a downward
-equilibrium heave (sag, `DamageSpec.heave_offset_m`), which is recorded
-in `MotionTrace.equilibrium_heave` but does not enter the pressure model:
-the heave reaches the effective angle of attack only through its rate.
+equilibrium heave (sag, `DamageSpec.heave_offset_m`), which is kept in
+the damage table and the written generator config but does not enter the
+pressure model: the heave reaches the effective angle of attack only
+through its rate.
 The instantaneous effective angle of attack
 
     alpha_eff(t) = alpha0 + twist_offset + phi(t) + arctan(ydot(t) / V)
@@ -60,13 +61,12 @@ draws run changes no bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack
+from concurrent.futures import Future
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
-from .data import N_DAMAGE_CLASSES, Campaign, RawRun, SensorLayout, run_pool
+from .data import DEFAULT_DEAD_SENSORS, N_DAMAGE_CLASSES, Campaign, RawRun, SensorLayout, run_pool
 from .errors import ConfigError, NumericError
 from .records import from_json
 
@@ -215,7 +215,7 @@ class GeneratorConfig:
     stiffness_jitter: float = 0.02  # run-to-run fractional parameter spread
     damping_jitter: float = 0.05
     force_jitter: float = 0.03
-    dead_sensors: tuple[int, ...] = (5, 21, 33)
+    dead_sensors: tuple[int, ...] = DEFAULT_DEAD_SENSORS
 
     def layout(self) -> SensorLayout:
         return SensorLayout(dead_sensors=tuple(self.dead_sensors))
@@ -338,8 +338,6 @@ class MotionTrace:
     twist: np.ndarray  # rad
     heave_rate: np.ndarray
     twist_rate: np.ndarray
-    equilibrium_heave: float
-    equilibrium_twist_deg: float
 
 
 def _structural_matrix(mass, k_heave, d_heave, inertia, k_twist, d_twist):
@@ -539,12 +537,8 @@ def simulate_motion(section: SectionParams, damage: DamageSpec,
     if not np.isfinite(traj).all():
         raise NumericError("section-model integration produced non-finite state")
     time = np.arange(n) * dt
-    return MotionTrace(
-        time=time, heave=traj[:, 0], twist=traj[:, 1],
-        heave_rate=traj[:, 2], twist_rate=traj[:, 3],
-        equilibrium_heave=damage.heave_offset_m,
-        equilibrium_twist_deg=damage.twist_offset_deg,
-    )
+    return MotionTrace(time=time, heave=traj[:, 0], twist=traj[:, 1],
+                       heave_rate=traj[:, 2], twist_rate=traj[:, 3])
 
 
 def _run_duration(config: GeneratorConfig, duration_s: float | None) -> float:
@@ -622,10 +616,10 @@ def simulate_run(config: GeneratorConfig, test_series: int, damage_class: int,
         phase = 0.0
         buffet_rng = None
 
-    with ExitStack() as lone:
+    # a pool starts its thread at the first submit: only a lone noisy call starts one
+    with run_pool(1) as lone:
         if noise is None and _has_noise(config, with_noise):
-            # called alone: draw on a pool of its own, shut down on return or raise
-            noise = lone.enter_context(ThreadPoolExecutor(max_workers=1)).submit(
+            noise = lone.submit(
                 _draw_noise, config, test_series, damage_class, run_index, seed, duration)
         trace = simulate_motion(
             section, damage, duration, sample_rate=config.sample_rate,

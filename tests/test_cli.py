@@ -118,8 +118,9 @@ def test_attribution_records_its_completeness_check(two_runs, tmp_path, capsys):
     assert extras["n_gap_unchecked"] == 0
     assert 0 < extras["max_relative_completeness_gap"] <= 0.05
     capsys.readouterr()
+    # 1 step on two samples: the larger gap is far above 5%
     code = main(["attribute", "--checkpoint", str(root / "run" / "checkpoint.ckpt"),
-                 "--data", str(root / "data"), "--steps", "1", "--max-samples", "1",
+                 "--data", str(root / "data"), "--steps", "1", "--max-samples", "2",
                  "--out", str(tmp_path)])
     assert code == EXIT_OK
     worst = json.loads((tmp_path / "attribution_apb.json").read_text())[
@@ -393,6 +394,19 @@ def test_zero_batch_size_exits_config_error(two_runs, tmp_path, capsys):
     assert err.count("\n") == 0 and "batch_size" in err
 
 
+def test_too_many_ig_steps_exit_config_error_before_any_output(two_runs, tmp_path, capsys):
+    """Refused as the config is built, not once IG is reached: no --out."""
+    (root, _), _ = two_runs
+    capsys.readouterr()
+    code = main(["attribute", "--checkpoint", str(root / "run" / "checkpoint.ckpt"),
+                 "--data", str(root / "data"), "--steps", "6000",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "configuration error: ig_steps must be at most 5000, got 6000\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name,record,word", [
     ("layout.json", {"dead_sensors": 5}, "dead_sensors"),
     ("layout.json", {"dead_sensors": [99]}, "dead_sensors"),
@@ -486,7 +500,7 @@ def repeated_run_dataset(two_runs, tmp_path_factory):
 
 @pytest.mark.parametrize("case,word", [
     ("no-softmax-head", "must end in a softmax layer"),
-    ("repeated-array-label", "lists array '0.param.bias' twice"),
+    ("repeated-array-label", "lists array '0.buffer.mean' twice"),
     ("repeated-manifest-run", "repeats run runs/ts1_d0_r1"),
 ], ids=["no-softmax-head", "repeated-array-label", "repeated-manifest-run"])
 @pytest.mark.parametrize("step", ["eval", "ablate", "attribute"])
@@ -550,6 +564,7 @@ def test_bad_standardize_buffer_exits_data_error(two_runs, tmp_path, capsys, ind
     ("label_smoothing", [0.05]), ("plateau_factor", {"x": 1}), ("min_lr", "1e-5"),
     ("arch", ["x"]), ("baseline", 1), ("zscore_scope", None), ("ig_target", 0.0),
     ("batch_size", True), ("ig_steps", True), ("seed", False),
+    ("ig_steps", 5001),
 ])
 def test_config_values_rejected(key, value):
     with pytest.raises(ConfigError, match=key):

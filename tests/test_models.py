@@ -55,8 +55,9 @@ class TestCnn:
     def test_block_structure(self):
         stack = build_cnn(37, 150)
         kinds = [layer.kind for layer in stack.layers]
-        assert kinds == ["conv1d", "batchnorm", "relu"] * 3 + [
+        assert kinds == ["standardize"] + ["conv1d", "batchnorm", "relu"] * 3 + [
             "global-avg-pool", "dense", "softmax"]
+        assert stack.layers[0].channels == 37
         convs = [l for l in stack.layers if l.kind == "conv1d"]
         assert [(c.filters, c.kernel_size) for c in convs] == [(128, 8), (256, 5), (128, 3)]
         dense = stack.layers[-2]

@@ -331,7 +331,8 @@ class TestBackpropLogits:
         stack, shape = warmed_model("fcn-cnn")
         x = np.ones((2,) + shape)
         stack.logits(x, train=True)
-        stack.layers[0].params["weight"][...] = 1e308  # conv output overflows
+        conv0 = next(layer for layer in stack.layers if layer.kind == "conv1d")
+        conv0.params["weight"][...] = 1e308  # conv output overflows
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             stack.logits(x, train=True)
         with pytest.raises(ConfigError, match="train-mode"):
@@ -508,8 +509,7 @@ class TestLeadingStandardize:
 
     @staticmethod
     def standardized_cnn(rng):
-        cnn = float64_cnn(3, 16, seed=4)
-        stack = LayerStack([Standardize(3), *cnn.layers], (3, 16))
+        stack = float64_cnn(3, 16, seed=4)  # build_cnn leads with a standardize layer
         windows = rng.normal(loc=1.0, scale=2.0, size=(10, 3, 16))
         stack.fit_standardize(windows)
         np.testing.assert_allclose(stack.layers[0].buffers["mean"],

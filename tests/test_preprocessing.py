@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from aeroshm.data import Campaign, RawRun, SampleSet
+from aeroshm.data import N_PHYSICAL_SENSORS, Campaign, RawRun, SampleSet, SensorLayout
 from aeroshm.errors import ConfigError, DataError
 from aeroshm.harness import model_inputs
 from aeroshm.models import build_mlp
@@ -29,6 +29,12 @@ def make_run(duration_s, test_series=1, damage_class=0, run_index=1,
     return RawRun(values=values, test_series=test_series,
                   damage_class=damage_class, run_index=run_index,
                   aoa_deg=0.0, excitation_hz=1.0, wind_speed=12.0)
+
+
+def campaign_of(runs):
+    """A campaign of make_run's 4-channel runs, under a layout of 4 working
+    sensors, as the campaign rule asks."""
+    return Campaign(runs=runs, layout=SensorLayout(tuple(range(4, N_PHYSICAL_SENSORS))))
 
 
 def fake_samples(rows, values=None):
@@ -260,7 +266,7 @@ class TestBuildSamples:
     def test_windows_all_normalized(self):
         # 53 s run -> 3 s after trimming -> three exact 100-step tiles
         runs = [make_run(53.0, run_index=r, seed=r) for r in (1, 2, 3)]
-        campaign = Campaign(runs=runs)
+        campaign = campaign_of(runs)
         samples = build_samples(campaign, window_steps=100, window_count=3)
         assert len(samples) == 9
         assert samples.values.shape == (9, 4, 100)
@@ -281,7 +287,7 @@ class TestBuildSamples:
                 for ts in (2, 1) for c in (0, 1) for r in (1, 2, 3)]
         runs[4].values = np.full_like(runs[4].values, 0.25)  # zero variance
         runs[7].values[2] = -1.5  # one flat channel
-        samples = build_samples(Campaign(runs=runs), window_steps=150, window_count=5)
+        samples = build_samples(campaign_of(runs), window_steps=150, window_count=5)
         expected, columns = [], []
         for run in sorted(runs, key=lambda r: r.key()):
             for w, window in enumerate(window_run(trim_run(run), 150, 5)):
@@ -306,14 +312,14 @@ class TestBuildSamples:
         count = 2 * ZSCORE_BLOCK + 3
         runs = [make_run(56.0, run_index=r, seed=r) for r in (1, 2, 3)]
         runs[1].values[:] = -0.5  # zero variance
-        samples = build_samples(Campaign(runs=runs), window_steps=150, window_count=count)
+        samples = build_samples(campaign_of(runs), window_steps=150, window_count=count)
         views = np.concatenate([window_run(trim_run(run), 150, count) for run in runs])
         expected = zscore(views)
         np.testing.assert_array_equal(samples.values, expected.astype(np.float32))
         np.testing.assert_array_equal(samples.values[count:2 * count], 0.0)
 
     def test_pool_threads_end_with_the_call(self, monkeypatch):
-        campaign = Campaign(runs=[make_run(53.0, run_index=r, seed=r) for r in (1, 2, 3)])
+        campaign = campaign_of([make_run(53.0, run_index=r, seed=r) for r in (1, 2, 3)])
         before = threading.active_count()
         build_samples(campaign, window_steps=100, window_count=3)
         assert threading.active_count() == before
@@ -330,7 +336,7 @@ class TestBuildSamples:
         runs = [make_run(60.0, run_index=3), make_run(50.0, run_index=2),
                 make_run(45.0, run_index=1)]
         with pytest.raises(DataError, match=r"run \(1, 0, 1\) too short"):
-            build_samples(Campaign(runs=runs), window_steps=100, window_count=3)
+            build_samples(campaign_of(runs), window_steps=100, window_count=3)
         with pytest.raises(DataError, match="no runs"):
             build_samples(Campaign(runs=[]))
 
@@ -341,4 +347,4 @@ class TestBuildSamples:
         message = (f"run (1, {damage_class}, 2) field damage_class must be in 0..5, "
                    f"got {damage_class}")
         with pytest.raises(DataError, match=re.escape(message)):
-            build_samples(Campaign(runs=runs), window_steps=100, window_count=3)
+            build_samples(campaign_of(runs), window_steps=100, window_count=3)

@@ -19,6 +19,7 @@ from scipy.linalg import expm
 
 from aeroshm.data import (
     Campaign,
+    SensorLayout,
     ingest_csv_run,
     load_campaign,
     load_run,
@@ -143,7 +144,6 @@ class TestSimulateRun:
         assert abs(trace.heave[-1]) < 1e-4
         assert abs(trace.twist[-1]) < 1e-4
         assert abs(trace.heave[0]) == 0.05  # started away from equilibrium
-        assert trace.equilibrium_heave == config.damage(3).heave_offset_m
 
     def test_unstable_parameters_reported(self, config):
         bad = replace(config.section, heave_damping=-1.0)
@@ -825,6 +825,21 @@ class TestDatasetRoundTrip:
         runs = [simulate_run(config, 1, 0, r, seed=0, duration_s=2.0) for r in (1, 2)]
         with pytest.raises(DataError, match="campaign repeats run ts1_d0_r2"):
             save_campaign(Campaign(runs=[runs[1], *runs]), tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("narrow,dead,message", [
+        (True, (5, 21, 33), "run (1, 0, 1) has 36 channels, layout declares 37"),
+        (False, (5, 21, 99), "layout field dead_sensors holds 99, outside 0..39"),
+        (False, (5, 21, 21), "layout field dead_sensors repeats an id: [5, 21, 21]"),
+    ], ids=["narrow-run", "dead-sensor-99", "repeated-dead-sensor"])
+    def test_save_refuses_a_layout_or_channel_count_load_would_refuse(
+            self, config, tmp_path, narrow, dead, message):
+        """Before it writes anything: the campaign rule is load's own."""
+        runs = [simulate_run(config, 1, 0, r, seed=0, duration_s=2.0) for r in (2, 1)]
+        if narrow:
+            runs[1] = replace(runs[1], values=runs[1].values[1:])
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            save_campaign(Campaign(runs=runs, layout=SensorLayout(dead)), tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
 
     @pytest.mark.parametrize("copy", [False, True], ids=["same-dir", "copied-dir"])
